@@ -89,8 +89,7 @@ def cmd_spectrum(args):
     s = parse_substitution(args.substitution)
     params = _params(args)
     e_range = (args.e_min, args.e_max) if args.e_min is not None else None
-    bands = floquet_bands(s, params, args.level, e_range=e_range, grid=args.grid,
-                          tol=args.tol)
+    bands = floquet_bands(s, params, args.level, e_range=e_range, tol=args.tol)
     out = _out_dir(args)
     csv_path = os.path.join(out, "bands_k%d.csv" % args.level)
     _write_csv(csv_path, ("level", "band_lo", "band_hi"), _bands_rows(bands))
@@ -112,7 +111,7 @@ def cmd_spectrum(args):
 def cmd_gaps(args):
     s = parse_substitution(args.substitution)
     params = _params(args)
-    bands = floquet_bands(s, params, args.level, grid=args.grid, tol=args.tol)
+    bands = floquet_bands(s, params, args.level, tol=args.tol)
     lo, hi = default_energy_range(params)
     mids = [0.5 * (g[0] + g[1]) for g in bands.gaps()]
     grid = np.unique(np.concatenate([np.linspace(lo, hi, 2049), np.array(mids)])) \
@@ -138,7 +137,7 @@ def cmd_gaps(args):
 def cmd_dims(args):
     s = parse_substitution(args.substitution)
     params = _params(args)
-    bands = floquet_bands(s, params, args.level, grid=args.grid, tol=args.tol)
+    bands = floquet_bands(s, params, args.level, tol=args.tol)
     est = fractal.box_dimension(bands)
     tau = fractal.thickness(bands)
     report = {
@@ -189,18 +188,24 @@ def cmd_surface(args):
                              max_steps=args.max_steps)
     out = _out_dir(args)
     base = os.path.join(out, "surface_V%s" % F17(args.invariant))
-    rows = []
-    for sheet in range(2):
-        for iy, yv in enumerate(raster["y"]):
-            for ix, xv in enumerate(raster["x"]):
-                rows.append((sheet, xv, yv, int(raster["steps"][sheet][iy, ix])))
-    _write_csv(base + ".csv", ("sheet", "x", "y", "steps"), rows)
+    _write_surface_csv(base + ".csv", raster)
     _write_ppm(base + ".ppm", raster)
     _emit(args, {"csv": base + ".csv", "ppm": base + ".ppm",
                  "bounded_cells": int((raster["steps"] > raster["max_steps"]).sum()),
                  "escaped_cells": int(((raster["steps"] >= 0)
                                        & (raster["steps"] <= raster["max_steps"])).sum())})
     return 0
+
+
+def _write_surface_csv(path, raster):
+    """The raster as (sheet, x, y, steps) CSV rows, one raster row per write."""
+    xs = [F17(v) for v in raster["x"]]
+    with open(path, "w", newline="") as fh:
+        fh.write("sheet,x,y,steps\r\n")
+        for sheet, block in enumerate(raster["steps"]):
+            for yv, row in zip(raster["y"], block.tolist()):
+                y = F17(yv)
+                fh.write("".join("%d,%s,%s,%d\r\n" % (sheet, x, y, n) for x, n in zip(xs, row)))
 
 
 def _write_ppm(path, raster):
@@ -279,7 +284,6 @@ def _add_common(sp, with_params=True):
         sp.add_argument("--p", type=float, default=1.0, help="hopping on letter 1")
         sp.add_argument("--q", type=float, default=0.0, help="potential on letter 1")
         sp.add_argument("--level", type=int, default=8, help="periodic approximation level")
-        sp.add_argument("--grid", type=int, default=4096)
         sp.add_argument("--tol", type=float, default=None, help="band edge tolerance")
 
 
@@ -320,6 +324,7 @@ def build_parser():
     p.add_argument("substitution")
     p.add_argument("--length", type=int, default=987)
     p.add_argument("--samples", type=int, default=0)
+    p.add_argument("--grid", type=int, default=4096, help="IDS table grid points")
     _add_common(p)
     p.set_defaults(fn=cmd_dos)
 

@@ -1,20 +1,22 @@
 """Periodic-approximation spectra as band sets, gaps, and set operations.
 
-The level-k approximation replaces the substitution sequence by the
-periodic repetition of s^k(star); Floquet theory says E belongs to its
-spectrum iff the half-trace x_k(E) of the transfer matrix over one
-period lies in [-1, 1].  x_k is evaluated through the trace-map
-pipeline (cost O(k) per energy instead of O(|s^k|)), and band edges are
-located by bisection on |x_k| - 1.
+The level-k approximation repeats the period word w = s^k(star), q = |w|
+letters; E lies in its spectrum iff the half-trace x_k(E) of the
+transfer matrix over one period lies in [-1, 1].  x_k is evaluated
+through the trace map, O(k) per energy instead of O(q).
 
-Band detection walks the levels upward: every band of level j is
-bracketed inside the union of the bands of levels j-1 and j-2 (plus a
-full-range coarse sweep as a safety net), which is what keeps the very
-thin high-level bands at strong coupling findable at all.  A
-forward-derivative pass splits candidate bands at interior critical
-points that exit [-1, 1]: inside an open band the discriminant is
-strictly monotone, so such a critical point certifies a gap thinner
-than the scan resolution.
+Each level is solved on its own.  The eigenvalues mu_1 <= ... <= mu_{q-1}
+of the Dirichlet truncation to w[1:] lie one in each closed gap (Teschl,
+*Jacobi Operators and Completely Integrable Nonlinear Lattices*, ch. 7),
+so band j lies in [mu_{j-1}, mu_j], mu_0 and mu_q being the ends of the
+energy range.  x_k has sign sign(p)^(#1s in w) (-1)^(q-j) in gap j, so
+each edge is the one sign change of sign * x_k - 1 on its bracket; all
+2q edges are bisected at once.  A mu that rounding put inside a band is
+nudged out of it, or marks a touching gap when there is band on both
+sides; one in a wrong gap is recomputed from Sturm counts.  A gap is
+closed when |x_k| - 1 <= 1e-12 at its midpoint or it is at most
+merge_tol wide; closed gaps are merged and counted, and a band set that
+fails band_count + closed_gaps == q raises BandCountError.
 """
 
 import math
@@ -22,26 +24,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobi import initial_conditions, initial_conditions_grid
+from .jacobi import (dirichlet_restriction, eigen_count_below_grid, initial_conditions,
+                     initial_conditions_grid)
 from .tracemap import classify, recipe_from_substitution
 
-BAND_GRID_DEFAULT = 4096
-GRID_CAP = 2 ** 20
+SATURATION = 1e150         # |x| cap of one trace-map step; keeps the sign in gaps
+BISECT_ROUNDS = 128        # halvings of a bracket, ample for any tol above 1 ulp
+CLOSED_GAP_EXCESS = 1e-12  # a gap with |x_k(midpoint)| - 1 at most this is closed
 
 
 class BandCountError(RuntimeError):
-    """More bands detected than the trace polynomial degree allows."""
+    """A band set failed band_count + closed_gaps == q_k, or a bracket failed."""
 
 
 @dataclass(frozen=True)
 class BandSet:
-    """Sorted disjoint closed intervals approximating a spectrum."""
+    """Sorted disjoint closed intervals approximating a spectrum.
+
+    ``closed_gaps`` counts the closed gaps merged into the listed bands.
+    """
 
     bands: tuple
     level: int = -1
     params: object = None
     label: str = ""
     edge_tol: float = 0.0
+    closed_gaps: int = 0
 
     def __post_init__(self):
         for (a, b) in self.bands:
@@ -140,47 +148,18 @@ def half_trace_grid(recipe, params, E, k):
     """x_k(E) over an energy grid via k periodic-block applications.
 
     After the start swap and k blocks the y coordinate carries the
-    half-trace over s^k(star); k = 0 returns the single-letter trace.
+    half-trace over s^k(star), for k = 0 the single-letter trace.
+    Every U-step saturates at +-SATURATION: deep in a gap, where the
+    true value would overflow, the result keeps the sign of 2xz - y.
     """
-    E = np.asarray(E, dtype=float)
-    if k == 0:
-        if recipe.star == "0":
-            return E / 2.0
-        return (E - params.q) / (2.0 * params.p)
     x, y, z = initial_conditions_grid(params, E)
-    x, y, z = x.copy(), y.copy(), z.copy()
     if recipe.swapped_start:
         y, z = z, y
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a in tuple(recipe.prefix) + tuple(recipe.period) * k:
-            y, z = z, y
-            for _ in range(a):
-                x, y = 2.0 * x * z - y, x
+    for a in tuple(recipe.prefix) + tuple(recipe.period) * k:
+        y, z = z, y
+        for _ in range(a):
+            x, y = np.clip(2.0 * x * z - y, -SATURATION, SATURATION), x
     return y
-
-
-def half_trace_dual_grid(recipe, params, E, k):
-    """(x_k, dx_k/dE) over a grid, by forward-mode differentiation."""
-    E = np.asarray(E, dtype=float)
-    p, q = params.p, params.q
-    if k == 0:
-        if recipe.star == "0":
-            return E / 2.0, np.full_like(E, 0.5)
-        return (E - q) / (2.0 * p), np.full_like(E, 1.0 / (2.0 * p))
-    x, y, z = initial_conditions_grid(params, E)
-    x, y, z = x.copy(), y.copy(), z.copy()
-    dx = (2.0 * E - q) / (2.0 * p)
-    dy = np.full_like(E, 1.0 / (2.0 * p))
-    dz = np.full_like(E, 0.5)
-    if recipe.swapped_start:
-        y, z = z, y
-        dy, dz = dz, dy
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a in tuple(recipe.prefix) + tuple(recipe.period) * k:
-            y, z, dy, dz = z, y, dz, dy
-            for _ in range(a):
-                x, y, dx, dy = 2.0 * x * z - y, x, 2.0 * (dx * z + x * dz) - dy, dx
-    return y, dy
 
 
 def default_energy_range(params):
@@ -189,137 +168,67 @@ def default_energy_range(params):
     return (-r, r)
 
 
-# -- band detection ---------------------------------------------------------------
+# -- band solver ----------------------------------------------------------------
 
-def _batched_bisect(g, ins, outs, tol):
-    """Bisect g <= 0 boundaries for paired (inside, outside) abscissae."""
-    ins = np.asarray(ins, dtype=float).copy()
-    outs = np.asarray(outs, dtype=float).copy()
-    if ins.size == 0:
-        return ins
-    for _ in range(200):
-        if np.max(np.abs(ins - outs)) <= tol:
+def _bisect(is_out, out, inn, tol):
+    """Shrink each lane's (out, inn) pair onto the boundary of {is_out}."""
+    for _ in range(BISECT_ROUNDS):
+        if np.max(np.abs(out - inn)) <= tol:
             break
-        mid = 0.5 * (ins + outs)
-        with np.errstate(invalid="ignore", over="ignore"):
-            gm = g(mid)
-        take = np.where(np.isfinite(gm), gm, np.inf) <= 0.0
-        ins = np.where(take, mid, ins)
-        outs = np.where(take, outs, mid)
-    return 0.5 * (ins + outs)
+        mid = 0.5 * (out + inn)
+        o = is_out(mid)
+        out, inn = np.where(o, mid, out), np.where(o, inn, mid)
+    return out, inn
 
 
-def _scan_windows(g, jobs, tol):
-    """Bands of {g <= 0} over a batch of (lo, hi, n) scan jobs."""
-    jobs = [(a, b, n) for (a, b, n) in jobs if b > a]
-    if not jobs:
-        return []
-    grids = [np.linspace(a, b, n) for a, b, n in jobs]
-    all_E = np.concatenate(grids)
-    with np.errstate(invalid="ignore", over="ignore"):
-        vals = g(all_E)
-    inside_all = np.where(np.isfinite(vals), vals, np.inf) <= 0.0
-    offsets = np.cumsum([0] + [n for _, _, n in jobs])
-    pending = []   # (fixed_left or None, fixed_right or None)
-    br_in, br_out = [], []
-    br_slot = []   # (band index, side)
-    for w, (a, b, n) in enumerate(jobs):
-        inside = inside_all[offsets[w]:offsets[w + 1]]
-        E = grids[w]
-        idx = np.flatnonzero(inside)
-        if idx.size == 0:
-            continue
-        brk = np.flatnonzero(np.diff(idx) > 1)
-        starts = np.concatenate([idx[:1], idx[brk + 1]])
-        ends = np.concatenate([idx[brk], idx[-1:]])
-        for s_i, e_i in zip(starts, ends):
-            slot = len(pending)
-            left = E[0] if s_i == 0 else None
-            right = E[-1] if e_i == n - 1 else None
-            if left is None:
-                br_in.append(E[s_i])
-                br_out.append(E[s_i - 1])
-                br_slot.append((slot, 0))
-            if right is None:
-                br_in.append(E[e_i])
-                br_out.append(E[e_i + 1])
-                br_slot.append((slot, 1))
-            pending.append([left, right])
-    edges = _batched_bisect(g, br_in, br_out, tol)
-    for (slot, side), e in zip(br_slot, edges):
-        pending[slot][side] = float(e)
-    out = []
-    for left, right in pending:
-        if right < left:
-            left = right = 0.5 * (left + right)
-        out.append((left, right))
-    return out
+def _nudge(x, mu, sign, j):
+    """Walk each mu_j out of a band in doubling ulp steps to both sides.
+
+    Inside (mu_{j-1}, mu_{j+1}) the gap sign sign_j x_k >= 1 holds only
+    in closed gap j, and sign_j x_k <= -1 only in the neighbouring gaps;
+    a side stops when it reaches either.  Returns the new points and the
+    mask of lanes with band on both sides (touching gaps, mu kept).
+    """
+    m, s, lo, hi = mu[j], sign[j], mu[j - 1], mu[j + 1]
+    step = np.spacing(np.maximum(np.abs(m), 1.0))
+    new = m.copy()
+    found = np.zeros(m.size, dtype=bool)
+    live = np.ones((2, m.size), dtype=bool)   # left and right walks
+    while live.any():
+        E = np.stack([m - step, m + step])
+        v = s * x(E.ravel()).reshape(E.shape)
+        inside = (E > lo) & (E < hi)
+        hit = live & inside & (v >= 1.0)
+        new = np.where(hit[0], E[0], np.where(hit[1], E[1], new))
+        found |= hit.any(axis=0)
+        live &= inside & (v > -1.0) & ~found
+        step = 2.0 * step
+    return new, ~found
 
 
-def _refine_level(dual, bands, tol, depth=0):
-    """Split candidate bands at interior critical points that exit [-1, 1]."""
-    if not bands or depth > 6:
-        return list(bands)
-    n = 129
-    eligible = [(a, b) for a, b in bands
-                if (b - a) > max(8.0 * tol, 1e-14 * max(abs(a), abs(b), 1.0))]
-    if not eligible:
-        return list(bands)
-    grids = [np.linspace(a, b, n) for a, b in eligible]
-    all_E = np.concatenate(grids)
-    with np.errstate(invalid="ignore", over="ignore"):
-        x, dx = dual(all_E)
-    g_abs = np.abs(x) - 1.0
-    splits = {}
-    crit_lo, crit_hi, crit_sign, crit_band = [], [], [], []
-    for w, (a, b) in enumerate(eligible):
-        sl = slice(w * n, (w + 1) * n)
-        gw, dw, Ew = g_abs[sl], dx[sl], grids[w]
-        out_idx = np.flatnonzero(gw > 1e-12)
-        if out_idx.size:
-            splits.setdefault((a, b), []).extend(Ew[out_idx].tolist())
-            continue
-        flips = np.flatnonzero(np.sign(dw[:-1]) * np.sign(dw[1:]) < 0)
-        for i in flips:
-            crit_lo.append(Ew[i])
-            crit_hi.append(Ew[i + 1])
-            crit_sign.append(np.sign(dw[i]))
-            crit_band.append((a, b))
-    if crit_lo:
-        lo = np.array(crit_lo)
-        hi = np.array(crit_hi)
-        sgn = np.array(crit_sign)
-        for _ in range(120):
-            if np.max(hi - lo) <= max(tol * 1e-2, 1e-16 * np.max(np.abs(hi))):
-                break
-            mid = 0.5 * (lo + hi)
-            with np.errstate(invalid="ignore", over="ignore"):
-                _xm, dm = dual(mid)
-            same = np.sign(dm) == sgn
-            lo = np.where(same, mid, lo)
-            hi = np.where(same, hi, mid)
-        crit = 0.5 * (lo + hi)
-        with np.errstate(invalid="ignore", over="ignore"):
-            xc, _ = dual(crit)
-        for c, xv, band in zip(crit, np.abs(xc) - 1.0, crit_band):
-            if xv > 1e-12:
-                splits.setdefault(band, []).append(float(c))
-    if not splits:
-        return list(bands)
-    g_fn = lambda e: np.abs(dual(e)[0]) - 1.0
-    out = []
-    rescan = []
-    for band in bands:
-        if band not in splits:
-            out.append(band)
-            continue
-        cuts = sorted(set(splits[band]))
-        bounds = [band[0]] + cuts + [band[1]]
-        rescan.extend((lo_, hi_, 257) for lo_, hi_ in zip(bounds, bounds[1:]))
-    if rescan:
-        pieces = _scan_windows(g_fn, rescan, tol)
-        out.extend(_refine_level(dual, pieces, tol, depth + 1))
-    return out
+def _certify(x, mu, sign, spec):
+    """Move every interior mu_j into closed gap j, or raise.
+
+    mu_j must satisfy sign_j x_k(mu_j) >= 1.  One that landed in a
+    neighbouring gap is recomputed by bisection on Sturm counts; one
+    that sits in a band is nudged out of it, and kept as a touching gap
+    when there is band on both sides.
+    """
+    v = sign * x(mu)
+    if not (v[0] >= 1.0 and v[-1] >= 1.0):
+        raise BandCountError("energy range does not enclose the spectrum")
+    j = 1 + np.flatnonzero(~(v[1:-1] > -1.0))
+    if j.size:
+        _, mu[j] = _bisect(lambda E: eigen_count_below_grid(spec, E) < j,
+                           np.full(j.size, mu[0]), np.full(j.size, mu[-1]), 0.0)
+        v[j] = sign[j] * x(mu[j])
+    j = 1 + np.flatnonzero(np.abs(v[1:-1]) < 1.0)
+    if j.size:
+        mu[j], touching = _nudge(x, mu, sign, j)
+        v[j] = np.where(touching, 1.0, sign[j] * x(mu[j]))
+    if not np.all(v[1:-1] >= 1.0):
+        raise BandCountError("%d Dirichlet brackets failed" % np.sum(~(v[1:-1] >= 1.0)))
+    return mu
 
 
 def _word_length(s, star, k):
@@ -329,81 +238,71 @@ def _word_length(s, star, k):
     return int(v.sum())
 
 
-def floquet_band_tower(s, params, k_max, e_range=None, grid=BAND_GRID_DEFAULT,
-                       tol=None, merge_tol=None, recipe=None):
-    """Band sets of every level 0..k_max, computed in one upward sweep."""
-    if recipe is None:
-        recipe = recipe_from_substitution(s)
-    if e_range is None:
-        e_range = default_energy_range(params)
-    lo, hi = float(e_range[0]), float(e_range[1])
+def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=None):
+    """Level-k periodic-approximation spectrum as a BandSet.
+
+    Edges are bisected to ``tol`` (default 1e-12 of the energy range);
+    gaps at most ``merge_tol`` wide (default 1e-11 of the range) count as
+    closed.  ``e_range`` clips the result to a window; the band count is
+    checked on the whole level first.
+    """
+    from scipy.linalg import eigvalsh_tridiagonal  # 0.3 s import, kept off module load
+
+    recipe = recipe or recipe_from_substitution(s)
+    hull = default_energy_range(params)
+    lo, hi = hull if e_range is None else (float(e_range[0]), float(e_range[1]))
     span = hi - lo
     if span <= 0:
         raise ValueError("empty energy range")
-    if tol is None:
-        tol = 1e-12 * span
-    if merge_tol is None:
-        merge_tol = 1e-11 * span
-    levels = {}
-    for j in range(0, k_max + 1):
-        g = lambda E, j=j: np.abs(half_trace_grid(recipe, params, E, j)) - 1.0
-        dual = lambda E, j=j: half_trace_dual_grid(recipe, params, E, j)
-        windows = [(lo, hi)]
-        if j >= 1:
-            cand = list(levels[j - 1])
-            if j >= 2:
-                cand += list(levels[j - 2])
-            padded = [(a - max(4.0 * tol, 0.02 * (b - a)),
-                       b + max(4.0 * tol, 0.02 * (b - a))) for a, b in cand]
-            windows = [(max(lo, a), min(hi, b)) for a, b in merge_intervals(padded)]
-        bands = _adaptive_level(g, windows, (lo, hi), span, grid, tol, merge_tol)
-        bands = merge_intervals(_refine_level(dual, bands, tol), merge_tol)
-        degree = _word_length(s, recipe.star, j)
-        if len(bands) > degree:
-            raise BandCountError(
-                "level %d: %d bands exceed polynomial degree %d" % (j, len(bands), degree)
-            )
-        levels[j] = bands
-    return {
-        j: BandSet(levels[j], level=j, params=params, label=s.text(), edge_tol=tol)
-        for j in range(k_max + 1)
-    }
+    tol = 1e-12 * span if tol is None else tol
+    merge_tol = 1e-11 * span if merge_tol is None else merge_tol
+    word = recipe.star
+    for _ in range(k):
+        word = s.apply(word)
+    q = len(word)
+    x = lambda E: half_trace_grid(recipe, params, E, k)
+    inner, spec = [], None
+    if q > 1:
+        spec = dirichlet_restriction(params, word[1:])
+        inner = eigvalsh_tridiagonal(np.asarray(spec.diag, dtype=float),
+                                     np.asarray(spec.offdiag[1:], dtype=float),
+                                     lapack_driver="sterf")
+    mu = np.concatenate([[min(lo, hull[0])], inner, [max(hi, hull[1])]])
+    # sign of x_k in gap j (above band j): leading coefficient times (-1)^(q-j)
+    sign = np.sign(params.p) ** word.count("1") * (-1.0) ** (q - np.arange(q + 1))
+    mu = _certify(x, mu, sign, spec)
+    # left edges: sign[j-1] x_k - 1 leaves >= 0; right edges: sign[j] x_k - 1 reaches it
+    lane_sign = np.concatenate([sign[:-1], sign[1:]])
+    out, inn = _bisect(lambda E: lane_sign * x(E) >= 1.0,
+                       np.concatenate([mu[:-1], mu[1:]]),
+                       np.concatenate([mu[1:], mu[:-1]]), tol)
+    edges = 0.5 * (out + inn)
+    a, b = edges[:q], edges[q:]
+    if np.any(a - b > tol) or np.any(a[1:] - b[:-1] < -tol):
+        raise BandCountError("level %d: band edges out of order" % k)
+    b = np.maximum(a, b)
+    mids = 0.5 * (b[:-1] + a[1:])
+    closed = (a[1:] - b[:-1] <= merge_tol) | (np.abs(x(mids)) - 1.0 <= CLOSED_GAP_EXCESS)
+    cut = np.flatnonzero(~closed)
+    bands = merge_intervals(zip(a[np.concatenate([[0], cut + 1])],
+                                b[np.concatenate([cut, [q - 1]])]))
+    if len(bands) + int(closed.sum()) != q:
+        raise BandCountError("level %d: %d bands + %d closed gaps != %d"
+                             % (k, len(bands), int(closed.sum()), q))
+    if e_range is not None:
+        bands = tuple((max(a_, lo), min(b_, hi)) for a_, b_ in bands if b_ >= lo and a_ <= hi)
+        closed = closed & (mids >= lo) & (mids <= hi)
+    return BandSet(bands, level=k, params=params, label=s.text(), edge_tol=tol,
+                   closed_gaps=int(closed.sum()))
 
 
-def floquet_bands(s, params, k, e_range=None, grid=BAND_GRID_DEFAULT,
-                  tol=None, merge_tol=None, recipe=None):
-    """Level-k periodic-approximation spectrum as a BandSet.
-
-    Candidate windows for each level are the (inflated) bands of the two
-    previous levels together with a coarse full-range sweep, refined
-    adaptively until the band count is stable across two rounds.  Band
-    edges are bisected to ``tol`` (default 1e-12 of the energy range)
-    and bands separated by less than ``merge_tol`` (default 1e-11 of the
-    range) are merged.
-    """
-    tower = floquet_band_tower(s, params, k, e_range=e_range, grid=grid,
-                               tol=tol, merge_tol=merge_tol, recipe=recipe)
-    return tower[k]
-
-
-def _adaptive_level(g, windows, full_range, span, grid, tol, merge_tol):
-    counts = []
-    h = span / max(grid, 16)
-    lo, hi = full_range
-    bands = ()
-    for _round in range(12):
-        jobs = [(a, b, int(min(2 ** 17, max(129, math.ceil((b - a) / h) + 1))))
-                for a, b in windows]
-        jobs.append((lo, hi, int(min(2 ** 17, max(grid, 65)))))
-        found = _scan_windows(g, jobs, tol)
-        bands = merge_intervals(found, merge_tol)
-        counts.append(len(bands))
-        if len(counts) >= 2 and counts[-1] == counts[-2]:
-            break
-        if span / h > GRID_CAP:
-            break
-        h /= 2.0
-    return bands
+def floquet_band_tower(s, params, k_max, e_range=None, tol=None, merge_tol=None,
+                       recipe=None):
+    """Band sets of every level 0..k_max (each level is solved on its own)."""
+    recipe = recipe or recipe_from_substitution(s)
+    return {k: floquet_bands(s, params, k, e_range=e_range, tol=tol,
+                             merge_tol=merge_tol, recipe=recipe)
+            for k in range(k_max + 1)}
 
 
 # -- dynamical spectrum, gaps, labels --------------------------------------------
@@ -433,6 +332,19 @@ class Gap:
         return self.hi - self.lo
 
 
+def _label_periods(s, bands, recipe):
+    """(q_k, q_{k-1}) of a level-k band set; labels need all q_k bands."""
+    star = (recipe or recipe_from_substitution(s)).star
+    k = bands.level
+    if k < 1:
+        raise ValueError("need a level >= 1 band set")
+    q_k, q_km1 = _word_length(s, star, k), _word_length(s, star, k - 1)
+    if bands.band_count != q_k:
+        raise ValueError("band set incomplete: %d of %d bands; labels undefined"
+                         % (bands.band_count, q_k))
+    return q_k, q_km1
+
+
 def combinatorial_gap_label(s, bands, gap_index, recipe=None):
     """Gap label from band counting alone (no IDS evaluation).
 
@@ -442,16 +354,7 @@ def combinatorial_gap_label(s, bands, gap_index, recipe=None):
     residue).  Requires the band set to be completely detected, i.e.
     band count equal to q_k.
     """
-    if recipe is None:
-        recipe = recipe_from_substitution(s)
-    k = bands.level
-    if k < 1:
-        raise ValueError("need a level >= 1 band set")
-    q_k = _word_length(s, recipe.star, k)
-    q_km1 = _word_length(s, recipe.star, k - 1)
-    if bands.band_count != q_k:
-        raise ValueError("band set incomplete: %d of %d bands; labels undefined"
-                         % (bands.band_count, q_k))
+    q_k, q_km1 = _label_periods(s, bands, recipe)
     j = int(gap_index)
     if not 1 <= j <= q_k - 1:
         raise ValueError("gap index out of range")
@@ -463,17 +366,10 @@ def combinatorial_gap_label(s, bands, gap_index, recipe=None):
 
 def gap_index_for_label(s, bands, m, recipe=None):
     """Inverse of :func:`combinatorial_gap_label`: 1-based gap index of label m."""
-    if recipe is None:
-        recipe = recipe_from_substitution(s)
-    k = bands.level
-    q_k = _word_length(s, recipe.star, k)
-    q_km1 = _word_length(s, recipe.star, k - 1)
-    if bands.band_count != q_k:
-        raise ValueError("band set incomplete: %d of %d bands; labels undefined"
-                         % (bands.band_count, q_k))
+    q_k, q_km1 = _label_periods(s, bands, recipe)
     j = (int(m) * q_km1) % q_k
     if not 1 <= j <= q_k - 1:
-        raise ValueError("label m = %d has no gap at level %d" % (m, k))
+        raise ValueError("label m = %d has no gap at level %d" % (m, bands.level))
     return j
 
 

@@ -1,20 +1,23 @@
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st_h
 
 import sturmtrace as st
+import sturmtrace.spectrum as spectrum_mod
 from sturmtrace.jacobi import half_trace, word_transfer
 from sturmtrace.spectrum import (
+    BandCountError,
     BandSet,
     combinatorial_gap_label,
     default_energy_range,
     floquet_band_tower,
     gap_index_for_label,
-    half_trace_dual_grid,
     half_trace_grid,
     merge_intervals,
 )
-from sturmtrace.substitution import Substitution, periodic_word
+from sturmtrace.substitution import Substitution, parse_substitution, periodic_word
 
 METAL = Substitution("001", "0")
 
@@ -142,18 +145,6 @@ def test_band_edges_are_simple_crossings():
             assert g_in < 0 < g_out
 
 
-def test_half_trace_dual_matches_difference_quotient():
-    params = st.JacobiParams(1.2, 0.7)
-    recipe = st.recipe_from_substitution(st.FIBONACCI)
-    E = np.linspace(-2, 2, 11)
-    h = 1e-6
-    for k in (0, 1, 3, 5):
-        x, dx = half_trace_dual_grid(recipe, params, E, k)
-        fd = (half_trace_grid(recipe, params, E + h, k)
-              - half_trace_grid(recipe, params, E - h, k)) / (2 * h)
-        assert np.allclose(dx, fd, rtol=1e-5, atol=1e-4)
-
-
 def test_semicontinuity_trend():
     # every energy of sigma_{k+2} lies near sigma_k, with shrinking epsilon
     params = st.JacobiParams(1.0, 1.0)
@@ -260,3 +251,143 @@ def test_probe_consistency_with_bands():
         E = 0.5 * (lo + hi)
         v = st.dynamical_spectrum_probe(s, params, [E], max_steps=13)[0]
         assert v.kind == "escaped"
+
+
+# -- the Dirichlet-bracketed solver --------------------------------------------
+
+def star_word(s, k):
+    """s^k of the recipe's star letter: the period the solver's x_k runs over.
+
+    periodic_word uses star_letter instead, which differs for some
+    substitutions (0->1;1->01 among them).
+    """
+    word = st.recipe_from_substitution(s).star
+    for _ in range(k):
+        word = s.apply(word)
+    return word
+
+
+def half_trace_mp(word, params, E, dps=60):
+    """x(E) by a 60-digit transfer product over one period, successor cyclic."""
+    with mpmath.workdps(dps):
+        E = mpmath.mpf(E)
+        m00, m01, m10, m11 = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1)
+        for i, c in enumerate(word):
+            nxt = mpmath.mpf(params.hopping(word[(i + 1) % len(word)]))
+            a, b = (E - params.potential(c)) / nxt, -1 / nxt   # T = [[a, b], [nxt, 0]]
+            m00, m01, m10, m11 = a * m00 + b * m10, a * m01 + b * m11, nxt * m00, nxt * m01
+        return (m00 + m11) / 2
+
+
+def assert_edges_cross(word, params, bands, indices):
+    """|x| <= 1 just inside and > 1 just outside both edges of each band."""
+    tol = bands.edge_tol
+    for i in indices:
+        a, b = bands.bands[i]
+        mid = 0.5 * (a + b)
+        for inside, outside in ((min(a + tol, mid), a - tol), (max(b - tol, mid), b + tol)):
+            assert abs(half_trace_mp(word, params, inside)) <= 1
+            assert abs(half_trace_mp(word, params, outside)) > 1
+
+
+@pytest.mark.parametrize("text, p, q, k, tol, count", [
+    ("0->001;1->0", 1.5, 1.0, 10, None, 8119),    # three 4e-6-wide bands were dropped
+    ("0->01;1->0", 1.0, 0.1, 16, 1e-13, 2584),    # [-0.716193, -0.716109] was dropped
+    ("0->001;1->0", 1.0, 0.5287, 7, None, 577),   # 578 bands were reported, and raised
+    ("0->100;1->10", 1.0, 2.0, 6, None, 377),     # 267 bands were reported
+])
+def test_every_band_found(text, p, q, k, tol, count):
+    bands = st.floquet_bands(parse_substitution(text), st.JacobiParams(p, q), k, tol=tol)
+    assert bands.band_count == count
+    assert bands.closed_gaps == 0
+
+
+@given(st_h.sampled_from(["0->01;1->0", "0->001;1->0", "0->1;1->10", "0->1;1->01"]),
+       st_h.floats(0.5, 2.5), st_h.booleans(), st_h.floats(-4.0, 4.0),
+       st_h.integers(0, 8), st_h.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_bands_plus_closed_gaps_is_period_length(text, p, negative, q, k, pick):
+    s = parse_substitution(text)
+    params = st.JacobiParams(-p if negative else p, q)
+    bands = st.floquet_bands(s, params, k)
+    word = star_word(s, k)
+    assert bands.band_count + bands.closed_gaps == len(word)
+    assert_edges_cross(word, params, bands, [pick % bands.band_count])
+
+
+def test_half_trace_keeps_its_sign_deep_in_gaps():
+    # at k = 20 the true x_k at the range ends overflows a double
+    recipe = st.recipe_from_substitution(st.FIBONACCI)
+    word = star_word(st.FIBONACCI, 20)
+    for p in (1.0, -1.3):
+        params = st.JacobiParams(p, 2.0)
+        x = half_trace_grid(recipe, params, np.array(default_energy_range(params)), 20)
+        lead = np.sign(p) ** word.count("1")
+        assert np.all(np.isfinite(x))
+        assert np.sign(x).tolist() == [lead * (-1.0) ** len(word), lead]
+
+
+def test_free_case_closes_every_gap():
+    for s, k in ((st.FIBONACCI, 7), (METAL, 5)):
+        bands = st.floquet_bands(s, st.JacobiParams(1.0, 0.0), k)
+        assert bands.band_count == 1
+        assert bands.closed_gaps == len(star_word(s, k)) - 1
+
+
+def test_strong_coupling_edges_match_mpmath():
+    params = st.JacobiParams(1.0, 24.0)
+    bands = st.floquet_bands(st.FIBONACCI, params, 12, tol=3e-14, merge_tol=2e-13)
+    assert bands.band_count == 377
+    # palindromic truncations put Dirichlet eigenvalues on band edges: check
+    # those bands, and every tenth band
+    word = star_word(st.FIBONACCI, 12)
+    spec = st.dirichlet_restriction(params, word[1:])
+    mu = scipy.linalg.eigvalsh_tridiagonal(np.array(spec.diag), np.array(spec.offdiag[1:]))
+    edges = np.array(bands.bands)
+    near = np.min(np.abs(edges[:, :, None] - mu[None, None, :]), axis=(1, 2)) < 1e-13
+    picks = sorted(set(np.flatnonzero(near)) | set(range(0, 377, 10)))
+    assert len(picks) > 40
+    assert_edges_cross(word, params, bands, picks)
+
+
+def test_misplaced_dirichlet_eigenvalue_is_recomputed(monkeypatch):
+    params = st.JacobiParams(1.0, 2.0)
+    expected = st.floquet_bands(st.FIBONACCI, params, 8)
+    exact = scipy.linalg.eigvalsh_tridiagonal
+
+    def misplaced(d, e, **kw):
+        mu = exact(d, e, **kw)
+        mu[20] = mu[21]   # into the neighbouring gap, where x_k has the wrong sign
+        return mu
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", misplaced)
+    got = st.floquet_bands(st.FIBONACCI, params, 8)
+    assert got.band_count == 55
+    assert np.allclose(got.bands, expected.bands, rtol=0.0, atol=got.edge_tol)
+
+
+def test_nudge_walks_out_of_band_or_reports_touching():
+    mu, sign = np.array([-2.0, 0.0, 2.0]), np.array([-1.0, 1.0, -1.0])
+    # band on both sides of mu_1: a touching gap, mu kept
+    new, touching = spectrum_mod._nudge(lambda E: 1.0 - 1e-9 - E * E, mu, sign, np.array([1]))
+    assert touching.tolist() == [True] and new[0] == 0.0
+    # gap (1e-13, 3e-13) just right of mu_1
+    x = lambda E: 1.0 + 1e18 * (E - 1e-13) * (3e-13 - E)
+    new, touching = spectrum_mod._nudge(x, mu, sign, np.array([1]))
+    assert touching.tolist() == [False] and x(new[0]) >= 1.0 and 0.0 < new[0] < 3e-13
+
+
+def test_range_not_enclosing_spectrum_raises(monkeypatch):
+    monkeypatch.setattr(spectrum_mod, "default_energy_range", lambda params: (-1.0, 1.0))
+    with pytest.raises(BandCountError):
+        st.floquet_bands(st.FIBONACCI, st.JacobiParams(1.0, 2.0), 4)
+
+
+def test_energy_window_clips_the_level():
+    params = st.JacobiParams(1.0, 2.0)
+    full = st.floquet_bands(st.FIBONACCI, params, 6)
+    lo, hi = -1.0, 2.5
+    window = st.floquet_bands(st.FIBONACCI, params, 6, e_range=(lo, hi), tol=full.edge_tol,
+                              merge_tol=1e-11 * (full.hull()[1] - full.hull()[0]))
+    clipped = [(max(a, lo), min(b, hi)) for a, b in full.bands if b >= lo and a <= hi]
+    assert np.allclose(window.bands, clipped, rtol=0.0, atol=full.edge_tol)
