@@ -88,7 +88,12 @@ def _bands_rows(bands):
 def cmd_spectrum(args):
     s = parse_substitution(args.substitution)
     params = _params(args)
-    e_range = (args.e_min, args.e_max) if args.e_min is not None else None
+    e_range = None
+    if args.e_min is not None or args.e_max is not None:
+        # a lone bound keeps the spectrum hull's other end
+        lo, hi = default_energy_range(params)
+        e_range = (lo if args.e_min is None else args.e_min,
+                   hi if args.e_max is None else args.e_max)
     bands = floquet_bands(s, params, args.level, e_range=e_range, tol=args.tol)
     out = _out_dir(args)
     csv_path = os.path.join(out, "bands_k%d.csv" % args.level)

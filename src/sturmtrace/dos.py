@@ -68,13 +68,33 @@ def ids_counter(s, params, L):
     return counter
 
 
+def _table(counter, e_grid):
+    """IDS table of an :func:`ids_counter` over a grid: one Sturm sweep."""
+    if counter.L < 8:
+        raise ValueError("need L >= 8")
+    e = np.asarray(e_grid, dtype=float)
+    return IdsTable(tuple(e.tolist()), tuple(counter(e).tolist()), counter.L)
+
+
 def ids(s, params, L, e_grid):
     """IDS table over an energy grid spanning the spectrum hull."""
-    if L < 8:
-        raise ValueError("need L >= 8")
-    counter = ids_counter(s, params, L)
-    e = np.asarray(e_grid, dtype=float)
-    return IdsTable(tuple(e.tolist()), tuple(counter(e).tolist()), L)
+    return _table(ids_counter(s, params, L), e_grid)
+
+
+def _ladder_slope(eps, vals, floor):
+    """Fit of log mass against log eps; vals are N(E + eps) then N(E - eps)."""
+    if eps.size < 5:
+        raise ValueError("need at least 5 ladder scales")
+    mass = vals[: eps.size] - vals[eps.size :]
+    if mass[0] <= floor:
+        raise ValueError("insufficient resolution: window mass %.3g at eps=%.3g"
+                         % (mass[0], eps[0]))
+    lx, ly = np.log(eps), np.log(mass)
+    slope, intercept = np.polyfit(lx, ly, 1)
+    resid = ly - (slope * lx + intercept)
+    dof = max(eps.size - 2, 1)
+    stderr = float(np.sqrt(np.sum(resid ** 2) / dof / np.sum((lx - lx.mean()) ** 2)))
+    return float(slope), stderr
 
 
 def ids_scaling_exponent(ids_fn, E, eps_ladder):
@@ -85,20 +105,9 @@ def ids_scaling_exponent(ids_fn, E, eps_ladder):
     which must exceed the 2/L resolution floor when L is known.
     """
     eps = np.sort(np.asarray(eps_ladder, dtype=float))
-    if eps.size < 5:
-        raise ValueError("need at least 5 ladder scales")
     vals = np.asarray(ids_fn(np.concatenate([E + eps, E - eps])), dtype=float)
-    mass = vals[: eps.size] - vals[eps.size :]
     floor = 2.0 / ids_fn.L if hasattr(ids_fn, "L") else 0.0
-    if mass[0] <= floor:
-        raise ValueError("insufficient resolution: window mass %.3g at eps=%.3g"
-                         % (mass[0], eps[0]))
-    lx, ly = np.log(eps), np.log(mass)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    dof = max(eps.size - 2, 1)
-    stderr = float(np.sqrt(np.sum(resid ** 2) / dof / np.sum((lx - lx.mean()) ** 2)))
-    return float(slope), stderr
+    return _ladder_slope(eps, vals, floor)
 
 
 def dyadic_ladder(eps_max, n_scales=8, ratio=0.5):
@@ -129,17 +138,20 @@ def dos_dimension_summary(s, params, sample_count, L, seed=0, eps_max=None,
 
     lo, hi = default_energy_range(params)
     counter = ids_counter(s, params, L)
-    table = ids(s, params, L, np.linspace(lo, hi, table_points))
+    table = _table(counter, np.linspace(lo, hi, table_points))
     if eps_max is None:
         eps_max = (hi - lo) / 64.0
     rng = np.random.default_rng(seed)
     draws = rng.uniform(1.0 / L, 1.0 - 1.0 / L, size=sample_count)
+    eps = np.sort(np.asarray(dyadic_ladder(eps_max, n_scales), dtype=float))
+    centers = np.array([float(table.quantile(u)) for u in draws])
+    # every sample's ladder, N(E + eps) then N(E - eps), in one Sturm sweep
+    ladders = np.concatenate([centers[:, None] + eps, centers[:, None] - eps], axis=1)
+    rows = counter(ladders.ravel()).reshape(ladders.shape)
     exps, energies, skipped = [], [], 0
-    ladder = dyadic_ladder(eps_max, n_scales)
-    for u in draws:
-        E = float(table.quantile(u))
+    for E, vals in zip(centers.tolist(), rows):
         try:
-            d, _err = ids_scaling_exponent(counter, E, ladder)
+            d, _err = _ladder_slope(eps, vals, 2.0 / L)
         except ValueError:
             skipped += 1
             continue

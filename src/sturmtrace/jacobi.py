@@ -62,6 +62,12 @@ def word_transfer(params, word, E):
 
     Sites are numbered along the word; the product is taken site L down
     to site 1 (right-to-left), matching solution propagation.
+
+    In double precision this is an oracle only at moderate hopping: the
+    1/p entries make the partial products huge at small p, and the
+    half-trace is lost to cancellation.  For 0->0001;1->0 at p = 0.065,
+    q = 2.46, level 4, its half-trace is off by up to 12.4 at band
+    midpoints; check small p against a 60-digit mpmath product instead.
     """
     if not word:
         raise ValueError("word_transfer needs a nonempty word")
@@ -171,29 +177,38 @@ def eigen_count_below_grid(spec, E):
     """Vectorized Sturm counts over an energy grid.
 
     Shifted LDL^T pivots of (A - E); negative pivots count eigenvalues
-    below E, with zero pivots nudged to -1e-300 so exact hits land on
-    the "<=" side.  A zero off-diagonal restarts the recursion (block
-    splitting), so degenerate p = 0 chains are handled exactly.
+    below E, with zero and NaN pivots set to -1e-300 so exact hits land
+    on the "<=" side.  A zero off-diagonal restarts the recursion (block
+    splitting), so degenerate p = 0 chains are handled exactly.  The
+    site loop works in place on buffers allocated once, so a step costs
+    a fixed handful of ufunc calls whatever the number of energies:
+    batch energies into one call rather than making many small ones.
     """
     E = np.asarray(E, dtype=float)
-    diag = np.asarray(spec.diag, dtype=float)
-    off = np.asarray(spec.offdiag, dtype=float)
-    count = np.zeros(E.shape, dtype=np.int64)
+    d = np.empty(E.shape)
+    quot = np.empty(E.shape)
+    pos = np.empty(E.shape, dtype=bool)
+    bad = np.empty(E.shape, dtype=bool)
+    positive = np.zeros(E.shape, dtype=np.int64)
     tiny = 1e-300
+    # Python floats step faster than NumPy scalars; site 0 has no left bond
+    diag = [float(a) for a in spec.diag]
+    bonds = [0.0] + [float(b) * float(b) for b in spec.offdiag[1:]]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d = diag[0] - E
-        d = np.where(d == 0.0, -tiny, d)
-        count += (d < 0).astype(np.int64)
-        for i in range(1, len(diag)):
-            b2 = off[i] * off[i]
+        for a, b2 in zip(diag, bonds):
             if b2 == 0.0:
-                d = diag[i] - E
+                np.subtract(a, E, out=d)
             else:
-                d = (diag[i] - E) - b2 / d
-            d = np.where(np.isnan(d), -tiny, d)
-            d = np.where(d == 0.0, -tiny, d)
-            count += (d < 0).astype(np.int64)
-    return count
+                np.divide(b2, d, out=quot)
+                np.subtract(a, E, out=d)
+                np.subtract(d, quot, out=d)
+            np.greater(d, 0.0, out=pos)
+            np.less(d, 0.0, out=bad)
+            np.add(positive, pos, out=positive)
+            np.equal(pos, bad, out=bad)  # neither sign: zero or NaN
+            np.copyto(d, -tiny, where=bad)
+    # every pivot that is not positive is negative or was set to -tiny
+    return np.subtract(len(diag), positive, out=positive)
 
 
 def decoupled_block_spectrum(word, q):

@@ -111,24 +111,38 @@ class TraceMapRecipe:
             raise ValueError("classic Fibonacci form requires period (1,)")
 
     def text(self):
+        """Compact form; the star is written only when it is not the start's."""
         body = "prefix=[%s];period=[%s]" % (
             ",".join(str(a) for a in self.prefix),
             ",".join(str(a) for a in self.period),
         )
         if not self.swapped_start:
             body += ";start=pair10"
+        if self.star != _start_star(self.swapped_start):
+            body += ";star=" + self.star
+        if self.use_classic_f:
+            body += ";form=classic"
         return body
 
 
+def _start_star(swapped_start):
+    """The star letter that recipe_from_substitution pairs with a start."""
+    return "0" if swapped_start else "1"
+
+
 def parse_recipe(text):
+    """Inverse of :meth:`TraceMapRecipe.text`."""
     fields = dict(part.split("=", 1) for part in text.split(";") if part)
     def int_list(v):
         v = v.strip("[]")
         return tuple(int(t) for t in v.split(",") if t)
+    swapped_start = fields.get("start", "pair01") != "pair10"
     return TraceMapRecipe(
         prefix=int_list(fields.get("prefix", "[]")),
         period=int_list(fields.get("period", "[1]")),
-        swapped_start=fields.get("start", "pair01") != "pair10",
+        swapped_start=swapped_start,
+        star=fields.get("star", _start_star(swapped_start)),
+        use_classic_f=fields.get("form") == "classic",
     )
 
 
@@ -177,14 +191,14 @@ def recipe_from_substitution(s):
     transposed = [[a00, a10], [a01, a11]]
     swapped = [[a11, a01], [a10, a00]]  # J (A^T) J, J the letter exchange
     star, _power = star_letter(s)
-    orders = [(transposed, True, "0"), (swapped, False, "1")]
+    orders = [(transposed, True), (swapped, False)]
     if star == "1":
         orders.reverse()
-    for matrix, swapped_start, star_used in orders:
+    for matrix, swapped_start in orders:
         factors = factor_matrix_product(matrix)
         if factors:
-            return TraceMapRecipe(prefix=(), period=factors,
-                                  swapped_start=swapped_start, star=star_used)
+            return TraceMapRecipe(prefix=(), period=factors, swapped_start=swapped_start,
+                                  star=_start_star(swapped_start))
     raise UnsupportedSubstitutionError(
         "abelianization does not factor into M_a matrices; square the substitution"
     )

@@ -3,7 +3,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from sturmtrace.cli import main
+from sturmtrace.jacobi import JacobiParams
+from sturmtrace.spectrum import default_energy_range
 
 FIB = "0->01;1->0"
 
@@ -48,6 +52,22 @@ def test_spectrum_defaults_and_k0(tmp_path, capsys):
 def test_spectrum_unwritable_out_dir():
     assert main(["spectrum", FIB, "--level", "2",
                  "--out-dir", "/proc/definitely/not/writable"]) == 1
+
+
+@pytest.mark.parametrize("flag, bound", [("--e-min", -1.0), ("--e-max", 1.0)])
+def test_spectrum_lone_energy_bound(tmp_path, capsys, flag, bound):
+    out = tmp_path / "window"
+    assert main(["spectrum", FIB, "--p", "1", "--q", "2", "--level", "6", flag, str(bound),
+                 "--out-dir", str(out), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert 0 < report["band_count"] < 21  # the bound clipped the 21 bands of k = 6
+    lo, hi = default_energy_range(JacobiParams(1.0, 2.0))
+    lo, hi = (bound, hi) if flag == "--e-min" else (lo, bound)
+    rows = (out / "bands_k6.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == report["band_count"]
+    for row in rows:
+        _, a, b = (float(v) for v in row.split(","))
+        assert lo <= a <= b <= hi
 
 
 def test_gaps_command(tmp_path, capsys):

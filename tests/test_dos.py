@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import sturmtrace as st
-from sturmtrace.dos import IdsTable, dyadic_ladder, ids, ids_counter, ids_scaling_exponent
+from sturmtrace.dos import (DosSummary, IdsTable, dyadic_ladder, ids, ids_counter,
+                            ids_scaling_exponent)
 from sturmtrace.spectrum import default_energy_range
-from sturmtrace.substitution import FIBONACCI, Substitution
+from sturmtrace.substitution import FIBONACCI, Substitution, parse_substitution
 
 ALL_ZERO = Substitution("00", "0")  # free chain generator: fixed point 000...
 
@@ -106,3 +107,38 @@ def test_dos_summary_medians_rise_toward_free():
         summ = st.dos_dimension_summary(FIBONACCI, params, 11, 610, seed=0)
         medians.append(summ.d_median)
     assert medians[1] > medians[0]
+
+
+def _per_sample_summary(s, params, sample_count, L, seed, eps_max=None, n_scales=7):
+    """The summary built one Sturm call per sample, as before the batched sweep."""
+    lo, hi = default_energy_range(params)
+    counter = ids_counter(s, params, L)
+    table = ids(s, params, L, np.linspace(lo, hi, 4097))
+    eps_max = (hi - lo) / 64.0 if eps_max is None else eps_max
+    rng = np.random.default_rng(seed)
+    exps, energies, skipped = [], [], 0
+    for u in rng.uniform(1.0 / L, 1.0 - 1.0 / L, size=sample_count):
+        E = float(table.quantile(u))
+        try:
+            d, _err = ids_scaling_exponent(counter, E, dyadic_ladder(eps_max, n_scales))
+        except ValueError:
+            skipped += 1
+            continue
+        exps.append(d)
+        energies.append(E)
+    arr = np.array(exps)
+    return DosSummary(float(arr.min()), float(np.median(arr)), float(arr.max()),
+                      tuple(exps), tuple(energies), skipped)
+
+
+@pytest.mark.parametrize("text, p, q, n, L, seed, kw", [
+    ("0->01;1->0", 1.1, 0.7, 17, 987, 3, {}),
+    ("0->001;1->0", -0.9, 1.3, 13, 1393, 5, {"n_scales": 8}),
+    ("0->01;1->0", 1.0, 2.0, 30, 377, 1, {"eps_max": 0.06}),  # most samples skipped
+])
+def test_dos_summary_batched_matches_per_sample(text, p, q, n, L, seed, kw):
+    s, params = parse_substitution(text), st.JacobiParams(p, q)
+    summ = st.dos_dimension_summary(s, params, n, L, seed=seed, **kw)
+    assert summ == _per_sample_summary(s, params, n, L, seed, **kw)
+    if "eps_max" in kw:
+        assert summ.skipped > len(summ.exponents) > 0

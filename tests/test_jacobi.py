@@ -213,3 +213,65 @@ def test_decoupled_blocks_match_dense_p_zero():
     dists = np.min(np.abs(dense[:, None] - ref[None, :]), axis=1)
     assert np.quantile(dists, 0.98) < 1e-9
     assert len(ref) == 5  # blocks 10 and 100 for the Fibonacci sequence
+
+
+def _sturm_oracle(spec, E):
+    """The per-step allocating Sturm loop the in-place kernel replaced."""
+    E = np.asarray(E, dtype=float)
+    diag = np.asarray(spec.diag, dtype=float)
+    off = np.asarray(spec.offdiag, dtype=float)
+    count = np.zeros(E.shape, dtype=np.int64)
+    tiny = 1e-300
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d = diag[0] - E
+        d = np.where(d == 0.0, -tiny, d)
+        count += (d < 0).astype(np.int64)
+        for i in range(1, len(diag)):
+            b2 = off[i] * off[i]
+            if b2 == 0.0:
+                d = diag[i] - E
+            else:
+                d = (diag[i] - E) - b2 / d
+            d = np.where(np.isnan(d), -tiny, d)
+            d = np.where(d == 0.0, -tiny, d)
+            count += (d < 0).astype(np.int64)
+    return count
+
+
+def _assert_same_counts(spec, E):
+    got = eigen_count_below_grid(spec, E)
+    assert got.dtype == np.int64 and got.shape == np.shape(E)
+    assert np.array_equal(got, _sturm_oracle(spec, E))
+
+
+def test_eigen_count_matches_oracle_on_random_truncations():
+    rng = np.random.default_rng(11)
+    metal = st.parse_substitution("0->001;1->0")
+    for s in (FIBONACCI, metal):
+        for _ in range(12):
+            params = JacobiParams(rng.uniform(0.3, 2.5) * rng.choice([-1, 1]),
+                                  rng.uniform(-3, 3))
+            spec = dirichlet_restriction(params, fixed_point_prefix(s, int(rng.integers(1, 501))))
+            hull = 1.0 + abs(params.q) + 2 * max(1.0, abs(params.p))
+            E = np.concatenate([rng.uniform(-hull, hull, 300),
+                                np.linspace(-hull, hull, 101),
+                                [0.0, params.q]])  # first pivot exactly zero
+            _assert_same_counts(spec, E)
+            _assert_same_counts(spec, E[:7].reshape(7, 1))  # shape kept
+
+
+def test_eigen_count_matches_oracle_on_block_split_and_exact_hits():
+    split = TridiagonalSpec((1.0, 1.0, -1.0, -1.0, 0.5), (1.0, 0.0, 1.0, 0.0, 0.0))
+    _assert_same_counts(split, np.array([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0]))
+    free = dirichlet_restriction(JacobiParams(1.0, 0.0), "000")
+    E = np.array([-np.sqrt(2.0), -1.0, 0.0, -0.0, 1.0, np.sqrt(2.0)])
+    _assert_same_counts(free, E)
+    assert eigen_count_below_grid(free, E)[1:5].tolist() == [1, 2, 2, 2]  # E = 0 lands on "<="
+
+
+def test_eigen_count_matches_oracle_far_outside_gershgorin():
+    params = JacobiParams(-1.7, 2.2)
+    spec = dirichlet_restriction(params, fixed_point_prefix(FIBONACCI, 377))
+    E = np.array([-1e300, -1e12, -50.0, 50.0, 1e12, 1e300, -np.inf, np.inf])
+    _assert_same_counts(spec, E)
+    assert eigen_count_below_grid(spec, E).tolist() == [0, 0, 0, 377, 377, 377, 0, 377]

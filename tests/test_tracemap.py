@@ -91,6 +91,19 @@ def test_recipe_text_roundtrip():
     assert r.text() == "prefix=[];period=[2,1]"
     r2 = TraceMapRecipe(period=(1,), swapped_start=False)
     assert parse_recipe(r2.text()) == r2
+    for r3 in (TraceMapRecipe(swapped_start=False, star="1"), TraceMapRecipe(star="1"),
+               TraceMapRecipe(use_classic_f=True)):
+        assert parse_recipe(r3.text()) == r3
+
+
+@pytest.mark.parametrize("text", ["0->01;1->0", "0->001;1->0", "0->1;1->10", "0->1;1->01"])
+def test_derived_recipe_text_roundtrip_solves(text):
+    s = st.parse_substitution(text)
+    r = recipe_from_substitution(s)
+    assert parse_recipe(r.text()) == r
+    params = st.JacobiParams(1.0, 2.0)
+    bands = st.floquet_bands(s, params, 6, recipe=parse_recipe(r.text()))
+    assert bands.bands == st.floquet_bands(s, params, 6).bands
 
 
 def test_factor_matrix_product():
