@@ -18,7 +18,7 @@ from sturmtrace import (
     JacobiParams,
     classify,
     fricke_vogt,
-    initial_conditions,
+    initial_conditions_grid,
     recipe_from_substitution,
     step,
     surface_section,
@@ -36,7 +36,7 @@ for p in ((1.0, 1.0, 1.0), (0.2, 0.3, 0.4), (10.0, 10.0, 10.0)):
 print("\n== the curve of initial conditions at a few energies")
 params = JacobiParams(1.0, 2.0)
 for E in (-1.0, 0.5, 4.0):
-    l0 = initial_conditions(params, E)
+    l0 = initial_conditions_grid(params, E)
     v = classify(recipe, l0, max_steps=40)
     x3 = step(recipe, l0, 3)[0]
     print("E=%+4.1f  I(l)=%+.4f  half-trace at level 3 = %+10.4f  -> %s"

@@ -28,7 +28,7 @@ from .jacobi import (
     TridiagonalSpec,
     dirichlet_restriction,
     eigen_count_below,
-    initial_conditions,
+    initial_conditions_grid,
     initial_invariant,
     invariant_slope,
     transfer_unimodular,

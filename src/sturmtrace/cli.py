@@ -11,15 +11,15 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import fractal, spectrum as spec_mod
+from . import fractal
 from .dos import dos_dimension_summary, ids
 from .jacobi import JacobiParams
 from .rotation import rotation_number, scan_beta
-from .spectrum import default_energy_range, floquet_bands, gaps_with_labels
+from .spectrum import (default_energy_range, dynamical_spectrum_probe, floquet_bands,
+                       gaps_with_labels)
 from .substitution import fixed_point_prefix, parse_substitution
 from .tracemap import recipe_from_substitution, surface_section
 
@@ -258,24 +258,12 @@ def cmd_scan(args):
                    list(zip(res.t_values, res.widths, res.ratios)))
     else:  # probe: escape classification along an energy grid
         params = _params(args)
-        recipe = recipe_from_substitution(s)
         lo, hi = default_energy_range(params)
         energies = np.linspace(lo, hi, int(values[0]) if values else 512)
-        chunks = np.array_split(np.arange(energies.size), max(args.threads, 1))
-
-        def work(ix):
-            out_rows = []
-            for i in ix:
-                v = spec_mod.dynamical_spectrum_probe(
-                    s, params, [energies[i]], recipe=recipe)[0]
-                out_rows.append((energies[i], v.kind, v.steps_used))
-            return out_rows
-
-        with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
-            results = list(pool.map(work, chunks))
-        rows = [r for chunk in results for r in chunk]
+        verdicts = dynamical_spectrum_probe(s, params, energies)
         path = os.path.join(out, "scan_probe.csv")
-        _write_csv(path, ("E", "kind", "steps"), rows)
+        _write_csv(path, ("E", "kind", "steps"),
+                   [(E, v.kind, v.steps_used) for E, v in zip(energies, verdicts)])
     _emit(args, {"csv": path})
     return 0
 
@@ -283,8 +271,6 @@ def cmd_scan(args):
 def _add_common(sp, with_params=True):
     sp.add_argument("--out-dir", default=".", help="output directory")
     sp.add_argument("--json", action="store_true", help="machine-readable report")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     if with_params:
         sp.add_argument("--p", type=float, default=1.0, help="hopping on letter 1")
         sp.add_argument("--q", type=float, default=0.0, help="potential on letter 1")
@@ -330,6 +316,7 @@ def build_parser():
     p.add_argument("--length", type=int, default=987)
     p.add_argument("--samples", type=int, default=0)
     p.add_argument("--grid", type=int, default=4096, help="IDS table grid points")
+    p.add_argument("--seed", type=int, default=0, help="seed of the DOS sample energies")
     _add_common(p)
     p.set_defaults(fn=cmd_dos)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jacobi import JacobiParams, decoupled_block_spectrum
-from .spectrum import floquet_bands, gaps_with_labels, hausdorff_distance
+from .spectrum import BandSet, floquet_bands, gaps_with_labels, hausdorff_distance
 from .substitution import FIBONACCI, fixed_point_prefix
 
 
@@ -175,21 +175,9 @@ def local_dimension_profile(s, params, k, window_count, bands=None, **floquet_kw
         if len(chunk) < 2 and window_count > 1:
             out.append((center, None))
             continue
-        est = box_dimension(_with_tol(chunk, bands))
+        est = box_dimension(BandSet(chunk, edge_tol=bands.edge_tol))
         out.append((center, est))
     return out
-
-
-class _BandView(tuple):
-    """Tuple of bands carrying the parent set's edge tolerance."""
-    edge_tol = 0.0
-
-
-def _with_tol(chunk, parent):
-    view = _BandView(chunk)
-    view.bands = chunk
-    view.edge_tol = getattr(parent, "edge_tol", 0.0)
-    return view
 
 
 def large_coupling_check(V_list, k=12, s=FIBONACCI, **floquet_kw):

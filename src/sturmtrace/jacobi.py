@@ -86,22 +86,13 @@ def half_trace(matrix):
     return 0.5 * (matrix[0, 0] + matrix[1, 1])
 
 
-def initial_conditions(params, E):
+def initial_conditions_grid(params, E):
     """The curve of initial conditions l(E) in half-trace coordinates.
 
     l(E) = ((E^2 - qE - p^2 - 1)/(2p), (E - q)/(2p), E/2); the three
-    entries are the half-traces of the words 01, 1 and 0.
+    entries are the half-traces of the words 01, 1 and 0.  E may be a
+    number or an array of energies; the result is three aligned values.
     """
-    p, q = params.p, params.q
-    return (
-        (E * E - q * E - p * p - 1.0) / (2.0 * p),
-        (E - q) / (2.0 * p),
-        E / 2.0,
-    )
-
-
-def initial_conditions_grid(params, E):
-    """Vectorized l(E) for an array of energies: three aligned arrays."""
     E = np.asarray(E, dtype=float)
     p, q = params.p, params.q
     return (

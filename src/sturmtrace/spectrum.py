@@ -24,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobi import (dirichlet_restriction, eigen_count_below_grid, initial_conditions,
-                     initial_conditions_grid)
-from .tracemap import classify, recipe_from_substitution
+from .jacobi import dirichlet_restriction, eigen_count_below_grid, initial_conditions_grid
+from .substitution import _image_length
+from .tracemap import (ESCAPE_NORM_DEFAULT, MAX_STEPS_POINT, _iterate, _verdicts, classify_batch,
+                       recipe_from_substitution)
 
 SATURATION = 1e150         # |x| cap of one trace-map step; keeps the sign in gaps
 BISECT_ROUNDS = 128        # halvings of a bracket, ample for any tol above 1 ulp
@@ -155,11 +156,8 @@ def half_trace_grid(recipe, params, E, k):
     x, y, z = initial_conditions_grid(params, E)
     if recipe.swapped_start:
         y, z = z, y
-    for a in tuple(recipe.prefix) + tuple(recipe.period) * k:
-        y, z = z, y
-        for _ in range(a):
-            x, y = np.clip(2.0 * x * z - y, -SATURATION, SATURATION), x
-    return y
+    return _iterate(tuple(recipe.prefix) + tuple(recipe.period) * k, x, y, z,
+                    bound=SATURATION)[1]
 
 
 def default_energy_range(params):
@@ -231,13 +229,6 @@ def _certify(x, mu, sign, spec):
     return mu
 
 
-def _word_length(s, star, k):
-    m = s.abelianization_array().astype(object)
-    row = np.array([1, 0], dtype=object) if star == "0" else np.array([0, 1], dtype=object)
-    v = row @ np.linalg.matrix_power(m, k) if k else row
-    return int(v.sum())
-
-
 def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=None):
     """Level-k periodic-approximation spectrum as a BandSet.
 
@@ -307,16 +298,14 @@ def floquet_band_tower(s, params, k_max, e_range=None, tol=None, merge_tol=None,
 
 # -- dynamical spectrum, gaps, labels --------------------------------------------
 
-def dynamical_spectrum_probe(s, params, E_list, max_steps=200, escape_norm=1e3,
-                             recipe=None):
-    """classify() of the curve of initial conditions at each energy."""
+def dynamical_spectrum_probe(s, params, E_list, max_steps=MAX_STEPS_POINT,
+                             escape_norm=ESCAPE_NORM_DEFAULT, recipe=None):
+    """classify() of the curve of initial conditions at each energy, in one batch."""
     if recipe is None:
         recipe = recipe_from_substitution(s)
-    out = []
-    for E in E_list:
-        out.append(classify(recipe, initial_conditions(params, float(E)),
-                            max_steps=max_steps, escape_norm=escape_norm))
-    return out
+    _, at, last, max_norm = classify_batch(recipe, *initial_conditions_grid(params, E_list),
+                                           max_steps=max_steps, escape_norm=escape_norm)
+    return _verdicts(at, last, max_norm, max_steps)
 
 
 @dataclass(frozen=True)
@@ -338,7 +327,7 @@ def _label_periods(s, bands, recipe):
     k = bands.level
     if k < 1:
         raise ValueError("need a level >= 1 band set")
-    q_k, q_km1 = _word_length(s, star, k), _word_length(s, star, k - 1)
+    q_k, q_km1 = _image_length(s, star, k), _image_length(s, star, k - 1)
     if bands.band_count != q_k:
         raise ValueError("band set incomplete: %d of %d bands; labels undefined"
                          % (bands.band_count, q_k))

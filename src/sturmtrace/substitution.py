@@ -242,10 +242,14 @@ def periodic_word(s, k, length_cap=WORD_LENGTH_CAP):
 
 
 def periodic_word_length(s, k):
-    """|s^k(star)| computed from abelianization powers (no expansion)."""
-    star, _ = star_letter(s)
+    """|s^k(star)|, star the letter :func:`star_letter` picks (no expansion)."""
+    return _image_length(s, star_letter(s)[0], k)
+
+
+def _image_length(s, letter, k):
+    """|s^k(letter)| computed from abelianization powers (no expansion)."""
     m = s.abelianization_array().astype(object)  # exact integer arithmetic
-    row = np.array([1, 0], dtype=object) if star == "0" else np.array([0, 1], dtype=object)
+    row = np.array([1, 0], dtype=object) if letter == "0" else np.array([0, 1], dtype=object)
     counts = row @ np.linalg.matrix_power(m, k) if k else row
     return int(counts.sum())
 

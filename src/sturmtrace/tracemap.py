@@ -21,6 +21,14 @@ Every map here preserves the Fricke-Vogt invariant
 and hence the surfaces S_V = {I = V}.  Bounded orbits characterize the
 spectrum; orbits that leave the unit-cube region escape to infinity in
 all three coordinates, which is the basis of the escape classifier.
+
+Every orbit is computed by one array kernel, ``_iterate``, which applies
+a sequence of t_a factors to aligned (x, y, z) arrays.  Its callers are
+``spectrum.half_trace_grid`` (the only one that clips each U-step),
+:func:`classify_batch` (which holds the escape test), and the one-point
+:func:`apply_period`, :func:`step` and :func:`classify`, which run it on
+one-element arrays.  The scalar maps below are the definitions, and the
+tests check the kernel against them.
 """
 
 import math
@@ -100,15 +108,12 @@ class TraceMapRecipe:
     period: tuple = (1,)
     swapped_start: bool = True
     star: str = "0"
-    use_classic_f: bool = False
 
     def __post_init__(self):
         if not self.period:
             raise ValueError("period must be nonempty")
         if any(a < 1 for a in tuple(self.prefix) + tuple(self.period)):
             raise ValueError("all factors must be >= 1")
-        if self.use_classic_f and tuple(self.period) != (1,):
-            raise ValueError("classic Fibonacci form requires period (1,)")
 
     def text(self):
         """Compact form; the star is written only when it is not the start's."""
@@ -120,8 +125,6 @@ class TraceMapRecipe:
             body += ";start=pair10"
         if self.star != _start_star(self.swapped_start):
             body += ";star=" + self.star
-        if self.use_classic_f:
-            body += ";form=classic"
         return body
 
 
@@ -142,7 +145,6 @@ def parse_recipe(text):
         period=int_list(fields.get("period", "[1]")),
         swapped_start=swapped_start,
         star=fields.get("star", _start_star(swapped_start)),
-        use_classic_f=fields.get("form") == "classic",
     )
 
 
@@ -206,26 +208,32 @@ def recipe_from_substitution(s):
 
 # -- orbit iteration -----------------------------------------------------------
 
-def _start_point(recipe, point):
-    if recipe.swapped_start:
-        point = p_swap(point)
-    for a in recipe.prefix:
-        point = t_factor(a, point)
-    return point
+def _iterate(factors, x, y, z, bound=None):
+    """The trace-map kernel: apply t_a for each a of ``factors``, in order.
+
+    (x, y, z) are aligned arrays and the image triple is returned.  With
+    ``bound``, every U-step clips 2xz - y to [-bound, bound].
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in factors:
+            y, z = z, y
+            for _ in range(a):
+                x, y = 2.0 * x * z - y, x
+                if bound is not None:
+                    x = np.clip(x, -bound, bound)
+    return x, y, z
+
+
+def _lanes(point):
+    return tuple(np.array([c], dtype=float) for c in point)
 
 
 def apply_period(recipe, point):
     """One application of the periodic block (the raw map, no readout)."""
-    if recipe.use_classic_f:
-        return fibonacci_map(point)
-    for a in recipe.period:
-        point = t_factor(a, point)
-    return point
+    return tuple(float(c[0]) for c in _iterate(recipe.period, *_lanes(point)))
 
 
 def apply_period_inverse(recipe, point):
-    if recipe.use_classic_f:
-        return fibonacci_map_inverse(point)
     for a in reversed(recipe.period):
         point = t_factor_inverse(a, point)
     return point
@@ -242,12 +250,13 @@ def step(recipe, point, n):
         raise ValueError("need n >= 0")
     if n == 0:
         return tuple(float(c) for c in point)
-    q = _start_point(recipe, tuple(float(c) for c in point))
-    for _ in range(n):
-        q = apply_period(recipe, q)
-    if not all(math.isfinite(c) for c in q):
+    x, y, z = _lanes(point)
+    if recipe.swapped_start:
+        y, z = z, y
+    x, y, z = (float(c[0]) for c in
+               _iterate(tuple(recipe.prefix) + tuple(recipe.period) * n, x, y, z))
+    if not all(math.isfinite(c) for c in (x, y, z)):
         raise OverflowError("trace-map orbit overflowed at block %d" % n)
-    x, y, z = q
     return (y, x, z)
 
 
@@ -259,86 +268,80 @@ class OrbitVerdict:
     max_norm: float
 
 
-def classify(recipe, point, max_steps=MAX_STEPS_POINT, escape_norm=ESCAPE_NORM_DEFAULT):
-    """Escape/bounded dichotomy after at most max_steps periodic blocks.
+def _max_abs(x, y, z):
+    return np.maximum(np.abs(x), np.maximum(np.abs(y), np.abs(z)))
+
+
+def classify_batch(recipe, xs, ys, zs, max_steps=MAX_STEPS_BANDS,
+                   escape_norm=ESCAPE_NORM_DEFAULT):
+    """Escape/bounded dichotomy of every lane after at most max_steps blocks.
 
     Escape requires all three coordinates outside [-1, 1] (the region
     free of periodic points), max-norm above escape_norm, and a strictly
     increasing max-norm over the last three block applications; float
     overflow counts as escape.
+
+    Returns (escaped, escaped_at, last_point, max_norm).  escaped_at is
+    the block count of escape, max_steps + 1 for lanes still bounded;
+    last_point is the (3, n) array of each lane's last finite point (at
+    escape, or after max_steps blocks); max_norm is the max-norm at
+    escape (inf on overflow), or the largest along a bounded orbit.
     """
+    x, y, z = (np.array(c, dtype=float).ravel() for c in (xs, ys, zs))
+    if recipe.swapped_start:
+        y, z = z, y
+    x, y, z = _iterate(recipe.prefix, x, y, z)
+    n_pts = x.size
+    escaped_at = np.full(n_pts, max_steps + 1, dtype=np.int64)
+    last = np.stack([x, y, z])
+    max_norm = np.empty(n_pts)
+    peak = _max_abs(x, y, z)
+    h1 = h2 = np.zeros(n_pts)
+    h3 = peak.copy()
+    for n in range(1, max_steps + 1):
+        prev = (x, y, z)
+        x, y, z = _iterate(recipe.period, x, y, z)
+        bad = ~(np.isfinite(x) & np.isfinite(y) & np.isfinite(z))
+        norm = _max_abs(x, y, z)
+        cond = bad
+        if n >= 3:
+            cond = bad | ((np.minimum(np.abs(x), np.minimum(np.abs(y), np.abs(z))) > 1.0)
+                          & (norm > escape_norm) & (norm > h3) & (h3 > h2) & (h2 > h1))
+        hit = (escaped_at > max_steps) & cond
+        if hit.any():
+            escaped_at[hit] = n
+            over = bad[hit]
+            max_norm[hit] = np.where(over, np.inf, norm[hit])
+            for row, old, new in zip(last, prev, (x, y, z)):
+                row[hit] = np.where(over, old[hit], new[hit])
+        np.maximum(peak, norm, out=peak)
+        h1, h2, h3 = h2, h3, norm
+        # freeze overflowed lanes to keep the arithmetic quiet
+        x[bad] = 0.0
+        y[bad] = 0.0
+        z[bad] = 0.0
+    live = escaped_at > max_steps
+    last[:, live] = np.stack([x, y, z])[:, live]
+    max_norm[live] = peak[live]
+    return ~live, escaped_at, last, max_norm
+
+
+def _verdicts(escaped_at, last, max_norm, max_steps):
+    """OrbitVerdicts of classify_batch lanes, in Python floats."""
+    return [OrbitVerdict("escaped" if at <= max_steps else "bounded-so-far",
+                         min(at, max_steps), tuple(pt), m)
+            for at, pt, m in zip(escaped_at.tolist(), last.T.tolist(), max_norm.tolist())]
+
+
+def classify(recipe, point, max_steps=MAX_STEPS_POINT, escape_norm=ESCAPE_NORM_DEFAULT):
+    """Escape/bounded dichotomy of one point, as in :func:`classify_batch`."""
     if max_steps < 1:
         raise ValueError("need max_steps >= 1")
     if escape_norm <= 1.0:
         raise ValueError("need escape_norm > 1")
-    q = _start_point(recipe, tuple(float(c) for c in point))
-    history = [max(abs(c) for c in q)]
-    last_finite = q
-    for n in range(1, max_steps + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            q = apply_period(recipe, q)
-        if not all(math.isfinite(c) for c in q):
-            return OrbitVerdict("escaped", n, last_finite, math.inf)
-        last_finite = q
-        norm = max(abs(c) for c in q)
-        history.append(norm)
-        if (
-            min(abs(c) for c in q) > 1.0
-            and norm > escape_norm
-            and len(history) >= 4
-            and history[-1] > history[-2] > history[-3] > history[-4]
-        ):
-            return OrbitVerdict("escaped", n, q, norm)
-    return OrbitVerdict("bounded-so-far", max_steps, q, max(history))
-
-
-def classify_batch(recipe, xs, ys, zs, max_steps=MAX_STEPS_BANDS,
-                   escape_norm=ESCAPE_NORM_DEFAULT):
-    """Vectorized classify: returns (escaped mask, block count of escape).
-
-    Escape steps are max_steps + 1 for points still bounded; the escape
-    predicate matches :func:`classify`.
-    """
-    x = np.array(xs, dtype=float).ravel().copy()
-    y = np.array(ys, dtype=float).ravel().copy()
-    z = np.array(zs, dtype=float).ravel().copy()
-    if recipe.swapped_start:
-        y, z = z.copy(), y.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a in recipe.prefix:
-            y, z = z, y
-            for _ in range(a):
-                x, y = 2.0 * x * z - y, x
-        n_pts = x.size
-        escaped_at = np.full(n_pts, max_steps + 1, dtype=np.int64)
-        hist = np.zeros((4, n_pts))
-        hist[3] = np.maximum(np.abs(x), np.maximum(np.abs(y), np.abs(z)))
-        for n in range(1, max_steps + 1):
-            for a in recipe.period:
-                y, z = z, y
-                for _ in range(a):
-                    x, y = 2.0 * x * z - y, x
-            bad = ~(np.isfinite(x) & np.isfinite(y) & np.isfinite(z))
-            norm = np.maximum(np.abs(x), np.maximum(np.abs(y), np.abs(z)))
-            small = np.minimum(np.abs(x), np.minimum(np.abs(y), np.abs(z)))
-            hist = np.roll(hist, -1, axis=0)
-            hist[3] = norm
-            live = escaped_at > max_steps
-            cond = bad | (
-                (small > 1.0)
-                & (norm > escape_norm)
-                & (hist[3] > hist[2])
-                & (hist[2] > hist[1])
-                & (hist[1] > hist[0])
-            ) if n >= 3 else bad
-            hit = live & cond
-            escaped_at[hit] = n
-            # freeze overflowed lanes to keep the arithmetic quiet
-            x[bad] = 0.0
-            y[bad] = 0.0
-            z[bad] = 0.0
-            hist[3][bad] = np.inf
-    return escaped_at <= max_steps, escaped_at
+    _, at, last, max_norm = classify_batch(recipe, *_lanes(point), max_steps=max_steps,
+                                           escape_norm=escape_norm)
+    return _verdicts(at, last, max_norm, max_steps)[0]
 
 
 def surface_section(V, resolution, recipe=None, chart=(-2.0, 2.0, -2.0, 2.0),
@@ -368,9 +371,8 @@ def surface_section(V, resolution, recipe=None, chart=(-2.0, 2.0, -2.0, 2.0),
         mask = ok.ravel()
         if not mask.any():
             continue
-        _esc, at = classify_batch(recipe, gx.ravel()[mask], gy.ravel()[mask],
-                                  gz.ravel()[mask], max_steps=max_steps,
-                                  escape_norm=escape_norm)
+        at = classify_batch(recipe, gx.ravel()[mask], gy.ravel()[mask], gz.ravel()[mask],
+                            max_steps=max_steps, escape_norm=escape_norm)[1]
         flat = np.full(resolution * resolution, -1, dtype=np.int64)
         flat[mask] = at
         steps[sheet] = flat.reshape(resolution, resolution)

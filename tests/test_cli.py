@@ -113,19 +113,18 @@ def test_surface_command(tmp_path, capsys):
 
 def test_scan_probe_threads_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    for out, threads in ((out1, "1"), (out2, "4")):
+    for out in (out1, out2):
         assert main(["scan", FIB, "--kind", "probe", "--values", "64",
-                     "--p", "1", "--q", "2", "--threads", threads,
-                     "--out-dir", str(out)]) == 0
+                     "--p", "1", "--q", "2", "--out-dir", str(out)]) == 0
     a = (out1 / "scan_probe.csv").read_bytes()
     b = (out2 / "scan_probe.csv").read_bytes()
-    assert a == b  # ordered merge keeps output independent of the pool size
+    assert a == b
 
 
 def test_scan_probe_defaults_when_values_empty(tmp_path):
     out = tmp_path / "probe_default"
     assert main(["scan", FIB, "--kind", "probe", "--p", "1", "--q", "4",
-                 "--threads", "2", "--out-dir", str(out)]) == 0
+                 "--out-dir", str(out)]) == 0
     lines = (out / "scan_probe.csv").read_text().strip().splitlines()
     assert len(lines) == 513  # header + default 512-point grid
 
@@ -135,6 +134,6 @@ def test_repeat_runs_byte_identical(tmp_path):
     for name in ("r1", "r2"):
         out = tmp_path / name
         assert main(["spectrum", FIB, "--p", "1.1", "--q", "0.3", "--level", "7",
-                     "--seed", "7", "--out-dir", str(out)]) == 0
+                     "--out-dir", str(out)]) == 0
         outs.append((out / "bands_k7.csv").read_bytes())
     assert outs[0] == outs[1]

@@ -10,7 +10,7 @@ from sturmtrace.jacobi import (
     dirichlet_restriction,
     eigen_count_below,
     eigen_count_below_grid,
-    initial_conditions,
+    initial_conditions_grid,
     initial_invariant,
     invariant_slope,
     m_form_transfer,
@@ -72,10 +72,10 @@ def test_word_transfer_unimodular_long_words():
 
 
 def test_initial_conditions_values():
-    assert initial_conditions(JacobiParams(1.0, 0.0), 0.0) == (-1.0, 0.0, 0.0)
+    assert initial_conditions_grid(JacobiParams(1.0, 0.0), 0.0) == (-1.0, 0.0, 0.0)
     p = JacobiParams(1.0, 2.0)
     for E in (-1.0, 0.3, 2.2):
-        assert abs(st.fricke_vogt(initial_conditions(p, E)) - 1.0) < 1e-12  # V^2/4 = 1
+        assert abs(st.fricke_vogt(initial_conditions_grid(p, E)) - 1.0) < 1e-12  # V^2/4 = 1
 
 
 def test_initial_invariant_closed_form():
@@ -84,7 +84,7 @@ def test_initial_invariant_closed_form():
         params = JacobiParams(rng.uniform(0.3, 3.0) * rng.choice([-1, 1]),
                               rng.uniform(-3, 3))
         E = rng.uniform(-4, 4)
-        lhs = st.fricke_vogt(initial_conditions(params, E))
+        lhs = st.fricke_vogt(initial_conditions_grid(params, E))
         assert abs(lhs - initial_invariant(params, E)) < 1e-12 * (1 + abs(lhs))
 
 
@@ -111,7 +111,7 @@ def test_schrodinger_specialization_after_inverse_map():
     from sturmtrace.tracemap import fibonacci_map_inverse
     q = 0.8
     for E in (-1.5, 0.0, 2.4):
-        pt = fibonacci_map_inverse(initial_conditions(JacobiParams(1.0, q), E))
+        pt = fibonacci_map_inverse(initial_conditions_grid(JacobiParams(1.0, q), E))
         assert np.allclose(pt, ((E - q) / 2.0, E / 2.0, 1.0), atol=1e-12)
 
 

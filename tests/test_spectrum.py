@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st_h
 
 import sturmtrace as st
 import sturmtrace.spectrum as spectrum_mod
-from sturmtrace.jacobi import half_trace, word_transfer
+from sturmtrace.jacobi import half_trace, initial_conditions_grid, word_transfer
 from sturmtrace.spectrum import (
+    SATURATION,
     BandCountError,
     BandSet,
     combinatorial_gap_label,
@@ -17,7 +18,8 @@ from sturmtrace.spectrum import (
     half_trace_grid,
     merge_intervals,
 )
-from sturmtrace.substitution import Substitution, parse_substitution, periodic_word
+from sturmtrace.substitution import (Substitution, parse_substitution, periodic_word,
+                                     periodic_word_length)
 
 METAL = Substitution("001", "0")
 
@@ -211,6 +213,13 @@ def test_combinatorial_labels_roundtrip():
         m = combinatorial_gap_label(st.FIBONACCI, b8, j)
         assert abs(m) <= 34
         assert gap_index_for_label(st.FIBONACCI, b8, m) == j
+    # the recipe's star (1) is not star_letter's (0): q_k counts s^k(1)
+    s = parse_substitution("0->1;1->01")
+    for k, q_k in ((5, 13), (6, 21)):
+        b = st.floquet_bands(s, params, k)
+        assert b.band_count == q_k and periodic_word_length(s, k) < q_k
+        for j in range(1, q_k):
+            assert gap_index_for_label(s, b, combinatorial_gap_label(s, b, j)) == j
 
 
 def test_gaps_with_labels_synthetic():
@@ -325,6 +334,34 @@ def test_half_trace_keeps_its_sign_deep_in_gaps():
         lead = np.sign(p) ** word.count("1")
         assert np.all(np.isfinite(x))
         assert np.sign(x).tolist() == [lead * (-1.0) ** len(word), lead]
+
+
+def half_trace_loop(recipe, params, E, k):
+    """The hand-written loop half_trace_grid ran before the shared kernel."""
+    x, y, z = initial_conditions_grid(params, E)
+    if recipe.swapped_start:
+        y, z = z, y
+    for a in tuple(recipe.prefix) + tuple(recipe.period) * k:
+        y, z = z, y
+        for _ in range(a):
+            x, y = np.clip(2.0 * x * z - y, -SATURATION, SATURATION), x
+    return y
+
+
+@pytest.mark.parametrize("text, k", [("0->01;1->0", 20), ("0->001;1->0", 12),
+                                     ("0->1;1->10", 18), ("0->1;1->01", 18)])
+def test_half_trace_grid_bitwise_equals_loop(text, k):
+    s = parse_substitution(text)
+    recipe = st.recipe_from_substitution(s)
+    saturated = 0
+    for params in (st.JacobiParams(1.0, 2.0), st.JacobiParams(-1.3, 0.7)):
+        lo, hi = default_energy_range(params)
+        E = np.linspace(lo - 1.0, hi + 1.0, 4097)
+        for level in (0, 1, k // 2, k):
+            got = half_trace_grid(recipe, params, E, level)
+            assert got.tobytes() == half_trace_loop(recipe, params, E, level).tobytes()
+            saturated += int(np.sum(np.abs(got) == SATURATION))
+    assert saturated > 0
 
 
 def test_free_case_closes_every_gap():

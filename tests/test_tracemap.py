@@ -10,6 +10,7 @@ import sturmtrace as st
 from sturmtrace.jacobi import half_trace, word_transfer
 from sturmtrace.substitution import Substitution, periodic_word
 from sturmtrace.tracemap import (
+    OrbitVerdict,
     TraceMapRecipe,
     apply_period,
     apply_period_inverse,
@@ -91,8 +92,7 @@ def test_recipe_text_roundtrip():
     assert r.text() == "prefix=[];period=[2,1]"
     r2 = TraceMapRecipe(period=(1,), swapped_start=False)
     assert parse_recipe(r2.text()) == r2
-    for r3 in (TraceMapRecipe(swapped_start=False, star="1"), TraceMapRecipe(star="1"),
-               TraceMapRecipe(use_classic_f=True)):
+    for r3 in (TraceMapRecipe(swapped_start=False, star="1"), TraceMapRecipe(star="1")):
         assert parse_recipe(r3.text()) == r3
 
 
@@ -114,18 +114,6 @@ def test_factor_matrix_product():
     assert factor_matrix_product([[0, 1], [1, 1]]) is None
 
 
-def test_classic_f_flag_reproduces_block():
-    rng = np.random.default_rng(21)
-    standard = TraceMapRecipe(period=(1,))
-    classic = TraceMapRecipe(period=(1,), use_classic_f=True)
-    for _ in range(50):
-        p = tuple(rng.uniform(-2, 2, size=3))
-        assert apply_period(standard, p) == apply_period(classic, p)
-        assert apply_period_inverse(standard, p) == apply_period_inverse(classic, p)
-    with pytest.raises(ValueError):
-        TraceMapRecipe(period=(2,), use_classic_f=True)
-
-
 def test_step_fixes_singularity_and_identity():
     recipe = st.recipe_from_substitution(st.FIBONACCI)
     assert step(recipe, (1.0, 1.0, 1.0), 7) == (1.0, 1.0, 1.0)
@@ -143,7 +131,7 @@ def test_step_matches_transfer_oracle():
             q = rng.uniform(-3, 3)
             E = rng.uniform(-3, 3)
             params = st.JacobiParams(p, q)
-            l0 = st.initial_conditions(params, E)
+            l0 = st.initial_conditions_grid(params, E)
             for k in range(1, 7):
                 ht = half_trace(word_transfer(params, periodic_word(s, k), E))
                 tm = step(recipe, l0, k)[0]
@@ -178,7 +166,7 @@ def test_step_matches_oracle_on_random_invertible_compositions():
         tested += 1
         params = st.JacobiParams(rng.uniform(0.4, 2.0), rng.uniform(-2, 2))
         E = rng.uniform(-2, 2)
-        l0 = st.initial_conditions(params, E)
+        l0 = st.initial_conditions_grid(params, E)
         word = recipe.star  # the orbit tracks the star the recipe chose
         for k in range(1, 5):
             word = s.apply(word)
@@ -190,6 +178,96 @@ def test_step_matches_oracle_on_random_invertible_compositions():
             if abs(ht) > 1e60 or abs(tm) > 1e60:
                 break
             assert abs(ht - tm) <= 1e-8 * max(1.0, abs(ht)), (s.text(), k)
+
+
+def random_recipe(rng):
+    factors = lambda lo: tuple(int(a) for a in rng.integers(1, 4, size=rng.integers(lo, 4)))
+    return TraceMapRecipe(prefix=factors(0), period=factors(1),
+                          swapped_start=bool(rng.integers(2)))
+
+
+def scalar_orbit(recipe, point, n):
+    """Start swap, prefix and n blocks as a composition of scalar t_factor calls."""
+    if recipe.swapped_start:
+        point = p_swap(point)
+    for a in tuple(recipe.prefix) + tuple(recipe.period) * n:
+        point = t_factor(a, point)
+    return point
+
+
+def test_kernel_equals_scalar_factor_composition():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        rec = random_recipe(rng)
+        p = tuple(float(c) for c in rng.uniform(-2, 2, size=3))
+        q = p
+        for a in rec.period:
+            q = t_factor(a, q)
+        assert apply_period(rec, p) == q
+        n = int(rng.integers(1, 7))
+        x, y, z = scalar_orbit(rec, p, n)
+        if all(math.isfinite(c) for c in (x, y, z)):
+            assert step(rec, p, n) == (y, x, z)
+        else:
+            with pytest.raises(OverflowError):
+                step(rec, p, n)
+
+
+def classify_loop(recipe, point, max_steps, escape_norm):
+    """The scalar escape loop classify ran before it called classify_batch."""
+    q = scalar_orbit(recipe, tuple(float(c) for c in point), 0)
+    history = [max(abs(c) for c in q)]
+    last_finite = q
+    for n in range(1, max_steps + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in recipe.period:
+                q = t_factor(a, q)
+        if not all(math.isfinite(c) for c in q):
+            return OrbitVerdict("escaped", n, last_finite, math.inf)
+        last_finite = q
+        norm = max(abs(c) for c in q)
+        history.append(norm)
+        if (
+            min(abs(c) for c in q) > 1.0
+            and norm > escape_norm
+            and len(history) >= 4
+            and history[-1] > history[-2] > history[-3] > history[-4]
+        ):
+            return OrbitVerdict("escaped", n, q, norm)
+    return OrbitVerdict("bounded-so-far", max_steps, q, max(history))
+
+
+def test_classify_equals_scalar_loop():
+    rng = np.random.default_rng(32)
+    recipes = [st.recipe_from_substitution(s) for s in (st.FIBONACCI, METAL)]
+    recipes += [random_recipe(rng) for _ in range(6)]
+    points = [tuple(rng.uniform(-3, 3, size=3)) for _ in range(60)]
+    points += [torus_point(*rng.uniform(0, 1, size=2)) for _ in range(20)]
+    points += [(1e200, 1e200, 1e200), (1e160, -1e160, 3.0), (2.0, 1e300, -1e300),
+               (math.inf, 0.5, 0.5), (1.0, 1.0, 1.0)]  # overflowing and degenerate starts
+    kinds = set()
+    for rec in recipes:
+        for max_steps, escape_norm in ((40, 1e3), (5, 10.0)):
+            for p in points:
+                got = classify(rec, p, max_steps=max_steps, escape_norm=escape_norm)
+                want = classify_loop(rec, p, max_steps, escape_norm)
+                assert repr(got) == repr(want), (rec, p)  # repr: exact, NaN-safe
+                kinds.add((got.kind, math.isinf(got.max_norm)))
+    assert kinds == {("escaped", True), ("escaped", False), ("bounded-so-far", False)}
+
+
+@pytest.mark.parametrize("text", ["0->01;1->0", "0->001;1->0", "0->1;1->10", "0->1;1->01"])
+def test_probe_equals_per_energy_loop(text):
+    s = st.parse_substitution(text)
+    recipe = recipe_from_substitution(s)
+    for p, q in ((1.0, 2.0), (-0.8, 1.1), (1.4, -3.0)):
+        params = st.JacobiParams(p, q)
+        lo, hi = st.spectrum.default_energy_range(params)
+        energies = np.linspace(lo - 0.5, hi + 0.5, 257)
+        got = st.dynamical_spectrum_probe(s, params, energies)
+        want = [classify_loop(recipe, st.initial_conditions_grid(params, float(E)), 200, 1e3)
+                for E in energies]
+        assert repr(got) == repr(want)
 
 
 def test_step_overflow_signals():
