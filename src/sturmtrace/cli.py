@@ -118,10 +118,9 @@ def cmd_gaps(args):
     params = _params(args)
     bands = floquet_bands(s, params, args.level, tol=args.tol)
     lo, hi = default_energy_range(params)
+    # labels read the IDS at gap midpoints only
     mids = [0.5 * (g[0] + g[1]) for g in bands.gaps()]
-    grid = np.unique(np.concatenate([np.linspace(lo, hi, 2049), np.array(mids)])) \
-        if mids else np.linspace(lo, hi, 2049)
-    table = ids(s, params, args.length, grid)
+    table = ids(s, params, args.length, np.unique([lo, hi] + mids))
     alpha = rotation_number(s).alpha
     tol = args.label_tol if args.label_tol is not None else 2.0 / args.length
     labeled = gaps_with_labels(bands, table, alpha, m_max=args.m_max, tol=tol)
@@ -217,18 +216,12 @@ def _write_ppm(path, raster):
     steps = raster["steps"]
     max_steps = raster["max_steps"]
     sheets, h, w = steps.shape
-    img = np.zeros((sheets * h, w, 3), dtype=np.uint8)
-    for sheet in range(sheets):
-        block = steps[sheet]
-        tile = np.zeros((h, w, 3), dtype=np.uint8)
-        esc = (block >= 0) & (block <= max_steps)
-        bounded = block > max_steps
-        t = np.zeros_like(block, dtype=float)
-        t[esc] = block[esc] / float(max_steps)
-        tile[..., 0] = np.where(esc, (255 * (1 - t)).astype(np.uint8), 0)
-        tile[..., 1] = np.where(esc, (200 * t).astype(np.uint8), 0)
-        tile[..., 2] = np.where(bounded, 200, 0).astype(np.uint8)
-        img[sheet * h:(sheet + 1) * h] = tile
+    esc = (steps >= 0) & (steps <= max_steps)
+    t = np.where(esc, steps / float(max_steps), 0.0)
+    img = np.zeros((sheets, h, w, 3), dtype=np.uint8)
+    img[..., 0] = np.where(esc, (255 * (1 - t)).astype(np.uint8), 0)
+    img[..., 1] = np.where(esc, (200 * t).astype(np.uint8), 0)
+    img[..., 2] = np.where(steps > max_steps, 200, 0)
     with open(path, "wb") as fh:
         fh.write(b"P6\n%d %d\n255\n" % (w, sheets * h))
         fh.write(img.tobytes())

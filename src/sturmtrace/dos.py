@@ -13,6 +13,7 @@ dimensionality says these exponents exist dN-almost everywhere, which
 is sampled here by inverse-transform draws from the IDS itself.
 """
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,17 +42,12 @@ class IdsTable:
 
     def value_at(self, E):
         """Step lookup: the tabulated value at the last grid point <= E."""
-        e = np.asarray(self.e_grid)
-        i = int(np.searchsorted(e, E, side="right")) - 1
-        i = min(max(i, 0), e.size - 1)
-        return self.n_values[i]
+        return self.n_values[max(bisect.bisect_right(self.e_grid, E) - 1, 0)]
 
     def quantile(self, u):
         """Inverse transform: smallest grid energy with N(E) >= u."""
-        n = np.asarray(self.n_values)
-        i = int(np.searchsorted(n, u, side="left"))
-        i = min(max(i, 0), n.size - 1)
-        return self.e_grid[i]
+        i = bisect.bisect_left(self.n_values, u)
+        return self.e_grid[min(i, len(self.n_values) - 1)]
 
 
 def ids_counter(s, params, L):

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jacobi import JacobiParams, decoupled_block_spectrum
-from .spectrum import BandSet, floquet_bands, gaps_with_labels, hausdorff_distance
+from .spectrum import (BandSet, _band_pairs, floquet_bands, gaps_with_labels, hausdorff_distance,
+                       restrict_bands)
 from .substitution import FIBONACCI, fixed_point_prefix
 
 
@@ -40,21 +41,29 @@ class ThicknessEstimate:
     level: int = -1
 
 
+def _count_boxes(edges, eps):
+    """box_count of (n, 2) band edges at one scale, over all edges at once."""
+    j0 = np.floor(edges[:, 0] / eps)
+    j1 = np.floor(edges[:, 1] / eps)
+    j1 -= (edges[:, 1] == j1 * eps) & (j1 > j0)  # right endpoint on a box boundary
+    j0, j1 = j0.astype(np.int64), j1.astype(np.int64)
+    # boxes up to the running max of earlier right indices are counted already
+    j0[1:] = np.maximum(j0[1:], np.maximum.accumulate(j1)[:-1] + 1)
+    return int(np.maximum(j1 - j0 + 1, 0).sum())
+
+
 def box_count(bands, eps):
-    """Exact number of eps-boxes [j eps, (j+1) eps) meeting the band union."""
-    total = 0
-    last = None
-    for a, b in bands:
-        j0 = math.floor(a / eps)
-        j1 = math.floor(b / eps)
-        if b == j1 * eps and j1 > j0:  # right endpoint on a box boundary
-            j1 -= 1
-        if last is not None and j0 <= last:
-            j0 = last + 1
-        if j1 >= j0:
-            total += j1 - j0 + 1
-            last = j1
-    return total
+    """Exact number of eps-boxes [j eps, (j+1) eps) meeting the band union.
+
+    ``eps`` is one scale (an int is returned) or an array of scales (an
+    integer array of the same shape).  Box indices are int64, so every
+    |edge| / eps must stay below 2**63.
+    """
+    edges = np.asarray(_band_pairs(bands), dtype=float).reshape(-1, 2)
+    e = np.asarray(eps, dtype=float)
+    # one scale at a time keeps every temporary the size of the band set
+    counts = np.array([_count_boxes(edges, x) for x in e.ravel().tolist()], dtype=np.int64)
+    return int(counts[0]) if e.ndim == 0 else counts.reshape(e.shape)
 
 
 def box_dimension(bands, scales=None):
@@ -64,7 +73,7 @@ def box_dimension(bands, scales=None):
     rejected.  The default ladder halves from hull/4 down to the
     validity floor (at least five scales).
     """
-    band_list = tuple(bands.bands) if hasattr(bands, "bands") else tuple(bands)
+    band_list = _band_pairs(bands)
     if not band_list:
         raise ValueError("empty band set")
     hull = band_list[-1][1] - band_list[0][0]
@@ -99,7 +108,7 @@ def box_dimension(bands, scales=None):
     if len(scales) < 5:
         raise ValueError("need at least 5 scales")
     eps = np.array(sorted(scales))
-    counts = np.array([box_count(band_list, e) for e in eps], dtype=float)
+    counts = box_count(band_list, eps).astype(float)
     if default_ladder and len(band_list) > 1:
         # fit the resolved mid-regime: enough boxes to see structure, but
         # not so many that the finite-level approximation is exhausted
@@ -118,7 +127,7 @@ def box_dimension(bands, scales=None):
 
 def thickness(bands):
     """Newhouse thickness with gaps ordered by decreasing length."""
-    band_list = tuple(bands.bands) if hasattr(bands, "bands") else tuple(bands)
+    band_list = _band_pairs(bands)
     if not band_list:
         raise ValueError("empty band set")
     level = getattr(bands, "level", -1)
@@ -143,15 +152,6 @@ def thickness(bands):
         bisect.insort(cuts, lo)
         bisect.insort(cuts, hi)
     return ThicknessEstimate(float(tau), level)
-
-
-def restrict_bands(band_list, lo, hi):
-    out = []
-    for a, b in band_list:
-        a2, b2 = max(a, lo), min(b, hi)
-        if b2 >= a2:
-            out.append((a2, b2))
-    return tuple(out)
 
 
 def local_dimension_profile(s, params, k, window_count, bands=None, **floquet_kw):
@@ -236,10 +236,9 @@ def gap_opening_rate(s, path, t_list, label_m, k=10, L=1597, m_max=34, tol=None,
         bands = floquet_bands(s, params, k, **floquet_kw)
         lo, hi = bands.hull()
         pad = 0.05 * (hi - lo)
+        # labels read the IDS at gap midpoints only
         mids = [0.5 * (g[0] + g[1]) for g in bands.gaps()]
-        grid = np.unique(np.concatenate([
-            np.linspace(lo - pad, hi + pad, 1024), np.array(mids)]))
-        table = ids(s, params, L, grid)
+        table = ids(s, params, L, np.unique([lo - pad, hi + pad] + mids))
         gap_tol = tol if tol is not None else 2.0 / L
         labeled = gaps_with_labels(bands, table, alpha, m_max=m_max, tol=gap_tol)
         match = [g for g in labeled if g.label_m is not None and abs(g.label_m) == abs(label_m)]

@@ -39,9 +39,6 @@ class JacobiParams:
         return self.q if letter in (1, "1") else 0.0
 
 
-SCHRODINGER_FREE = JacobiParams(1.0, 0.0)
-
-
 def transfer_unimodular(params, letter_n, letter_np1, E):
     """T-form transfer matrix at a site: (1/p') [[E - q, -1], [p'^2, 0]]."""
     pn1 = params.hopping(letter_np1)

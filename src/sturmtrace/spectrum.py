@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jacobi import dirichlet_restriction, eigen_count_below_grid, initial_conditions_grid
-from .substitution import _image_length
+from .substitution import WORD_LENGTH_CAP, ResourceLimitError, _image_length
 from .tracemap import (ESCAPE_NORM_DEFAULT, MAX_STEPS_POINT, _iterate, _verdicts, classify_batch,
                        recipe_from_substitution)
 
@@ -65,7 +65,7 @@ class BandSet:
         return len(self.bands)
 
     def measure(self):
-        return float(sum(b - a for a, b in self.bands))
+        return band_measure(self)
 
     def hull(self):
         if not self.bands:
@@ -75,13 +75,6 @@ class BandSet:
     def gaps(self):
         """Open gaps between consecutive bands (hull exterior excluded)."""
         return [(b1, a2) for (_, b1), (a2, _) in zip(self.bands, self.bands[1:])]
-
-    def smallest_band(self):
-        return min((b - a) for a, b in self.bands)
-
-    def contains(self, E):
-        i = np.searchsorted([a for a, _ in self.bands], E, side="right") - 1
-        return i >= 0 and E <= self.bands[i][1]
 
 
 def merge_intervals(intervals, merge_tol=0.0):
@@ -96,17 +89,28 @@ def merge_intervals(intervals, merge_tol=0.0):
     return tuple((a, b) for a, b in out)
 
 
+def _band_pairs(bands):
+    """The (lo, hi) pairs of a BandSet or of a raw pair sequence, as a tuple."""
+    return tuple(getattr(bands, "bands", bands))
+
+
+def restrict_bands(band_list, lo, hi):
+    """The bands clipped to [lo, hi]; bands outside the window are dropped."""
+    out = []
+    for a, b in band_list:
+        a2, b2 = max(a, lo), min(b, hi)
+        if b2 >= a2:
+            out.append((a2, b2))
+    return tuple(out)
+
+
 def band_measure(bands):
-    return bands.measure() if isinstance(bands, BandSet) else float(
-        sum(b - a for a, b in bands)
-    )
+    return float(sum(b - a for a, b in _band_pairs(bands)))
 
 
 def band_sum(A, B, merge_tol=0.0):
     """Minkowski sum of two band sets (interval arithmetic, merged)."""
-    a_bands = A.bands if isinstance(A, BandSet) else tuple(A)
-    b_bands = B.bands if isinstance(B, BandSet) else tuple(B)
-    sums = [(a1 + a2, b1 + b2) for a1, b1 in a_bands for a2, b2 in b_bands]
+    sums = [(a1 + a2, b1 + b2) for a1, b1 in _band_pairs(A) for a2, b2 in _band_pairs(B)]
     return BandSet(merge_intervals(sums, merge_tol), level=-1, label="sum")
 
 
@@ -125,8 +129,7 @@ def _distance_to_bands(x, bands):
 
 def hausdorff_distance(A, B):
     """Hausdorff distance between two unions of closed intervals."""
-    a_bands = tuple(A.bands if isinstance(A, BandSet) else A)
-    b_bands = tuple(B.bands if isinstance(B, BandSet) else B)
+    a_bands, b_bands = _band_pairs(A), _band_pairs(B)
     if not a_bands or not b_bands:
         raise ValueError("Hausdorff distance needs nonempty sets")
 
@@ -247,6 +250,11 @@ def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=N
         raise ValueError("empty energy range")
     tol = 1e-12 * span if tol is None else tol
     merge_tol = 1e-11 * span if merge_tol is None else merge_tol
+    if k < 0:
+        raise ValueError("need k >= 0")
+    if _image_length(s, recipe.star, k) > WORD_LENGTH_CAP:
+        raise ResourceLimitError("s^%d(%s) exceeds the %d-letter cap"
+                                 % (k, recipe.star, WORD_LENGTH_CAP))
     word = recipe.star
     for _ in range(k):
         word = s.apply(word)
@@ -281,7 +289,7 @@ def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=N
         raise BandCountError("level %d: %d bands + %d closed gaps != %d"
                              % (k, len(bands), int(closed.sum()), q))
     if e_range is not None:
-        bands = tuple((max(a_, lo), min(b_, hi)) for a_, b_ in bands if b_ >= lo and a_ <= hi)
+        bands = restrict_bands(bands, lo, hi)
         closed = closed & (mids >= lo) & (mids <= hi)
     return BandSet(bands, level=k, params=params, label=s.text(), edge_tol=tol,
                    closed_gaps=int(closed.sum()))

@@ -287,6 +287,10 @@ def classify_batch(recipe, xs, ys, zs, max_steps=MAX_STEPS_BANDS,
     escape, or after max_steps blocks); max_norm is the max-norm at
     escape (inf on overflow), or the largest along a bounded orbit.
     """
+    if max_steps < 1:
+        raise ValueError("need max_steps >= 1")
+    if escape_norm <= 1.0:
+        raise ValueError("need escape_norm > 1")
     x, y, z = (np.array(c, dtype=float).ravel() for c in (xs, ys, zs))
     if recipe.swapped_start:
         y, z = z, y
@@ -335,10 +339,6 @@ def _verdicts(escaped_at, last, max_norm, max_steps):
 
 def classify(recipe, point, max_steps=MAX_STEPS_POINT, escape_norm=ESCAPE_NORM_DEFAULT):
     """Escape/bounded dichotomy of one point, as in :func:`classify_batch`."""
-    if max_steps < 1:
-        raise ValueError("need max_steps >= 1")
-    if escape_norm <= 1.0:
-        raise ValueError("need escape_norm > 1")
     _, at, last, max_norm = classify_batch(recipe, *_lanes(point), max_steps=max_steps,
                                            escape_norm=escape_norm)
     return _verdicts(at, last, max_norm, max_steps)[0]
@@ -368,14 +368,8 @@ def surface_section(V, resolution, recipe=None, chart=(-2.0, 2.0, -2.0, 2.0),
     steps = np.full((2, resolution, resolution), -1, dtype=np.int64)
     for sheet, sign in enumerate((1.0, -1.0)):
         gz = gx * gy + sign * root
-        mask = ok.ravel()
-        if not mask.any():
-            continue
-        at = classify_batch(recipe, gx.ravel()[mask], gy.ravel()[mask], gz.ravel()[mask],
-                            max_steps=max_steps, escape_norm=escape_norm)[1]
-        flat = np.full(resolution * resolution, -1, dtype=np.int64)
-        flat[mask] = at
-        steps[sheet] = flat.reshape(resolution, resolution)
+        steps[sheet][ok] = classify_batch(recipe, gx[ok], gy[ok], gz[ok], max_steps=max_steps,
+                                          escape_norm=escape_norm)[1]
     if not ok.any():
         warnings.warn("surface chart is empty (no real roots); V < -1 sphere gone?")
     return {"V": V, "x": xs, "y": ys, "steps": steps, "max_steps": max_steps}

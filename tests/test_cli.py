@@ -111,6 +111,15 @@ def test_surface_command(tmp_path, capsys):
     assert data.startswith(b"P6\n24 48\n255\n")
 
 
+def test_surface_rejects_zero_max_steps(tmp_path):
+    assert main(["surface", "--resolution", "8", "--max-steps", "0",
+                 "--out-dir", str(tmp_path / "surf")]) == 1
+
+
+def test_spectrum_level_past_word_cap_is_computation_error(tmp_path):
+    assert main(["spectrum", FIB, "--level", "35", "--out-dir", str(tmp_path)]) == 1
+
+
 def test_scan_probe_threads_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

@@ -93,6 +93,34 @@ def test_ids_table_validation_and_quantile():
     assert t.value_at(1.5) == 0.25
 
 
+def test_ids_table_lookups_equal_searchsorted():
+    rng = np.random.default_rng(3)
+    e = np.cumsum(rng.uniform(0.01, 1.0, 200)) - 50.0
+    n = np.sort(rng.integers(0, 40, 200)) / 40.0
+    t = IdsTable(tuple(e.tolist()), tuple(n.tolist()), 40)
+    for E in np.concatenate([e, rng.uniform(-60.0, 160.0, 300), [-np.inf, np.inf]]).tolist():
+        i = min(max(int(np.searchsorted(e, E, side="right")) - 1, 0), e.size - 1)
+        assert t.value_at(E) == n[i]
+    for u in np.concatenate([n, rng.uniform(-0.5, 1.5, 300)]).tolist():
+        i = min(int(np.searchsorted(n, u, side="left")), n.size - 1)
+        assert t.quantile(u) == e[i]
+
+
+@pytest.mark.parametrize("text, p, q, k", [("0->01;1->0", 1.1, 0.3, 8),
+                                           ("0->001;1->0", 1.2, 0.7, 6)])
+def test_gap_labels_need_only_the_midpoints(text, p, q, k):
+    # the CLI's gaps table holds the range ends and the gap midpoints only
+    s, params, L = parse_substitution(text), st.JacobiParams(p, q), 2584
+    bands = st.floquet_bands(s, params, k)
+    alpha = st.rotation_number(s).alpha
+    lo, hi = default_energy_range(params)
+    mids = [0.5 * (a + b) for a, b in bands.gaps()]
+    dense = ids(s, params, L, np.unique(np.concatenate([np.linspace(lo, hi, 2049), mids])))
+    sparse = ids(s, params, L, np.unique([lo, hi] + mids))
+    assert (st.gaps_with_labels(bands, sparse, alpha, tol=2.0 / L)
+            == st.gaps_with_labels(bands, dense, alpha, tol=2.0 / L))
+
+
 def test_dos_summary_degenerate_single_sample():
     params = st.JacobiParams(1.0, 0.5)
     summ = st.dos_dimension_summary(FIBONACCI, params, 1, 610, seed=4)

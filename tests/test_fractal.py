@@ -32,6 +32,74 @@ def integer_middle_thirds(level):
     return tuple((float(a), float(b)) for a, b in bands)
 
 
+def box_count_loop(bands, eps):
+    """The per-band box count box_count replaced, kept as its oracle."""
+    total = 0
+    last = None
+    for a, b in bands:
+        j0 = math.floor(a / eps)
+        j1 = math.floor(b / eps)
+        if b == j1 * eps and j1 > j0:  # right endpoint on a box boundary
+            j1 -= 1
+        if last is not None and j0 <= last:
+            j0 = last + 1
+        if j1 >= j0:
+            total += j1 - j0 + 1
+            last = j1
+    return total
+
+
+def assert_counts_match_loop(bands, scales):
+    expected = [box_count_loop(bands, e) for e in scales]
+    for e, n in zip(scales, expected):
+        got = box_count(bands, e)
+        assert type(got) is int and got == n
+    got = box_count(bands, np.array(scales))
+    assert got.shape == (len(scales),) and got.tolist() == expected
+
+
+def test_box_count_equals_loop_on_seeded_middle_thirds():
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        lo = rng.uniform(-3.0, 3.0)
+        bands = middle_thirds(int(rng.integers(1, 9)), lo, lo + rng.uniform(0.01, 5.0))
+        hull = bands[-1][1] - bands[0][0]
+        scales = [hull * 2.0 ** -i for i in range(1, 30)] + list(hull * rng.uniform(1e-6, 1.0, 20))
+        assert_counts_match_loop(bands, scales)
+        # the running max keeps the loop's count on unsorted pairs too
+        assert_counts_match_loop(tuple(rng.permutation(bands).tolist()), scales)
+
+
+def test_box_count_equals_loop_with_ends_on_box_boundaries():
+    for level in (1, 4, 7):
+        bands = integer_middle_thirds(level)
+        shifted = tuple((a - 3.0 ** level // 2, b - 3.0 ** level // 2) for a, b in bands)
+        scales = [0.25, 0.5, 1.0, 2.0, 3.0, 6.0, 9.0, 27.0, 81.0]
+        assert_counts_match_loop(bands, scales)
+        assert_counts_match_loop(shifted, scales)
+
+
+def test_box_count_equals_loop_on_one_band():
+    for band in ((0.0, 1.0), (-0.3, 0.7), (-2.0, -1.0), (1.5, 1.5)):
+        assert_counts_match_loop((band,), [0.1, 0.25, 0.3, 0.5, 1.0, 3.0, 1e-3])
+
+
+def test_box_count_equals_loop_on_metal_mean_level_10():
+    bands = st.floquet_bands(st.parse_substitution("0->001;1->0"),
+                             st.JacobiParams(1.5, 1.0), 10)
+    assert bands.band_count == 8119
+    lo, hi = bands.hull()
+    scales = [(hi - lo) * 2.0 ** -i for i in range(2, 47)] + [0.1, 0.01, 1e-3, 1e-4, 1e-5]
+    assert_counts_match_loop(bands.bands, scales)
+
+
+def test_box_dimension_unchanged_on_readme_dims_case():
+    # the estimate of the per-band loop on `dims "0->01;1->0" --p 1 --q 2 --level 10`
+    bands = st.floquet_bands(st.FIBONACCI, st.JacobiParams(1.0, 2.0), 10)
+    assert box_dimension(bands) == st.DimensionEstimate(
+        0.6273394956820156, 0.012118410221121081, 0.0089947854299695, 0.143916566879512, 5)
+
+
 def test_box_count_exact_on_simple_sets():
     assert box_count(((0.0, 1.0),), 0.25) == 4
     assert box_count(((0.0, 1.0), (2.0, 3.0)), 0.5) == 4

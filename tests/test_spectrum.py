@@ -428,3 +428,11 @@ def test_energy_window_clips_the_level():
                               merge_tol=1e-11 * (full.hull()[1] - full.hull()[0]))
     clipped = [(max(a, lo), min(b, hi)) for a, b in full.bands if b >= lo and a <= hi]
     assert np.allclose(window.bands, clipped, rtol=0.0, atol=full.edge_tol)
+
+
+def test_word_length_cap_checked_before_expansion():
+    # |s^35(0)| = 24157817 letters: refused before the word is built
+    with pytest.raises(st.ResourceLimitError):
+        st.floquet_bands(st.FIBONACCI, st.JacobiParams(1.0, 2.0), 35)
+    with pytest.raises(ValueError):
+        st.floquet_bands(st.FIBONACCI, st.JacobiParams(1.0, 2.0), -1)

@@ -15,6 +15,7 @@ from sturmtrace.tracemap import (
     apply_period,
     apply_period_inverse,
     classify,
+    classify_batch,
     factor_matrix_product,
     fibonacci_map,
     fibonacci_map_inverse,
@@ -321,6 +322,21 @@ def test_classify_examples():
         classify(rec, (0, 0, 0), max_steps=0)
     with pytest.raises(ValueError):
         classify(rec, (0, 0, 0), escape_norm=0.5)
+
+
+def test_classify_batch_checks_its_settings():
+    rec = st.recipe_from_substitution(st.FIBONACCI)
+    lanes = (np.zeros(3), np.zeros(3), np.zeros(3))
+    for kw in ({"max_steps": 0}, {"max_steps": -3}, {"escape_norm": 1.0}):
+        with pytest.raises(ValueError):
+            classify_batch(rec, *lanes, **kw)
+        with pytest.raises(ValueError):
+            surface_section(0.01, 8, **kw)
+        with pytest.raises(ValueError):
+            st.dynamical_spectrum_probe(st.FIBONACCI, st.JacobiParams(1.0, 2.0), [0.5], **kw)
+    with pytest.raises(ValueError):
+        # an empty chart classifies no pixel, and still checks
+        surface_section(-1.5, 8, chart=(-0.9, 0.9, -0.9, 0.9), max_steps=0)
 
 
 def test_escape_soundness():
