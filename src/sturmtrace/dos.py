@@ -2,10 +2,13 @@
 
 N(E) is approximated by the normalized Dirichlet eigenvalue count of
 the operator restricted to the first L sites of the fixed point,
-N(E, L)/L; eigenvalue counts come from the Sturm pivot recursion, so a
-full table over an energy grid costs one O(L) sweep per grid point.
-The IDS is constant across spectral gaps, and on a gap its value is a
-label frac(m alpha) from the gap labeling theorem.
+N(E, L)/L.  The first L letters are a concatenation of blocks s^j(c),
+at most max|s(c)| of them per level (Dumont-Thomas), so each count is
+composed from the lifted Sturm pivot maps of the blocks s^j(0) and
+s^j(1) (see jacobi.py): O(log L) array operations per energy for a
+primitive substitution, instead of one Sturm step per site.  The IDS is
+constant across spectral gaps, and on a gap its value is a label
+frac(m alpha) from the gap labeling theorem.
 
 The local scaling exponent at E is the log-log slope of the measure
 N(E + eps) - N(E - eps) against eps over a dyadic ladder; exact
@@ -18,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobi import dirichlet_restriction, eigen_count_below_grid
-from .substitution import fixed_point_prefix
+from .jacobi import _block_count_below
+from .substitution import _prefix_blocks
 
 
 @dataclass(frozen=True)
@@ -51,21 +54,25 @@ class IdsTable:
 
 
 def ids_counter(s, params, L):
-    """Memoized callable E -> N(E, L)/L for the length-L Dirichlet truncation."""
-    spec = dirichlet_restriction(params, fixed_point_prefix(s, L))
+    """Callable E -> N(E, L)/L for the length-L Dirichlet truncation.
+
+    The counts are those of :func:`~sturmtrace.jacobi.eigen_count_below_grid`
+    on ``dirichlet_restriction(params, fixed_point_prefix(s, L))``, up to
+    energies within rounding of an eigenvalue; the word is never built.
+    """
+    sp, blocks = _prefix_blocks(s, L)
 
     def counter(E):
         E_arr = np.atleast_1d(np.asarray(E, dtype=float))
-        vals = eigen_count_below_grid(spec, E_arr) / float(L)
+        vals = _block_count_below(params, sp, blocks, E_arr) / float(L)
         return vals if np.ndim(E) else float(vals[0])
 
     counter.L = L
-    counter.spec = spec
     return counter
 
 
 def _table(counter, e_grid):
-    """IDS table of an :func:`ids_counter` over a grid: one Sturm sweep."""
+    """IDS table of an :func:`ids_counter` over a grid: one batched count."""
     if counter.L < 8:
         raise ValueError("need L >= 8")
     e = np.asarray(e_grid, dtype=float)
@@ -141,7 +148,7 @@ def dos_dimension_summary(s, params, sample_count, L, seed=0, eps_max=None,
     draws = rng.uniform(1.0 / L, 1.0 - 1.0 / L, size=sample_count)
     eps = np.sort(np.asarray(dyadic_ladder(eps_max, n_scales), dtype=float))
     centers = np.array([float(table.quantile(u)) for u in draws])
-    # every sample's ladder, N(E + eps) then N(E - eps), in one Sturm sweep
+    # every sample's ladder, N(E + eps) then N(E - eps), in one batched count
     ladders = np.concatenate([centers[:, None] + eps, centers[:, None] - eps], axis=1)
     rows = counter(ladders.ravel()).reshape(ladders.shape)
     exps, energies, skipped = [], [], 0

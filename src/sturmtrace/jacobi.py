@@ -14,6 +14,10 @@ taken cyclically at the boundary, is the brute-force oracle against
 which the trace-map pipeline is checked.  The curve of initial
 conditions l(E) collects the first three half-traces; its Fricke-Vogt
 invariant is an affine function of E.
+
+Dirichlet eigenvalue counts come from the Sturm pivot recursion, one
+step per site, or, for words spelled by substitution blocks, from the
+composed lifts of the per-site pivot maps (see "lifted pivot maps").
 """
 
 from dataclasses import dataclass
@@ -197,6 +201,144 @@ def eigen_count_below_grid(spec, E):
             np.copyto(d, -tiny, where=bad)
     # every pivot that is not positive is negative or was set to -tiny
     return np.subtract(len(diag), positive, out=positive)
+
+
+# -- lifted pivot maps ----------------------------------------------------------
+#
+# Site i's Sturm pivot map d -> (a_i - E) - b_i^2 / d is the Moebius map
+# of F = [[a_i - E, -b_i^2], [1, 0]] acting on d = x / y.  F preserves
+# orientation and maps the angles ((m - 1/2) pi, (m + 1/2) pi] of (x, y)
+# onto (m pi, (m + 1) pi], so along the lifted angle theta of the pivot
+# vector, started at d = +inf (theta = 0), floor(theta / pi + 1/2) grows
+# by one exactly at each pivot <= 0.  A word's lift is kept as a block
+# (k, t1, x, t2), the map
+#
+#     theta -> k pi + t1 + S_x(t2 + theta),
+#
+# the lift of R(t1) diag(e^x, e^-x) R(t2) (R a rotation, k an integer,
+# t1 and t2 in [-pi/2, pi/2), x >= 0) whose stretch S_x fixes the
+# multiples of pi/2.  These angles and the log-stretch x stay accurate
+# however long and contracting the word is.  A normalized F-product
+# does not: once its singular values part by more than 1/eps it has lost
+# the contracted direction, and the counts it composes go wrong near the
+# eigenvalue clusters of strong coupling.
+
+_HALF_PI = 0.5 * np.pi
+
+
+def _wrap(t, k):
+    """Angles in [-3pi/2, 3pi/2) reduced into [-pi/2, pi/2), the half-turns moved to k."""
+    m = (t >= _HALF_PI).astype(np.int64) - (t < -_HALF_PI)
+    return t - np.pi * m, k + m
+
+
+def _stretch(x, t):
+    """S_x(t): lift of diag(e^x, e^-x) at angles t in [-pi/2, pi/2)."""
+    return np.arctan2(np.sin(t) * np.exp(-2.0 * x), np.cos(t))
+
+
+def _lift_site(a, b, E):
+    """Block of one site, potential a and hopping b > 0: the Cartan form of F / b."""
+    # F / b = [[e + f, g - h], [g + h, e - f]] with f = e; then
+    # alpha + beta = atan2(h, e), alpha - beta = atan2(g, f)
+    e = (a - E) / (2.0 * b)
+    h, g = 0.5 * (1.0 / b + b), 0.5 * (1.0 / b - b)
+    plus, minus = np.arctan2(h, e), np.arctan2(g, e)
+    x = np.log(np.hypot(e, h) + np.hypot(e, g))
+    t1, k = _wrap(0.5 * (plus + minus), np.zeros(E.shape, dtype=np.int64))
+    t2, k = _wrap(0.5 * (plus - minus), k)
+    # fix the half-turns: the lift of F sends 0 to arg(a - E, 1) in (0, pi)
+    off = np.arctan2(1.0, a - E) - (np.pi * k + t1 + _stretch(x, t2))
+    return k + np.rint(off / np.pi).astype(np.int64), t1, x, t2
+
+
+def _lift_compose(A, B):
+    """Block of the word read as B then A.
+
+    The middle factor S_xA R(r) S_xB (r = t2A + t1B) is decomposed
+    again as R(alpha) S_x R(beta) by the closed-form 2x2 singular value
+    decomposition, written in terms of cosh and sinh of u = xA + xB and
+    v = xB - xA, both scaled by 1 / cosh(u) so nothing overflows.  With
+    r in [-pi/2, pi/2) the angles are continuous in r and vanish at
+    r = 0, which keeps the lift.
+    """
+    kA, t1A, xA, t2A = A
+    kB, t1B, xB, t2B = B
+    r, k = _wrap(t2A + t1B, kA + kB)
+    c, s = np.cos(r), np.sin(r)
+    u = xA + xB
+    av = np.abs(xB - xA)
+    eu = np.exp(-2.0 * u)
+    ratio = np.exp(av - u) / (1.0 + eu)           # e^{|v|} / (2 cosh u)
+    ch = s * ratio * (1.0 + np.exp(-2.0 * av))    # s cosh v / cosh u
+    sh = s * np.copysign(ratio * -np.expm1(-2.0 * av), xB - xA)  # s sinh v / cosh u
+    ct = c * np.tanh(u)                           # c sinh u / cosh u
+    plus, minus = np.arctan2(ch, c), np.arctan2(sh, ct)
+    # the singular value over cosh(u); no term exceeds 1, so squaring is safe
+    sigma = np.sqrt(c * c + ch * ch) + np.sqrt(ct * ct + sh * sh)
+    x = np.log(sigma) + u + np.log1p(eu) - np.log(2.0)    # + log cosh(u)
+    t1, k = _wrap(t1A + 0.5 * (plus + minus), k)
+    t2, k = _wrap(0.5 * (plus - minus) + t2B, k)
+    return k, t1, x, t2
+
+
+# a lifted angle this close below a count boundary counts as an exact hit
+_TIE_ANGLE = 1e-12
+
+
+def _block_count_below(params, sp, blocks, E):
+    """Dirichlet eigenvalues <= E of the word spelled by lifted blocks.
+
+    blocks holds pairs (j, c) in reading order, the words sp^j(c) of
+    substitution.py's _prefix_blocks; levels never increase along it.
+    The count is composed from the blocks sp^j(0) and sp^j(1), lowest
+    level first, so only one level of blocks and the accumulated tail
+    are alive at a time and the cost is O(levels * |sp|) per energy,
+    whatever the word length.  Counts agree with
+    :func:`eigen_count_below_grid`: a last pivot of 0 counts (the "<="
+    side; so does a lifted angle within _TIE_ANGLE of the boundary, to
+    absorb the rounding of exact hits), E = -inf counts 0, and E = +inf
+    or NaN counts every site.
+    """
+    E = np.asarray(E, dtype=float)
+    finite = np.isfinite(E)
+    # Counts do not change when H and E are divided by the largest hopping.
+    # A site with hopping b > 1 keeps its dependence on E only in an angle
+    # offset of order 1/b^2, which double precision loses once b^2 nears
+    # 1/eps; scaled, every b is at most 1 and the counts stay right up to
+    # |p| of about 1e9.
+    scale = max(abs(params.hopping(c)) for c in "01")
+    e = np.where(finite, E, 0.0) / scale
+    level_blocks = {c: _lift_site(params.potential(c) / scale, abs(params.hopping(c)) / scale, e)
+                    for c in "01"}
+    level_lengths = {"0": 1, "1": 1}
+    level, tail, length = 0, None, 0
+    for j, c in reversed(blocks):
+        while level < j:
+            level_blocks = {x: _chain(level_blocks, sp.image(x)) for x in "01"}
+            level_lengths = {x: sum(level_lengths[y] for y in sp.image(x)) for x in "01"}
+            level += 1
+        # each block precedes the tail already composed
+        tail = level_blocks[c] if tail is None else _lift_compose(tail, level_blocks[c])
+        length += level_lengths[c]
+    count = _lift_count(tail)
+    count[~finite] = np.where(E[~finite] < 0.0, 0, length)
+    return count
+
+
+def _lift_count(block):
+    """Pivots <= 0 along a block, entered at d = +inf: floor(theta / pi + 1/2)."""
+    k, t1, x, t2 = block
+    phi = t1 + _stretch(x, t2) + _TIE_ANGLE
+    return k + np.floor(phi / np.pi + 0.5).astype(np.int64)
+
+
+def _chain(level_blocks, word):
+    """Block of a word from the blocks of its letters, first letter first."""
+    out = level_blocks[word[0]]
+    for x in word[1:]:
+        out = _lift_compose(level_blocks[x], out)
+    return out
 
 
 def decoupled_block_spectrum(word, q):

@@ -377,16 +377,28 @@ def gaps_with_labels(bands, ids_table, alpha, m_max=34, tol=1e-3):
     label frac(m alpha), |m| <= m_max (ties to smaller |m|), is attached
     when it lies within ``tol``, otherwise label_m stays None.
     """
-    labels = []
-    for m in range(-m_max, m_max + 1):
-        labels.append((math.fmod(m * alpha, 1.0) % 1.0, m))
+    gaps = bands.gaps()
+    m = np.arange(-m_max, m_max + 1)
+    lam = np.array([math.fmod(k * alpha, 1.0) % 1.0 for k in m.tolist()])
+    # sorted distinct label values, each kept with its smallest |m| (then smallest m)
+    order = np.lexsort((m, np.abs(m), lam))
+    lam, m = lam[order], m[order]
+    first = np.concatenate([[True], lam[1:] != lam[:-1]])
+    lam, m = lam[first], m[first]
+    values = np.array([float(ids_table.value_at(0.5 * (g_lo + g_hi))) for g_lo, g_hi in gaps])
+    # the nearest label is a neighbour of the value in sorted order; equal
+    # distances go to the smaller |m|, then to the smaller m
+    hi = np.minimum(np.searchsorted(lam, values), lam.size - 1)
+    lo = np.maximum(hi - 1, 0)
+    d_lo, d_hi = np.abs(lam[lo] - values), np.abs(lam[hi] - values)
+    closer = (np.abs(m[hi]) < np.abs(m[lo])) | ((np.abs(m[hi]) == np.abs(m[lo])) & (m[hi] < m[lo]))
+    best = np.where((d_hi < d_lo) | ((d_hi == d_lo) & closer), hi, lo)
     out = []
-    for g_lo, g_hi in bands.gaps():
-        mid = 0.5 * (g_lo + g_hi)
-        value = float(ids_table.value_at(mid))
-        best = min(labels, key=lambda lm: (abs(lm[0] - value), abs(lm[1])))
-        if abs(best[0] - value) <= tol:
-            out.append(Gap(g_lo, g_hi, value, best[0], best[1]))
+    for (g_lo, g_hi), value, dist, label, label_m in zip(
+            gaps, values.tolist(), np.minimum(d_lo, d_hi).tolist(), lam[best].tolist(),
+            m[best].tolist()):
+        if dist <= tol:
+            out.append(Gap(g_lo, g_hi, value, label, label_m))
         else:
             out.append(Gap(g_lo, g_hi, value))
     return out

@@ -254,6 +254,45 @@ def _image_length(s, letter, k):
     return int(counts.sum())
 
 
+def _prefix_blocks(s, n, length_cap=WORD_LENGTH_CAP):
+    """Blocks whose words concatenate to :func:`fixed_point_prefix` (s, n).
+
+    Returns (sp, blocks): sp is s or s^2, the power whose fixed point
+    the prefix reads, and blocks lists pairs (j, c) in reading order
+    such that the words sp^j(c) spell the first n letters.  Levels never
+    increase along the list and no level holds more blocks than the
+    longest image of sp has letters (Dumont-Thomas).  Only block lengths
+    are used; the word itself is never built.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n > length_cap:
+        raise ResourceLimitError("requested prefix exceeds length cap")
+    star, power = star_letter(s)
+    sp = s if power == 1 else s.power(power)
+    lengths = [{"0": 1, "1": 1}]  # lengths[j][c] = |sp^j(c)|
+    while lengths[-1][star] < n:
+        grown = {c: sum(lengths[-1][x] for x in sp.image(c)) for c in "01"}
+        if grown[star] == lengths[-1][star]:
+            raise UnsupportedSubstitutionError("substitution does not expand its fixed letter")
+        lengths.append(grown)
+    # descend through sp^j(c) = sp^(j-1)(x_1) ... sp^(j-1)(x_r), keeping the
+    # whole blocks that fit and entering the one the prefix ends inside
+    blocks, j, c, need = [], len(lengths) - 1, star, n
+    while need:
+        if lengths[j][c] == need:
+            blocks.append((j, c))
+            break
+        j -= 1
+        for x in sp.image(c):
+            if lengths[j][x] > need:
+                c = x
+                break
+            blocks.append((j, x))
+            need -= lengths[j][x]
+    return sp, blocks
+
+
 def distinct_factors(word, k):
     """Number of distinct length-k factors of a word (complexity oracle)."""
     if k > len(word):

@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import sturmtrace as st
 from sturmtrace.dos import (DosSummary, IdsTable, dyadic_ladder, ids, ids_counter,
                             ids_scaling_exponent)
+from sturmtrace.jacobi import dirichlet_restriction, eigen_count_below_grid
 from sturmtrace.spectrum import default_energy_range
-from sturmtrace.substitution import FIBONACCI, Substitution, parse_substitution
+from sturmtrace.substitution import (FIBONACCI, WORD_LENGTH_CAP, Substitution,
+                                     UnsupportedSubstitutionError, fixed_point_prefix,
+                                     parse_substitution)
 
 ALL_ZERO = Substitution("00", "0")  # free chain generator: fixed point 000...
 
@@ -170,3 +177,79 @@ def test_dos_summary_batched_matches_per_sample(text, p, q, n, L, seed, kw):
     assert summ == _per_sample_summary(s, params, n, L, seed, **kw)
     if "eps_max" in kw:
         assert summ.skipped > len(summ.exponents) > 0
+
+
+PINNED = [parse_substitution(t) for t in ("0->01;1->0", "0->001;1->0", "0->1;1->10", "0->1;1->01",
+                                          "0->0001;1->0", "0->100;1->10")] + [ALL_ZERO]
+
+
+@pytest.mark.parametrize("index", range(len(PINNED)))
+def test_ids_counter_equals_the_sturm_loop(index):
+    s = PINNED[index]
+    rng = np.random.default_rng(100 + index)
+    lengths = [1, 2, 3, 8, 55, 233] + rng.integers(300, 3000, size=4).tolist()
+    for n, L in enumerate(lengths):
+        params = st.JacobiParams(rng.uniform(0.05, 3.0) * (-1) ** n, rng.uniform(-30.0, 30.0))
+        hull = 1.0 + abs(params.q) + 2 * max(1.0, abs(params.p))
+        E = np.concatenate([rng.uniform(-hull, hull, 300), np.linspace(-hull, hull, 101),
+                            [0.0, -0.0, params.q, 1.0, -1.0, 1e300, -1e300, np.inf, -np.inf,
+                             np.nan]])
+        sturm = eigen_count_below_grid(dirichlet_restriction(params, fixed_point_prefix(s, L)), E)
+        got = ids_counter(s, params, L)(E)
+        assert np.array_equal(got, sturm / float(L))
+        assert np.array_equal(np.rint(got * L), sturm)
+
+
+@pytest.mark.parametrize("L, E, counts", [
+    (3, [-1.0, 0.0, -0.0, 1.0], [1, 2, 2, 2]),
+    # 2 cos(pi j / 2376) hits 0 and +-1 exactly: deep exact hits
+    (2375, [-1.0, 0.0, 1.0], [792, 1188, 1584]),
+])
+def test_ids_counter_exact_hits_land_on_the_le_side(L, E, counts):
+    # the free chain "000...": a last pivot of exactly 0 counts
+    params = st.JacobiParams(1.0, 0.0)
+    got = ids_counter(ALL_ZERO, params, L)(np.array(E)) * L
+    assert np.rint(got).astype(int).tolist() == counts
+    spec = dirichlet_restriction(params, fixed_point_prefix(ALL_ZERO, L))
+    assert eigen_count_below_grid(spec, np.array(E)).tolist() == counts
+
+
+def test_ids_counter_errors_unchanged():
+    params = st.JacobiParams(1.0, 1.0)
+    with pytest.raises(ValueError):
+        ids_counter(FIBONACCI, params, 0)
+    with pytest.raises(st.ResourceLimitError):
+        ids_counter(FIBONACCI, params, WORD_LENGTH_CAP + 1)
+    with pytest.raises(UnsupportedSubstitutionError):
+        ids_counter(Substitution("0", "10"), params, 10)
+    assert ids_counter(FIBONACCI, params, 1)(np.inf) == 1.0
+    assert not hasattr(ids_counter(FIBONACCI, params, 5), "spec")
+
+
+def test_dos_path_never_imports_scipy():
+    # scipy adds ~27 MB to a process; the DOS path needs numpy only
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from sturmtrace import FIBONACCI, JacobiParams, dos\n"
+            "params = JacobiParams(1.1, 0.7)\n"
+            "dos.ids(FIBONACCI, params, 987, np.linspace(-4.0, 4.0, 257))\n"
+            "dos.dos_dimension_summary(FIBONACCI, params, 5, 987, seed=1)\n"
+            "print('scipy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(st.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_ids_counter_equals_the_sturm_loop_at_large_hopping():
+    # unscaled, a letter with p = 1e8 holds its energy dependence in an
+    # angle offset of 1e-16 and the counts go wrong by hundreds
+    rng = np.random.default_rng(5)
+    for p in (1e8, -1e8):
+        params = st.JacobiParams(p, 0.7)
+        E = np.concatenate([rng.uniform(-5.0, 5.0, 400),
+                            rng.uniform(abs(p) - 5.0, abs(p) + 5.0, 100)])
+        spec = dirichlet_restriction(params, fixed_point_prefix(FIBONACCI, 987))
+        sturm = eigen_count_below_grid(spec, E)
+        assert np.array_equal(ids_counter(FIBONACCI, params, 987)(E), sturm / 987.0)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import sympy
 
 import sturmtrace as st
@@ -17,7 +18,9 @@ from sturmtrace.jacobi import (
     transfer_unimodular,
     word_transfer,
 )
-from sturmtrace.substitution import FIBONACCI, fixed_point_prefix
+from sturmtrace.jacobi import (_block_count_below, _lift_compose, _lift_count,
+                               _lift_site)
+from sturmtrace.substitution import FIBONACCI, _prefix_blocks, fixed_point_prefix
 
 
 def test_params_validation():
@@ -275,3 +278,49 @@ def test_eigen_count_matches_oracle_far_outside_gershgorin():
     E = np.array([-1e300, -1e12, -50.0, 50.0, 1e12, 1e300, -np.inf, np.inf])
     _assert_same_counts(spec, E)
     assert eigen_count_below_grid(spec, E).tolist() == [0, 0, 0, 377, 377, 377, 0, 377]
+
+
+def _lifted_word(params, word, E, cuts):
+    """Block of a word composed from pieces cut at the given sites, last piece first."""
+    pieces = [word[a:b] for a, b in zip([0] + cuts, cuts + [len(word)])]
+    blocks = []
+    for piece in pieces:
+        sites = [_lift_site(params.potential(c), abs(params.hopping(c)), E) for c in piece]
+        block = sites[0]
+        for site in sites[1:]:
+            block = _lift_compose(site, block)
+        blocks.append(block)
+    out = blocks.pop()
+    while blocks:  # right to left: out = out o (previous piece)
+        out = _lift_compose(out, blocks.pop())
+    return out
+
+
+def test_lifted_blocks_count_like_sturm_in_any_grouping():
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        L = int(rng.integers(1, 120))
+        word = "".join(rng.choice(["0", "1"], L))
+        params = JacobiParams(rng.uniform(0.05, 3.0) * rng.choice([-1, 1]), rng.uniform(-30, 30))
+        hull = 1.0 + abs(params.q) + 2 * max(1.0, abs(params.p))
+        E = np.concatenate([rng.uniform(-hull, hull, 200), [0.0, params.q]])
+        want = eigen_count_below_grid(dirichlet_restriction(params, word), E)
+        cuts = sorted(set(rng.integers(1, L, size=min(L - 1, 6)).tolist())) if L > 1 else []
+        assert np.array_equal(_lift_count(_lifted_word(params, word, E, cuts)), want)
+
+
+def test_lifted_count_resolves_strong_coupling_clusters():
+    # at V = 34 the blocks s^j(0) of the Fibonacci chain contract by up to
+    # 1e26; a normalized F-product loses that and miscounts at energies
+    # 1e-9 from eigenvalues, the lifted angles do not
+    params = JacobiParams(1.0, 34.0)
+    s, L = FIBONACCI, 1597
+    spec = dirichlet_restriction(params, fixed_point_prefix(s, L))
+    eig = scipy.linalg.eigvalsh_tridiagonal(np.array(spec.diag), np.array(spec.offdiag[1:]))
+    rng = np.random.default_rng(8)
+    E = np.concatenate([eig + 10.0 ** rng.uniform(-10.5, -8, eig.size),
+                        eig - 10.0 ** rng.uniform(-10.5, -8, eig.size)])
+    sp, blocks = _prefix_blocks(s, L)
+    got = _block_count_below(params, sp, blocks, E)
+    assert np.array_equal(got, eigen_count_below_grid(spec, E))
+    assert np.array_equal(got, np.searchsorted(eig, E, side="right"))

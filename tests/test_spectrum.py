@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -24,13 +26,28 @@ from sturmtrace.substitution import (Substitution, parse_substitution, periodic_
 METAL = Substitution("001", "0")
 
 
-def brute_force_bands(s, params, k, n_grid=200001):
-    """Independent oracle: dense scan of the transfer-product half-trace."""
-    word = periodic_word(s, k)
+def brute_force_bands(params, word, n_grid=200001):
+    """Independent oracle: dense scan of the transfer-product half-trace.
+
+    The scan multiplies the one-site transfer matrices of the period word
+    (successor letter cyclic, as in ``word_transfer``) over the whole
+    energy grid at once; edges are then bisected on the scalar
+    ``word_transfer`` product.
+    """
     lo, hi = default_energy_range(params)
     E = np.linspace(lo, hi, n_grid)
-    vals = np.array([half_trace(word_transfer(params, word, e)) for e in E])
-    inside = np.abs(vals) <= 1.0
+    m00, m01, m10, m11 = np.ones(n_grid), np.zeros(n_grid), np.zeros(n_grid), np.ones(n_grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, c in enumerate(word):
+            pn1 = params.hopping(word[(i + 1) % len(word)])
+            t00, t01 = (E - params.potential(c)) / pn1, -1.0 / pn1
+            m00, m01, m10, m11 = (t00 * m00 + t01 * m10, t00 * m01 + t01 * m11,
+                                  pn1 * m00, pn1 * m01)
+    inside = np.abs(0.5 * (m00 + m11)) <= 1.0
+
+    def g(e):
+        return abs(half_trace(word_transfer(params, word, e))) - 1.0
+
     bands = []
     i = 0
     while i < n_grid:
@@ -38,9 +55,7 @@ def brute_force_bands(s, params, k, n_grid=200001):
             j = i
             while j + 1 < n_grid and inside[j + 1]:
                 j += 1
-            # refine edges by bisection on the same brute-force function
-            def g(e):
-                return abs(half_trace(word_transfer(params, word, e))) - 1.0
+            # refine edges by bisection on the scalar transfer product
             a = E[i] if i == 0 else _bisect(g, E[i], E[i - 1])
             b = E[j] if j == n_grid - 1 else _bisect(g, E[j], E[j + 1])
             bands.append((a, b))
@@ -74,7 +89,7 @@ def test_free_case_single_band():
 def test_level2_bands_match_cubic_oracle():
     params = st.JacobiParams(1.0, 2.0)
     got = st.floquet_bands(st.FIBONACCI, params, 2)
-    expected = brute_force_bands(st.FIBONACCI, params, 2)
+    expected = brute_force_bands(params, periodic_word(st.FIBONACCI, 2))
     assert got.band_count == len(expected) <= 3
     for (a, b), (c, d) in zip(got.bands, expected):
         assert abs(a - c) < 1e-8 and abs(b - d) < 1e-8
@@ -83,7 +98,7 @@ def test_level2_bands_match_cubic_oracle():
 def test_level4_jacobi_bands_match_oracle():
     params = st.JacobiParams(1.4, 0.9)
     got = st.floquet_bands(st.FIBONACCI, params, 4)
-    expected = brute_force_bands(st.FIBONACCI, params, 4)
+    expected = brute_force_bands(params, periodic_word(st.FIBONACCI, 4))
     assert got.band_count == len(expected)
     for (a, b), (c, d) in zip(got.bands, expected):
         assert abs(a - c) < 1e-8 and abs(b - d) < 1e-8
@@ -97,33 +112,10 @@ def test_level3_swapped_letters_bands_match_oracle():
     word = "1"
     for _ in range(3):
         word = swapped.apply(word)
-    expected = brute_force_bands_for_word(word, params)
+    expected = brute_force_bands(params, word)
     assert got.band_count == len(expected)
     for (a, b), (c, d) in zip(got.bands, expected):
         assert abs(a - c) < 1e-8 and abs(b - d) < 1e-8
-
-
-def brute_force_bands_for_word(word, params, n_grid=200001):
-    lo, hi = default_energy_range(params)
-    E = np.linspace(lo, hi, n_grid)
-    vals = np.array([half_trace(word_transfer(params, word, e)) for e in E])
-    inside = np.abs(vals) <= 1.0
-    bands = []
-    i = 0
-    while i < n_grid:
-        if inside[i]:
-            j = i
-            while j + 1 < n_grid and inside[j + 1]:
-                j += 1
-            def g(e):
-                return abs(half_trace(word_transfer(params, word, e))) - 1.0
-            a = E[i] if i == 0 else _bisect(g, E[i], E[i - 1])
-            b = E[j] if j == n_grid - 1 else _bisect(g, E[j], E[j + 1])
-            bands.append((a, b))
-            i = j + 1
-        else:
-            i += 1
-    return bands
 
 
 def test_band_count_bounded_by_degree():
@@ -229,6 +221,38 @@ def test_gaps_with_labels_synthetic():
     two = BandSet(((0.0, 1.0), (2.0, 3.0)), level=1)
     gaps = st.gaps_with_labels(two, table, 0.618, m_max=5, tol=0.0)
     assert len(gaps) == 1 and gaps[0].label_m is None  # tol=0 matches nothing
+
+
+def _labels_by_min(bands, ids_table, alpha, m_max=34, tol=1e-3):
+    """The per-gap Python min over every candidate label that one searchsorted replaced."""
+    labels = []
+    for m in range(-m_max, m_max + 1):
+        labels.append((math.fmod(m * alpha, 1.0) % 1.0, m))
+    out = []
+    for g_lo, g_hi in bands.gaps():
+        mid = 0.5 * (g_lo + g_hi)
+        value = float(ids_table.value_at(mid))
+        best = min(labels, key=lambda lm: (abs(lm[0] - value), abs(lm[1])))
+        if abs(best[0] - value) <= tol:
+            out.append(st.spectrum.Gap(g_lo, g_hi, value, best[0], best[1]))
+        else:
+            out.append(st.spectrum.Gap(g_lo, g_hi, value))
+    return out
+
+
+@pytest.mark.parametrize("alpha", [(5 ** 0.5 - 1) / 2, 0.5, 0.25, 1.0 / 3.0, 0.0, 0.7071])
+@pytest.mark.parametrize("m_max", [0, 1, 5, 34])
+def test_gap_labels_equal_the_per_gap_min(alpha, m_max):
+    rng = np.random.default_rng(m_max)
+    lam = sorted({math.fmod(m * alpha, 1.0) % 1.0 for m in range(-m_max, m_max + 1)})
+    values = np.concatenate([rng.uniform(-0.2, 1.2, 300), lam,
+                             [0.5 * (a + b) for a, b in zip(lam, lam[1:])],  # exact ties
+                             [-1.0, 2.0, 0.0, 1.0]]).tolist()
+    bands = BandSet(tuple((2.0 * i, 2.0 * i + 1.0) for i in range(len(values) + 1)), level=1)
+    table = type("T", (), {"value_at": lambda self, E: values[int(E) // 2]})()
+    for tol in (0.0, 1e-3, 0.05, 1.0):
+        got = st.gaps_with_labels(bands, table, alpha, m_max=m_max, tol=tol)
+        assert repr(got) == repr(_labels_by_min(bands, table, alpha, m_max=m_max, tol=tol))
 
 
 def test_dynamical_probe_examples():

@@ -4,9 +4,13 @@ from hypothesis import given, settings, strategies as st_h
 
 from sturmtrace.substitution import (
     FIBONACCI,
+    WORD_LENGTH_CAP,
     ResourceLimitError,
     Substitution,
     SubstitutionError,
+    UnsupportedSubstitutionError,
+    _image_length,
+    _prefix_blocks,
     check_invertible,
     check_primitive,
     cyclic_reduce,
@@ -94,6 +98,36 @@ def test_fixed_point_prefix_needs_square():
     star, power = star_letter(s)
     assert (star, power) == ("0", 2)
     assert fixed_point_prefix(s, 6) == iterate_fixed_point(s, 2, "0", 6)
+
+
+BLOCK_CASES = ("0->01;1->0", "0->001;1->0", "0->1;1->10", "0->1;1->01", "0->0001;1->0",
+               "0->100;1->10", "0->00;1->0")
+
+
+@pytest.mark.parametrize("text", BLOCK_CASES)
+def test_prefix_blocks_spell_the_fixed_point_prefix(text):
+    s = parse_substitution(text)
+    for n in list(range(1, 200)) + [610, 987, 4181, 6765, 10000]:
+        sp, blocks = _prefix_blocks(s, n)
+        assert sp == (s if star_letter(s)[1] == 1 else s.power(2))
+        longest = max(len(sp.image0), len(sp.image1))
+        word = "".join(sp.power(j).image(c) if j else c for j, c in blocks)
+        assert word == fixed_point_prefix(s, n)
+        levels = [j for j, _ in blocks]
+        assert levels == sorted(levels, reverse=True)
+        assert max(levels.count(j) for j in levels) <= longest
+
+
+def test_prefix_blocks_errors_and_no_expansion():
+    with pytest.raises(ValueError):
+        _prefix_blocks(FIBONACCI, 0)
+    with pytest.raises(ResourceLimitError):
+        _prefix_blocks(FIBONACCI, WORD_LENGTH_CAP + 1)
+    with pytest.raises(UnsupportedSubstitutionError):
+        _prefix_blocks(Substitution("0", "10"), 5)  # star 0 never grows
+    # the plan for a cap-length prefix comes from block lengths alone
+    sp, blocks = _prefix_blocks(METAL, WORD_LENGTH_CAP)
+    assert sum(_image_length(sp, c, j) for j, c in blocks) == WORD_LENGTH_CAP
 
 
 @given(st_h.integers(min_value=1, max_value=200), st_h.integers(min_value=0, max_value=200))
