@@ -53,18 +53,30 @@ class IdsTable:
         return self.e_grid[min(i, len(self.n_values) - 1)]
 
 
+# Largest |p| at which the lifted counts were checked against the Sturm loop.
+# The two differ only at energies within a few times 1e-13 * max(1, |p|) of
+# an eigenvalue, and that window grows with |p|: at p = 1e10 it already
+# catches random energies of the O(1) window (8 of 24 000 miscounted).
+_MAX_HOPPING = 1e9
+
+
 def ids_counter(s, params, L):
     """Callable E -> N(E, L)/L for the length-L Dirichlet truncation.
 
     The counts are those of :func:`~sturmtrace.jacobi.eigen_count_below_grid`
     on ``dirichlet_restriction(params, fixed_point_prefix(s, L))``, up to
-    energies within rounding of an eigenvalue; the word is never built.
+    energies within a few times 1e-13 * max(1, |p|) of an eigenvalue; the
+    word is never built.  Raises ValueError for |p| > 1e9, and
+    UnsupportedSubstitutionError when the fixed letter grows only
+    linearly (see substitution._prefix_blocks).
     """
+    if not abs(params.p) <= _MAX_HOPPING:
+        raise ValueError("IDS counts are checked for |p| <= %g only" % _MAX_HOPPING)
     sp, blocks = _prefix_blocks(s, L)
 
     def counter(E):
         E_arr = np.atleast_1d(np.asarray(E, dtype=float))
-        vals = _block_count_below(params, sp, blocks, E_arr) / float(L)
+        vals = _block_count_below(params, sp, blocks, L, E_arr) / float(L)
         return vals if np.ndim(E) else float(vals[0])
 
     counter.L = L

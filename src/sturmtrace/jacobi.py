@@ -227,9 +227,14 @@ _HALF_PI = 0.5 * np.pi
 
 
 def _wrap(t, k):
-    """Angles in [-3pi/2, 3pi/2) reduced into [-pi/2, pi/2), the half-turns moved to k."""
+    """Angles in [-3pi/2, 3pi/2) reduced into [-pi/2, pi/2), the half-turns moved to k.
+
+    Works in place: t and k must be arrays the caller owns.
+    """
     m = (t >= _HALF_PI).astype(np.int64) - (t < -_HALF_PI)
-    return t - np.pi * m, k + m
+    t -= np.pi * m
+    k += m
+    return t, k
 
 
 def _stretch(x, t):
@@ -264,21 +269,55 @@ def _lift_compose(A, B):
     """
     kA, t1A, xA, t2A = A
     kB, t1B, xB, t2B = B
+    # Each step reuses a buffer whose value is no longer needed, so about
+    # ten energy arrays are alive at once; every value is the same double
+    # as in the plain expression noted beside it.
     r, k = _wrap(t2A + t1B, kA + kB)
-    c, s = np.cos(r), np.sin(r)
+    c = np.cos(r)
+    s = np.sin(r, out=r)
     u = xA + xB
-    av = np.abs(xB - xA)
-    eu = np.exp(-2.0 * u)
-    ratio = np.exp(av - u) / (1.0 + eu)           # e^{|v|} / (2 cosh u)
-    ch = s * ratio * (1.0 + np.exp(-2.0 * av))    # s cosh v / cosh u
-    sh = s * np.copysign(ratio * -np.expm1(-2.0 * av), xB - xA)  # s sinh v / cosh u
-    ct = c * np.tanh(u)                           # c sinh u / cosh u
+    v = xB - xA
+    ratio = np.abs(v)
+    w = ratio * -2.0                              # -2 |v|
+    eu = np.exp(u * -2.0)                         # e^{-2u}
+    ratio -= u
+    np.exp(ratio, out=ratio)
+    ratio /= 1.0 + eu                             # e^{|v|} / (2 cosh u)
+    ch = np.exp(w)
+    ch += 1.0
+    ch *= s * ratio                               # s cosh v / cosh u
+    sh = np.expm1(w, out=w)
+    np.negative(sh, out=sh)
+    sh *= ratio
+    np.copysign(sh, v, out=sh)
+    sh *= s                                       # s sinh v / cosh u
+    del s, v, ratio
+    ct = np.tanh(u)
+    ct *= c                                       # c sinh u / cosh u
     plus, minus = np.arctan2(ch, c), np.arctan2(sh, ct)
-    # the singular value over cosh(u); no term exceeds 1, so squaring is safe
-    sigma = np.sqrt(c * c + ch * ch) + np.sqrt(ct * ct + sh * sh)
-    x = np.log(sigma) + u + np.log1p(eu) - np.log(2.0)    # + log cosh(u)
-    t1, k = _wrap(t1A + 0.5 * (plus + minus), k)
-    t2, k = _wrap(0.5 * (plus - minus) + t2B, k)
+    # the singular value over cosh(u); no term exceeds 1, so squaring is safe:
+    # sigma = sqrt(c c + ch ch) + sqrt(ct ct + sh sh)
+    c *= c
+    ch *= ch
+    c += ch
+    sigma = np.sqrt(c, out=c)
+    ct *= ct
+    sh *= sh
+    ct += sh
+    sigma += np.sqrt(ct, out=ct)
+    del ch, sh, ct
+    x = np.log(sigma, out=sigma)                  # log(sigma) + u + log1p(eu) - log 2,
+    x += u                                        # that is + log cosh(u)
+    x += np.log1p(eu, out=eu)
+    x -= np.log(2.0)
+    t1 = plus + minus
+    t1 *= 0.5
+    t1 += t1A                                     # t1A + (plus + minus) / 2
+    t2 = np.subtract(plus, minus, out=plus)
+    t2 *= 0.5
+    t2 += t2B                                     # (plus - minus) / 2 + t2B
+    t1, k = _wrap(t1, k)
+    t2, k = _wrap(t2, k)
     return k, t1, x, t2
 
 
@@ -286,8 +325,8 @@ def _lift_compose(A, B):
 _TIE_ANGLE = 1e-12
 
 
-def _block_count_below(params, sp, blocks, E):
-    """Dirichlet eigenvalues <= E of the word spelled by lifted blocks.
+def _block_count_below(params, sp, blocks, L, E):
+    """Dirichlet eigenvalues <= E of the length-L word spelled by lifted blocks.
 
     blocks holds pairs (j, c) in reading order, the words sp^j(c) of
     substitution.py's _prefix_blocks; levels never increase along it.
@@ -305,24 +344,22 @@ def _block_count_below(params, sp, blocks, E):
     # Counts do not change when H and E are divided by the largest hopping.
     # A site with hopping b > 1 keeps its dependence on E only in an angle
     # offset of order 1/b^2, which double precision loses once b^2 nears
-    # 1/eps; scaled, every b is at most 1 and the counts stay right up to
-    # |p| of about 1e9.
+    # 1/eps; scaled, every b is at most 1.  The energies that _TIE_ANGLE
+    # moves onto the "<=" side then lie within a few times 1e-13 * scale
+    # of an eigenvalue, a window that grows with |p| (see dos.ids_counter).
     scale = max(abs(params.hopping(c)) for c in "01")
     e = np.where(finite, E, 0.0) / scale
     level_blocks = {c: _lift_site(params.potential(c) / scale, abs(params.hopping(c)) / scale, e)
                     for c in "01"}
-    level_lengths = {"0": 1, "1": 1}
-    level, tail, length = 0, None, 0
+    level, tail = 0, None
     for j, c in reversed(blocks):
         while level < j:
             level_blocks = {x: _chain(level_blocks, sp.image(x)) for x in "01"}
-            level_lengths = {x: sum(level_lengths[y] for y in sp.image(x)) for x in "01"}
             level += 1
         # each block precedes the tail already composed
         tail = level_blocks[c] if tail is None else _lift_compose(tail, level_blocks[c])
-        length += level_lengths[c]
     count = _lift_count(tail)
-    count[~finite] = np.where(E[~finite] < 0.0, 0, length)
+    count[~finite] = np.where(E[~finite] < 0.0, 0, L)
     return count
 
 

@@ -211,19 +211,30 @@ def star_letter(s):
     raise UnsupportedSubstitutionError("no power <= 2 fixes a starting letter")
 
 
-def fixed_point_prefix(s, n, length_cap=WORD_LENGTH_CAP):
-    """First n letters of the fixed point of s (or of s^2 when needed)."""
+def _prefix_power(s, n, length_cap):
+    """(star, sp) for an n-letter fixed-point prefix: sp is s or s^2, fixing star.
+
+    Checks n against 1 and the cap.  A prefix longer than one letter
+    needs sp(star) = star w with w nonempty, which makes every
+    sp^j(star) a proper prefix of the next.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     if n > length_cap:
         raise ResourceLimitError("requested prefix exceeds length cap")
     star, power = star_letter(s)
     sp = s if power == 1 else s.power(power)
+    if n > 1 and sp.image(star) == star:
+        raise UnsupportedSubstitutionError("substitution does not expand its fixed letter")
+    return star, sp
+
+
+def fixed_point_prefix(s, n, length_cap=WORD_LENGTH_CAP):
+    """First n letters of the fixed point of s (or of s^2 when needed)."""
+    star, sp = _prefix_power(s, n, length_cap)
     word = star
     while len(word) < n:
         grown = sp.apply(word)
-        if len(grown) == len(word):
-            raise UnsupportedSubstitutionError("substitution does not expand its fixed letter")
         word = grown[: max(n, 1)] if len(grown) > length_cap else grown
     return word[:n]
 
@@ -254,7 +265,7 @@ def _image_length(s, letter, k):
     return int(counts.sum())
 
 
-def _prefix_blocks(s, n, length_cap=WORD_LENGTH_CAP):
+def _prefix_blocks(s, n):
     """Blocks whose words concatenate to :func:`fixed_point_prefix` (s, n).
 
     Returns (sp, blocks): sp is s or s^2, the power whose fixed point
@@ -263,19 +274,23 @@ def _prefix_blocks(s, n, length_cap=WORD_LENGTH_CAP):
     increase along the list and no level holds more blocks than the
     longest image of sp has letters (Dumont-Thomas).  Only block lengths
     are used; the word itself is never built.
+
+    The plan needs |sp^j(star)| to grow exponentially, so that it has
+    O(log n) levels.  The one way an expanding fixed letter grows only
+    linearly is sp(star) = star other^r with sp(other) = other: the fixed
+    point is star other other ..., eventually periodic, and a prefix of
+    more than one letter is refused with
+    :class:`UnsupportedSubstitutionError` rather than planned with one
+    level per letter.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > length_cap:
-        raise ResourceLimitError("requested prefix exceeds length cap")
-    star, power = star_letter(s)
-    sp = s if power == 1 else s.power(power)
+    star, sp = _prefix_power(s, n, WORD_LENGTH_CAP)
+    other = "1" if star == "0" else "0"
+    if n > 1 and sp.image(other) == other and sp.image(star).count(star) == 1:
+        raise UnsupportedSubstitutionError("fixed letter grows only linearly; "
+                                           "its fixed point is eventually periodic")
     lengths = [{"0": 1, "1": 1}]  # lengths[j][c] = |sp^j(c)|
     while lengths[-1][star] < n:
-        grown = {c: sum(lengths[-1][x] for x in sp.image(c)) for c in "01"}
-        if grown[star] == lengths[-1][star]:
-            raise UnsupportedSubstitutionError("substitution does not expand its fixed letter")
-        lengths.append(grown)
+        lengths.append({c: sum(lengths[-1][x] for x in sp.image(c)) for c in "01"})
     # descend through sp^j(c) = sp^(j-1)(x_1) ... sp^(j-1)(x_r), keeping the
     # whole blocks that fit and entering the one the prefix ends inside
     blocks, j, c, need = [], len(lengths) - 1, star, n

@@ -120,6 +120,13 @@ def test_spectrum_level_past_word_cap_is_computation_error(tmp_path):
     assert main(["spectrum", FIB, "--level", "35", "--out-dir", str(tmp_path)]) == 1
 
 
+def test_dos_refuses_unchecked_hopping_and_linear_growth(tmp_path):
+    assert main(["dos", FIB, "--p", "1e10", "--q", "1", "--length", "610",
+                 "--out-dir", str(tmp_path)]) == 1
+    assert main(["dos", "0->011;1->1", "--p", "1", "--q", "1", "--length", "610",
+                 "--out-dir", str(tmp_path)]) == 2
+
+
 def test_scan_probe_threads_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

@@ -226,6 +226,17 @@ def test_ids_counter_errors_unchanged():
     assert not hasattr(ids_counter(FIBONACCI, params, 5), "spec")
 
 
+@pytest.mark.parametrize("text", ["0->011;1->1", "0->01;1->1"])
+def test_ids_counter_refuses_a_linearly_growing_fixed_letter(text):
+    # the fixed point 0111... would take one block level per letter
+    s = parse_substitution(text)
+    params = st.JacobiParams(1.0, 1.0)
+    with pytest.raises(UnsupportedSubstitutionError):
+        ids_counter(s, params, 2)
+    assert ids_counter(s, params, 1)(np.inf) == 1.0
+    assert fixed_point_prefix(s, 9) == "011111111"
+
+
 def test_dos_path_never_imports_scipy():
     # scipy adds ~27 MB to a process; the DOS path needs numpy only
     code = ("import sys\n"
@@ -246,10 +257,15 @@ def test_ids_counter_equals_the_sturm_loop_at_large_hopping():
     # unscaled, a letter with p = 1e8 holds its energy dependence in an
     # angle offset of 1e-16 and the counts go wrong by hundreds
     rng = np.random.default_rng(5)
-    for p in (1e8, -1e8):
+    for p in (1e8, -1e8, -1e9):
         params = st.JacobiParams(p, 0.7)
         E = np.concatenate([rng.uniform(-5.0, 5.0, 400),
                             rng.uniform(abs(p) - 5.0, abs(p) + 5.0, 100)])
         spec = dirichlet_restriction(params, fixed_point_prefix(FIBONACCI, 987))
         sturm = eigen_count_below_grid(spec, E)
         assert np.array_equal(ids_counter(FIBONACCI, params, 987)(E), sturm / 987.0)
+    # beyond 1e9 the energies within a few 1e-13 |p| of an eigenvalue, which
+    # the tie rule counts on the "<=" side, reach into the O(1) window
+    for p in (1e10, -1e10, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            ids_counter(FIBONACCI, st.JacobiParams(p, 0.7), 987)

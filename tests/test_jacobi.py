@@ -321,6 +321,6 @@ def test_lifted_count_resolves_strong_coupling_clusters():
     E = np.concatenate([eig + 10.0 ** rng.uniform(-10.5, -8, eig.size),
                         eig - 10.0 ** rng.uniform(-10.5, -8, eig.size)])
     sp, blocks = _prefix_blocks(s, L)
-    got = _block_count_below(params, sp, blocks, E)
+    got = _block_count_below(params, sp, blocks, L, E)
     assert np.array_equal(got, eigen_count_below_grid(spec, E))
     assert np.array_equal(got, np.searchsorted(eig, E, side="right"))

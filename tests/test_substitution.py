@@ -125,6 +125,10 @@ def test_prefix_blocks_errors_and_no_expansion():
         _prefix_blocks(FIBONACCI, WORD_LENGTH_CAP + 1)
     with pytest.raises(UnsupportedSubstitutionError):
         _prefix_blocks(Substitution("0", "10"), 5)  # star 0 never grows
+    assert fixed_point_prefix(Substitution("0", "10"), 1) == "0"
+    with pytest.raises(UnsupportedSubstitutionError):
+        _prefix_blocks(Substitution("011", "1"), 5)  # star 0 grows linearly
+    assert fixed_point_prefix(Substitution("011", "1"), 5) == "01111"
     # the plan for a cap-length prefix comes from block lengths alone
     sp, blocks = _prefix_blocks(METAL, WORD_LENGTH_CAP)
     assert sum(_image_length(sp, c, j) for j, c in blocks) == WORD_LENGTH_CAP
