@@ -261,13 +261,15 @@ def cmd_scan(args):
     return 0
 
 
-def _add_common(sp, with_params=True):
+def _add_common(sp, with_params=True, with_level=False, with_tol=False):
     sp.add_argument("--out-dir", default=".", help="output directory")
     sp.add_argument("--json", action="store_true", help="machine-readable report")
     if with_params:
         sp.add_argument("--p", type=float, default=1.0, help="hopping on letter 1")
         sp.add_argument("--q", type=float, default=0.0, help="potential on letter 1")
+    if with_level:
         sp.add_argument("--level", type=int, default=8, help="periodic approximation level")
+    if with_tol:
         sp.add_argument("--tol", type=float, default=None, help="band edge tolerance")
 
 
@@ -287,7 +289,7 @@ def build_parser():
     p.add_argument("substitution")
     p.add_argument("--e-min", type=float, default=None)
     p.add_argument("--e-max", type=float, default=None)
-    _add_common(p)
+    _add_common(p, with_level=True, with_tol=True)
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("gaps", help="gap labeling against the IDS")
@@ -295,13 +297,13 @@ def build_parser():
     p.add_argument("--length", type=int, default=2584, help="IDS truncation L")
     p.add_argument("--m-max", type=int, default=34)
     p.add_argument("--label-tol", type=float, default=None)
-    _add_common(p)
+    _add_common(p, with_level=True, with_tol=True)
     p.set_defaults(fn=cmd_gaps)
 
     p = sub.add_parser("dims", help="box dimension and thickness")
     p.add_argument("substitution")
     p.add_argument("--windows", type=int, default=1)
-    _add_common(p)
+    _add_common(p, with_level=True, with_tol=True)
     p.set_defaults(fn=cmd_dims)
 
     p = sub.add_parser("dos", help="integrated density of states")
@@ -326,7 +328,7 @@ def build_parser():
                    required=True)
     p.add_argument("--values", default="", help="comma-separated scan values")
     p.add_argument("--label-m", type=int, default=1)
-    _add_common(p)
+    _add_common(p, with_level=True)
     p.set_defaults(fn=cmd_scan)
     return ap
 

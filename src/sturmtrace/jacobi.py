@@ -27,12 +27,14 @@ import numpy as np
 
 @dataclass(frozen=True)
 class JacobiParams:
-    """Hopping and potential values attached to letter 1 (letter 0 is free)."""
+    """Finite hopping p != 0 and potential q attached to letter 1 (letter 0 is free)."""
 
     p: float
     q: float
 
     def __post_init__(self):
+        if not np.isfinite((self.p, self.q)).all():
+            raise ValueError("p and q must be finite: p=%r, q=%r" % (self.p, self.q))
         if self.p == 0:
             raise ValueError("hopping value p must be nonzero")
 

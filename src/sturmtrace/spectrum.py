@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jacobi import dirichlet_restriction, eigen_count_below_grid, initial_conditions_grid
-from .substitution import WORD_LENGTH_CAP, ResourceLimitError, _image_length
+from .substitution import _image_length, _image_word
 from .tracemap import (ESCAPE_NORM_DEFAULT, MAX_STEPS_POINT, _iterate, _verdicts, classify_batch,
                        recipe_from_substitution)
 
@@ -250,14 +250,7 @@ def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=N
         raise ValueError("empty energy range")
     tol = 1e-12 * span if tol is None else tol
     merge_tol = 1e-11 * span if merge_tol is None else merge_tol
-    if k < 0:
-        raise ValueError("need k >= 0")
-    if _image_length(s, recipe.star, k) > WORD_LENGTH_CAP:
-        raise ResourceLimitError("s^%d(%s) exceeds the %d-letter cap"
-                                 % (k, recipe.star, WORD_LENGTH_CAP))
-    word = recipe.star
-    for _ in range(k):
-        word = s.apply(word)
+    word = _image_word(s, recipe.star, k)
     q = len(word)
     x = lambda E: half_trace_grid(recipe, params, E, k)
     inner, spec = [], None

@@ -81,6 +81,28 @@ class Substitution:
         return np.array(self.abelianization, dtype=np.int64)
 
     @cached_property
+    def _trace_block(self):
+        """(star, factors): the period letter s^k(star) and the trace-map block.
+
+        A^T tracks star "0" and J A^T J (J the letter exchange) star "1";
+        the one of :func:`star_letter` is factored into M_a matrices first.
+        """
+        if not self.primitive:
+            raise SubstitutionError("trace map needs a primitive substitution")
+        if not self.invertible:
+            raise SubstitutionError("trace map needs an invertible substitution")
+        (a00, a01), (a10, a11) = self.abelianization
+        orders = [("0", [[a00, a10], [a01, a11]]), ("1", [[a11, a01], [a10, a00]])]
+        if star_letter(self)[0] == "1":
+            orders.reverse()
+        for star, matrix in orders:
+            factors = factor_matrix_product(matrix)
+            if factors:
+                return star, factors
+        raise UnsupportedSubstitutionError("abelianization does not factor into M_a "
+                                           "matrices; square the substitution")
+
+    @cached_property
     def primitive(self):
         return check_primitive(self)
 
@@ -113,6 +135,36 @@ def parse_substitution(text):
 
 
 FIBONACCI = Substitution("01", "0")
+
+
+def factor_matrix_product(matrix):
+    """Factor a nonnegative integer 2x2 matrix into M_a factors, or None.
+
+    Returns (a_1, ..., a_n) with matrix = M_{a_1} @ ... @ M_{a_n} and
+    M_a = [[a,1],[1,0]]; greedy left-peeling by the continued-fraction
+    algorithm.  None when the matrix is not such a product.
+    """
+    c = [[int(matrix[0][0]), int(matrix[0][1])], [int(matrix[1][0]), int(matrix[1][1])]]
+    factors = []
+    for _ in range(64):
+        if c == [[1, 0], [0, 1]]:
+            return tuple(factors) if factors else None
+        cands = []
+        if c[1][0] > 0:
+            cands.append(c[0][0] // c[1][0])
+        if c[1][1] > 0:
+            cands.append(c[0][1] // c[1][1])
+        if not cands:
+            return None
+        a = min(cands)
+        if a < 1:
+            return None
+        nxt = [[c[1][0], c[1][1]], [c[0][0] - a * c[1][0], c[0][1] - a * c[1][1]]]
+        if min(min(row) for row in nxt) < 0:
+            return None
+        factors.append(a)
+        c = nxt
+    return None
 
 
 def check_primitive(s):
@@ -191,11 +243,12 @@ def check_invertible(s):
 # -- fixed points ------------------------------------------------------------
 
 def star_letter(s):
-    """The letter kept fixed at the start of images: (star, power).
+    """The fixed point's letter: (star, power), s^power fixing star.
 
-    Preference order 0 then 1 for s itself, then for s^2; primitivity
-    guarantees one of the four works (if s(0) starts with 1 and s(1)
-    starts with 0, then s^2(0) starts with 0).
+    :func:`fixed_point_prefix`, the DOS and ``scan_beta`` read the fixed
+    point from it; the period word may start elsewhere (:func:`periodic_word`).
+    Preference order 0 then 1 for s itself, then 0 for s^2: if s(0)
+    starts with 1 and s(1) starts with 0, then s^2(0) starts with 0.
     """
     if not s.image0 or not s.image1:
         raise SubstitutionError("empty image word")
@@ -203,15 +256,10 @@ def star_letter(s):
         return "0", 1
     if s.image1[0] == "1":
         return "1", 1
-    s2 = s.power(2)
-    if s2.image0[0] == "0":
-        return "0", 2
-    if s2.image1[0] == "1":
-        return "1", 2
-    raise UnsupportedSubstitutionError("no power <= 2 fixes a starting letter")
+    return "0", 2
 
 
-def _prefix_power(s, n, length_cap):
+def _prefix_power(s, n):
     """(star, sp) for an n-letter fixed-point prefix: sp is s or s^2, fixing star.
 
     Checks n against 1 and the cap.  A prefix longer than one letter
@@ -220,7 +268,7 @@ def _prefix_power(s, n, length_cap):
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if n > length_cap:
+    if n > WORD_LENGTH_CAP:
         raise ResourceLimitError("requested prefix exceeds length cap")
     star, power = star_letter(s)
     sp = s if power == 1 else s.power(power)
@@ -229,36 +277,45 @@ def _prefix_power(s, n, length_cap):
     return star, sp
 
 
-def fixed_point_prefix(s, n, length_cap=WORD_LENGTH_CAP):
+def fixed_point_prefix(s, n):
     """First n letters of the fixed point of s (or of s^2 when needed)."""
-    star, sp = _prefix_power(s, n, length_cap)
+    star, sp = _prefix_power(s, n)
     word = star
     while len(word) < n:
-        grown = sp.apply(word)
-        word = grown[: max(n, 1)] if len(grown) > length_cap else grown
-    return word[:n]
+        word = sp.apply(word)[:n]
+    return word
 
 
-def periodic_word(s, k, length_cap=WORD_LENGTH_CAP):
-    """The word s^k(star); its length is the star-row sum of abelianization^k."""
-    if k < 0:
-        raise ValueError("need k >= 0")
-    star, _power = star_letter(s)
-    if periodic_word_length(s, k) > length_cap:
-        raise ResourceLimitError("s^%d(%s) exceeds the %d-letter cap" % (k, star, length_cap))
-    word = star
+def periodic_word(s, k):
+    """The period word s^k(star), over which x_k(E) is the half-trace.
+
+    star is the letter the trace-map block tracks, not always the fixed
+    point's (:func:`star_letter`): for 0->1;1->01 it is 1.  Raises as
+    ``recipe_from_substitution`` does for an s without a trace map.
+    """
+    return _image_word(s, s._trace_block[0], k)
+
+
+def periodic_word_length(s, k):
+    """|s^k(star)| of :func:`periodic_word`, from the abelianization (no expansion)."""
+    return _image_length(s, s._trace_block[0], k)
+
+
+def _image_word(s, letter, k):
+    """s^k(letter), refused past ``WORD_LENGTH_CAP`` letters before it is built."""
+    if _image_length(s, letter, k) > WORD_LENGTH_CAP:
+        raise ResourceLimitError("s^%d(%s) exceeds the %d-letter cap"
+                                 % (k, letter, WORD_LENGTH_CAP))
+    word = letter
     for _ in range(k):
         word = s.apply(word)
     return word
 
 
-def periodic_word_length(s, k):
-    """|s^k(star)|, star the letter :func:`star_letter` picks (no expansion)."""
-    return _image_length(s, star_letter(s)[0], k)
-
-
 def _image_length(s, letter, k):
     """|s^k(letter)| computed from abelianization powers (no expansion)."""
+    if k < 0:
+        raise ValueError("need k >= 0")
     m = s.abelianization_array().astype(object)  # exact integer arithmetic
     row = np.array([1, 0], dtype=object) if letter == "0" else np.array([0, 1], dtype=object)
     counts = row @ np.linalg.matrix_power(m, k) if k else row
@@ -283,7 +340,7 @@ def _prefix_blocks(s, n):
     :class:`UnsupportedSubstitutionError` rather than planned with one
     level per letter.
     """
-    star, sp = _prefix_power(s, n, WORD_LENGTH_CAP)
+    star, sp = _prefix_power(s, n)
     other = "1" if star == "0" else "0"
     if n > 1 and sp.image(other) == other and sp.image(star).count(star) == 1:
         raise UnsupportedSubstitutionError("fixed letter grows only linearly; "

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .substitution import SubstitutionError, UnsupportedSubstitutionError, star_letter
+from .substitution import factor_matrix_product  # noqa: F401 (public name, kept importable)
 
 ESCAPE_NORM_DEFAULT = 1e3
 MAX_STEPS_BANDS = 60
@@ -100,14 +100,13 @@ class TraceMapRecipe:
     ``swapped_start`` records which of the two letters the first word of
     the standard pair tracks: True means the orbit starts from the
     y<->z swap of the curve of initial conditions (pair (0,1), the
-    common case), False means the curve itself (pair (1,0)).
-    ``star`` is the letter whose iterated images the block advances.
+    common case), False means the curve itself (pair (1,0)).  It fixes
+    :attr:`star`, the letter whose iterated images the block advances.
     """
 
     prefix: tuple = ()
     period: tuple = (1,)
     swapped_start: bool = True
-    star: str = "0"
 
     def __post_init__(self):
         if not self.period:
@@ -115,95 +114,48 @@ class TraceMapRecipe:
         if any(a < 1 for a in tuple(self.prefix) + tuple(self.period)):
             raise ValueError("all factors must be >= 1")
 
+    @property
+    def star(self):
+        return "0" if self.swapped_start else "1"
+
     def text(self):
-        """Compact form; the star is written only when it is not the start's."""
+        """Compact form; the start is written only when it is pair (1,0)."""
         body = "prefix=[%s];period=[%s]" % (
             ",".join(str(a) for a in self.prefix),
             ",".join(str(a) for a in self.period),
         )
         if not self.swapped_start:
             body += ";start=pair10"
-        if self.star != _start_star(self.swapped_start):
-            body += ";star=" + self.star
         return body
 
 
-def _start_star(swapped_start):
-    """The star letter that recipe_from_substitution pairs with a start."""
-    return "0" if swapped_start else "1"
-
-
 def parse_recipe(text):
-    """Inverse of :meth:`TraceMapRecipe.text`."""
+    """Inverse of :meth:`TraceMapRecipe.text`; ValueError on an unknown field or start."""
     fields = dict(part.split("=", 1) for part in text.split(";") if part)
+    unknown = sorted(set(fields) - {"prefix", "period", "start"})
+    if unknown:
+        raise ValueError("unknown recipe field(s): %s" % ", ".join(unknown))
+    if fields.get("start", "pair01") not in ("pair01", "pair10"):
+        raise ValueError("unknown recipe start: %r" % fields["start"])
     def int_list(v):
         v = v.strip("[]")
         return tuple(int(t) for t in v.split(",") if t)
-    swapped_start = fields.get("start", "pair01") != "pair10"
     return TraceMapRecipe(
         prefix=int_list(fields.get("prefix", "[]")),
         period=int_list(fields.get("period", "[1]")),
-        swapped_start=swapped_start,
-        star=fields.get("star", _start_star(swapped_start)),
+        swapped_start=fields.get("start", "pair01") != "pair10",
     )
-
-
-def factor_matrix_product(matrix):
-    """Factor a nonnegative integer 2x2 matrix into M_a factors, or None.
-
-    Returns (a_1, ..., a_n) with matrix = M_{a_1} @ ... @ M_{a_n} and
-    M_a = [[a,1],[1,0]]; greedy left-peeling by the continued-fraction
-    algorithm.  None when the matrix is not such a product.
-    """
-    c = [[int(matrix[0][0]), int(matrix[0][1])], [int(matrix[1][0]), int(matrix[1][1])]]
-    factors = []
-    for _ in range(64):
-        if c == [[1, 0], [0, 1]]:
-            return tuple(factors) if factors else None
-        cands = []
-        if c[1][0] > 0:
-            cands.append(c[0][0] // c[1][0])
-        if c[1][1] > 0:
-            cands.append(c[0][1] // c[1][1])
-        if not cands:
-            return None
-        a = min(cands)
-        if a < 1:
-            return None
-        nxt = [[c[1][0], c[1][1]], [c[0][0] - a * c[1][0], c[0][1] - a * c[1][1]]]
-        if min(min(row) for row in nxt) < 0:
-            return None
-        factors.append(a)
-        c = nxt
-    return None
 
 
 def recipe_from_substitution(s):
     """Periodic trace-map block of a primitive invertible substitution.
 
-    The transposed abelianization (or its letter-swap conjugate) is
-    factored into M_a matrices; the factor list, applied first to last,
-    is the periodic block and one block advances one substitution level.
+    One block advances one substitution level.  Raises SubstitutionError
+    for s not primitive and invertible, or whose abelianization does
+    not factor (``Substitution._trace_block``).
     """
-    if not s.primitive:
-        raise SubstitutionError("trace map needs a primitive substitution")
-    if not s.invertible:
-        raise SubstitutionError("trace map needs an invertible substitution")
-    (a00, a01), (a10, a11) = s.abelianization
-    transposed = [[a00, a10], [a01, a11]]
-    swapped = [[a11, a01], [a10, a00]]  # J (A^T) J, J the letter exchange
-    star, _power = star_letter(s)
-    orders = [(transposed, True), (swapped, False)]
-    if star == "1":
-        orders.reverse()
-    for matrix, swapped_start in orders:
-        factors = factor_matrix_product(matrix)
-        if factors:
-            return TraceMapRecipe(prefix=(), period=factors, swapped_start=swapped_start,
-                                  star=_start_star(swapped_start))
-    raise UnsupportedSubstitutionError(
-        "abelianization does not factor into M_a matrices; square the substitution"
-    )
+    star, factors = s._trace_block
+    return TraceMapRecipe(period=factors, swapped_start=star == "0")
 
 
 # -- orbit iteration -----------------------------------------------------------
@@ -356,6 +308,8 @@ def surface_section(V, resolution, recipe=None, chart=(-2.0, 2.0, -2.0, 2.0),
     """
     if resolution < 2:
         raise ValueError("need resolution >= 2")
+    if not math.isfinite(V):
+        raise ValueError("the invariant V must be finite: %r" % (V,))
     if recipe is None:
         recipe = TraceMapRecipe(period=(1,))
     x_lo, x_hi, y_lo, y_hi = chart

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from sturmtrace.cli import main
+from sturmtrace.cli import build_parser, main
 from sturmtrace.jacobi import JacobiParams
 from sturmtrace.spectrum import default_energy_range
 
@@ -153,3 +154,62 @@ def test_repeat_runs_byte_identical(tmp_path):
                      "--out-dir", str(out)]) == 0
         outs.append((out / "bands_k7.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dos", FIB, "--p", "1", "--q", "nan", "--length", "89", "--grid", "5"],
+    ["scan", FIB, "--kind", "probe", "--p", "nan"],
+    ["surface", "--invariant", "nan", "--resolution", "8"],
+    ["spectrum", FIB, "--q", "inf", "--level", "3"],
+    ["gaps", FIB, "--p=-inf", "--level", "3", "--length", "34"],
+    ["dims", FIB, "--q", "nan", "--level", "3"],
+])
+def test_non_finite_inputs_are_computation_errors(tmp_path, argv):
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+    assert not any(tmp_path.iterdir())  # no output file written
+
+
+class ReadRecorder(argparse.Namespace):
+    """A Namespace that records each attribute read once ``_reads`` is set."""
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__").get("_reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+# subst prints its report only; it takes --out-dir so that every subcommand does
+UNREAD_BY_DESIGN = {("subst", "out_dir")}
+
+
+def test_every_accepted_flag_is_read(tmp_path):
+    runs = [
+        ["subst", FIB, "--prefix", "5", "--scan-beta", "--json"],
+        ["spectrum", FIB, "--p", "1", "--q", "2", "--level", "3", "--tol", "1e-10",
+         "--e-min", "-1", "--e-max", "1"],
+        ["gaps", FIB, "--level", "3", "--tol", "1e-10", "--length", "34", "--m-max", "5",
+         "--label-tol", "0.1"],
+        ["dims", FIB, "--level", "4", "--tol", "1e-10", "--windows", "2"],
+        ["dos", FIB, "--length", "610", "--grid", "9", "--samples", "2", "--seed", "1"],
+        ["surface", "--invariant", "0.01", "--resolution", "4", "--max-steps", "5"],
+        ["scan", FIB, "--kind", "probe", "--values", "8", "--p", "1", "--q", "2"],
+        ["scan", FIB, "--kind", "large_coupling", "--values", "16", "--level", "2"],
+        ["scan", FIB, "--kind", "p_to_zero", "--values", "0.5", "--q", "1", "--level", "2"],
+        ["scan", FIB, "--kind", "gap_rate", "--values", "0.1,0.2", "--label-m", "1",
+         "--level", "5"],
+    ]
+    ap = build_parser()
+    subparsers = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {(name, a.dest) for name, sp in subparsers.choices.items()
+                for a in sp._actions if a.dest != "help"}
+    read = set()
+    for i, argv in enumerate(runs):
+        args = ap.parse_args(argv + ["--out-dir", str(tmp_path / str(i))],
+                             namespace=ReadRecorder())
+        handler = args.fn
+        args._reads = set()
+        assert handler(args) == 0, argv
+        read |= {(argv[0], name) for name in object.__getattribute__(args, "_reads")}
+    assert {name for name, _ in accepted} == {argv[0] for argv in runs}
+    assert accepted - read == UNREAD_BY_DESIGN

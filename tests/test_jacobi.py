@@ -24,8 +24,9 @@ from sturmtrace.substitution import FIBONACCI, _prefix_blocks, fixed_point_prefi
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        JacobiParams(0.0, 1.0)
+    for p, q in ((0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, -np.inf)):
+        with pytest.raises(ValueError):
+            JacobiParams(p, q)
     p = JacobiParams(2.0, -1.0)
     assert p.hopping("1") == 2.0 and p.hopping("0") == 1.0
     assert p.potential("1") == -1.0 and p.potential("0") == 0.0

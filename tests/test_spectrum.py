@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -205,11 +206,11 @@ def test_combinatorial_labels_roundtrip():
         m = combinatorial_gap_label(st.FIBONACCI, b8, j)
         assert abs(m) <= 34
         assert gap_index_for_label(st.FIBONACCI, b8, m) == j
-    # the recipe's star (1) is not star_letter's (0): q_k counts s^k(1)
+    # the period letter (1) is not the fixed point's (0): q_k counts s^k(1)
     s = parse_substitution("0->1;1->01")
     for k, q_k in ((5, 13), (6, 21)):
         b = st.floquet_bands(s, params, k)
-        assert b.band_count == q_k and periodic_word_length(s, k) < q_k
+        assert b.band_count == q_k and periodic_word_length(s, k) == q_k
         for j in range(1, q_k):
             assert gap_index_for_label(s, b, combinatorial_gap_label(s, b, j)) == j
 
@@ -288,18 +289,6 @@ def test_probe_consistency_with_bands():
 
 # -- the Dirichlet-bracketed solver --------------------------------------------
 
-def star_word(s, k):
-    """s^k of the recipe's star letter: the period the solver's x_k runs over.
-
-    periodic_word uses star_letter instead, which differs for some
-    substitutions (0->1;1->01 among them).
-    """
-    word = st.recipe_from_substitution(s).star
-    for _ in range(k):
-        word = s.apply(word)
-    return word
-
-
 def half_trace_mp(word, params, E, dps=60):
     """x(E) by a 60-digit transfer product over one period, successor cyclic."""
     with mpmath.workdps(dps):
@@ -343,15 +332,51 @@ def test_bands_plus_closed_gaps_is_period_length(text, p, negative, q, k, pick):
     s = parse_substitution(text)
     params = st.JacobiParams(-p if negative else p, q)
     bands = st.floquet_bands(s, params, k)
-    word = star_word(s, k)
+    word = periodic_word(s, k)
     assert bands.band_count + bands.closed_gaps == len(word)
     assert_edges_cross(word, params, bands, [pick % bands.band_count])
+
+
+def trace_map_substitutions(max_image=4):
+    """Every substitution with images of at most max_image letters that has a recipe."""
+    words = ["".join(w) for n in range(1, max_image + 1) for w in itertools.product("01", repeat=n)]
+    out = []
+    for a, b in itertools.product(words, repeat=2):
+        try:
+            st.recipe_from_substitution(Substitution(a, b))
+        except st.SubstitutionError:
+            continue
+        out.append("0->%s;1->%s" % (a, b))
+    return out
+
+
+@pytest.mark.parametrize("text", trace_map_substitutions())
+def test_periodic_word_is_the_solved_period(text):
+    # the word periodic_word builds is the one whose x_k the solver solves
+    s = parse_substitution(text)
+    recipe = st.recipe_from_substitution(s)
+    rng = np.random.default_rng(sum(map(ord, text)))
+    for k in range(7):
+        word = periodic_word(s, k)
+        bands = st.floquet_bands(s, st.JacobiParams(1.0, 2.0), k)
+        assert periodic_word_length(s, k) == len(word) == bands.band_count + bands.closed_gaps
+        # word_transfer is an oracle for moderate hopping only; band and gap
+        # midpoints keep x_k below SATURATION
+        params = st.JacobiParams(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]),
+                                 rng.uniform(-2.0, 2.0))
+        solved = st.floquet_bands(s, params, k)
+        mids = [0.5 * (a + b) for a, b in solved.bands + tuple(solved.gaps())]
+        E = rng.choice(mids, size=min(4, len(mids)), replace=False)
+        x = half_trace_grid(recipe, params, E, k)
+        for e, x_k in zip(E.tolist(), x.tolist()):
+            ht = half_trace(word_transfer(params, word, e))
+            assert abs(ht - x_k) <= 1e-9 * max(1.0, abs(ht)), (k, e)
 
 
 def test_half_trace_keeps_its_sign_deep_in_gaps():
     # at k = 20 the true x_k at the range ends overflows a double
     recipe = st.recipe_from_substitution(st.FIBONACCI)
-    word = star_word(st.FIBONACCI, 20)
+    word = periodic_word(st.FIBONACCI, 20)
     for p in (1.0, -1.3):
         params = st.JacobiParams(p, 2.0)
         x = half_trace_grid(recipe, params, np.array(default_energy_range(params)), 20)
@@ -392,7 +417,7 @@ def test_free_case_closes_every_gap():
     for s, k in ((st.FIBONACCI, 7), (METAL, 5)):
         bands = st.floquet_bands(s, st.JacobiParams(1.0, 0.0), k)
         assert bands.band_count == 1
-        assert bands.closed_gaps == len(star_word(s, k)) - 1
+        assert bands.closed_gaps == len(periodic_word(s, k)) - 1
 
 
 def test_strong_coupling_edges_match_mpmath():
@@ -401,7 +426,7 @@ def test_strong_coupling_edges_match_mpmath():
     assert bands.band_count == 377
     # palindromic truncations put Dirichlet eigenvalues on band edges: check
     # those bands, and every tenth band
-    word = star_word(st.FIBONACCI, 12)
+    word = periodic_word(st.FIBONACCI, 12)
     spec = st.dirichlet_restriction(params, word[1:])
     mu = scipy.linalg.eigvalsh_tridiagonal(np.array(spec.diag), np.array(spec.offdiag[1:]))
     edges = np.array(bands.bands)

@@ -158,6 +158,9 @@ def test_periodic_word_length_matches_abelianization_row_sums():
 def test_periodic_word_cap():
     with pytest.raises(ResourceLimitError):
         periodic_word(FIBONACCI, 60)  # F_62 letters is way past the cap
+    for f in (periodic_word, periodic_word_length):
+        with pytest.raises(ValueError):
+            f(FIBONACCI, -1)
 
 
 def test_every_letter_occurs_eventually():

@@ -93,8 +93,15 @@ def test_recipe_text_roundtrip():
     assert r.text() == "prefix=[];period=[2,1]"
     r2 = TraceMapRecipe(period=(1,), swapped_start=False)
     assert parse_recipe(r2.text()) == r2
-    for r3 in (TraceMapRecipe(swapped_start=False, star="1"), TraceMapRecipe(star="1")):
-        assert parse_recipe(r3.text()) == r3
+    assert (r.star, r2.star) == ("0", "1")  # the start decides the period letter
+
+
+@pytest.mark.parametrize("text", ["prefix=[];period=[1];star=1", "period=[2];stat=pair10",
+                                  "prefix=[];period=[1];start=pair10;star=0",
+                                  "period=[1];start=pair11"])
+def test_parse_recipe_rejects_unknown_fields(text):
+    with pytest.raises(ValueError, match="unknown recipe"):
+        parse_recipe(text)
 
 
 @pytest.mark.parametrize("text", ["0->01;1->0", "0->001;1->0", "0->1;1->10", "0->1;1->01"])
@@ -368,8 +375,9 @@ def test_surface_section_shapes_and_classes():
     assert esc / total >= 0.01 and bnd / total >= 0.01
     tiny = surface_section(0.3, 2)
     assert tiny["steps"].shape == (2, 2, 2)
-    with pytest.raises(ValueError):
-        surface_section(0.3, 1)
+    for V, resolution in ((0.3, 1), (math.nan, 8), (math.inf, 8)):
+        with pytest.raises(ValueError):
+            surface_section(V, resolution)
 
 
 def test_surface_section_invariant_sphere_bounded():
