@@ -230,33 +230,28 @@ def _write_ppm(path, raster):
 def cmd_scan(args):
     s = parse_substitution(args.substitution)
     values = [float(v) for v in args.values.split(",") if v.strip()]
-    out = _out_dir(args)
     if args.kind == "large_coupling":
-        rows = fractal.large_coupling_check(values, k=args.level, s=s)
-        path = os.path.join(out, "scan_large_coupling.csv")
-        _write_csv(path, ("V", "dim", "stderr", "asymptote", "bands"),
-                   [(r["V"], r["dim"], r["stderr"], r["asymptote"], r["bands"])
-                    for r in rows])
+        name, header = "scan_large_coupling.csv", ("V", "dim", "stderr", "asymptote", "bands")
+        rows = [(r["V"], r["dim"], r["stderr"], r["asymptote"], r["bands"])
+                for r in fractal.large_coupling_check(values, k=args.level, s=s)]
     elif args.kind == "p_to_zero":
         result = fractal.p_to_zero_scan(s, args.q, values, k=args.level)
-        path = os.path.join(out, "scan_p_to_zero.csv")
-        _write_csv(path, ("p", "dim", "measure", "dist_to_reference"),
-                   [(r["p"], r["dim"], r["measure"], r["dist_to_reference"])
-                    for r in result["rows"]])
+        name, header = "scan_p_to_zero.csv", ("p", "dim", "measure", "dist_to_reference")
+        rows = [(r["p"], r["dim"], r["measure"], r["dist_to_reference"]) for r in result["rows"]]
     elif args.kind == "gap_rate":
         res = fractal.gap_opening_rate(s, lambda t: (1.0, t), values,
                                        label_m=args.label_m, k=args.level)
-        path = os.path.join(out, "scan_gap_rate.csv")
-        _write_csv(path, ("t", "width", "ratio"),
-                   list(zip(res.t_values, res.widths, res.ratios)))
+        name, header = "scan_gap_rate.csv", ("t", "width", "ratio")
+        rows = list(zip(res.t_values, res.widths, res.ratios))
     else:  # probe: escape classification along an energy grid
         params = _params(args)
         lo, hi = default_energy_range(params)
         energies = np.linspace(lo, hi, int(values[0]) if values else 512)
         verdicts = dynamical_spectrum_probe(s, params, energies)
-        path = os.path.join(out, "scan_probe.csv")
-        _write_csv(path, ("E", "kind", "steps"),
-                   [(E, v.kind, v.steps_used) for E, v in zip(energies, verdicts)])
+        name, header = "scan_probe.csv", ("E", "kind", "steps")
+        rows = [(E, v.kind, v.steps_used) for E, v in zip(energies, verdicts)]
+    path = os.path.join(_out_dir(args), name)
+    _write_csv(path, header, rows)
     _emit(args, {"csv": path})
     return 0
 

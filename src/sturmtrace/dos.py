@@ -104,12 +104,15 @@ def _ladder_slope(eps, vals, floor):
     if mass[0] <= floor:
         raise ValueError("insufficient resolution: window mass %.3g at eps=%.3g"
                          % (mass[0], eps[0]))
-    lx, ly = np.log(eps), np.log(mass)
+    return _loglog_fit(np.log(eps), np.log(mass))
+
+
+def _loglog_fit(lx, ly):
+    """Least-squares slope of ly against lx, and its standard error."""
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
-    dof = max(eps.size - 2, 1)
-    stderr = float(np.sqrt(np.sum(resid ** 2) / dof / np.sum((lx - lx.mean()) ** 2)))
-    return float(slope), stderr
+    dof = max(lx.size - 2, 1)
+    return float(slope), float(np.sqrt(np.sum(resid ** 2) / dof / np.sum((lx - lx.mean()) ** 2)))
 
 
 def ids_scaling_exponent(ids_fn, E, eps_ladder):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dos import _loglog_fit, ids
 from .jacobi import JacobiParams, decoupled_block_spectrum
 from .spectrum import (BandSet, _band_pairs, floquet_bands, gaps_with_labels, hausdorff_distance,
                        restrict_bands)
@@ -115,13 +116,8 @@ def box_dimension(bands, scales=None):
         mask = (counts >= 12) & (counts <= 0.7 * len(band_list))
         if mask.sum() >= 5:
             eps, counts = eps[mask], counts[mask]
-    lx = np.log(1.0 / eps)
-    ly = np.log(counts)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    dof = max(eps.size - 2, 1)
-    stderr = float(np.sqrt(np.sum(resid ** 2) / dof / np.sum((lx - lx.mean()) ** 2)))
-    value = float(min(max(slope, 0.0), 1.0))
+    slope, stderr = _loglog_fit(np.log(1.0 / eps), np.log(counts))
+    value = min(max(slope, 0.0), 1.0)
     return DimensionEstimate(value, stderr, float(eps[0]), float(eps[-1]), int(eps.size))
 
 
@@ -222,7 +218,6 @@ def gap_opening_rate(s, path, t_list, label_m, k=10, L=1597, m_max=34, tol=None,
     the relative spread over the last three t values (<= 10% counts as
     stable).
     """
-    from .dos import ids
     from .rotation import rotation_number
 
     alpha = rotation_number(s).alpha

@@ -5,18 +5,28 @@ letters; E lies in its spectrum iff the half-trace x_k(E) of the
 transfer matrix over one period lies in [-1, 1].  x_k is evaluated
 through the trace map, O(k) per energy instead of O(q).
 
-Each level is solved on its own.  The eigenvalues mu_1 <= ... <= mu_{q-1}
-of the Dirichlet truncation to w[1:] lie one in each closed gap (Teschl,
+Each level is solved on its own.  Every window of q-1 consecutive sites
+of the period has one Dirichlet eigenvalue in each closed gap (Teschl,
 *Jacobi Operators and Completely Integrable Nonlinear Lattices*, ch. 7),
-so band j lies in [mu_{j-1}, mu_j], mu_0 and mu_q being the ends of the
-energy range.  x_k has sign sign(p)^(#1s in w) (-1)^(q-j) in gap j, so
-each edge is the one sign change of sign * x_k - 1 on its bracket; all
-2q edges are bisected at once.  A mu that rounding put inside a band is
-nudged out of it, or marks a touching gap when there is band on both
-sides; one in a wrong gap is recomputed from Sturm counts.  A gap is
-closed when |x_k| - 1 <= 1e-12 at its midpoint or it is at most
-merge_tol wide; closed gaps are merged and counted, and a band set that
-fails band_count + closed_gaps == q raises BandCountError.
+so band j lies between points mu_{j-1} and mu_j of gaps j-1 and j, mu_0
+and mu_q being the ends of the energy range.  x_k has sign
+sign(p)^(#1s in w) (-1)^(q-j) in gap j, so each edge is the one sign
+change of sign * x_k - 1 on its bracket; all 2q edges are bisected at
+once.
+
+The points are the eigenvalues of the window w[1:] (LAPACK sterf).  One
+is kept when sign_j x_k(mu_j) >= 1 and the points increase strictly
+around it, also once the searched points are in place; the sign test
+alone also passes in gaps j+-2, j+-4, ...  Every other point is found
+by multisection on the Dirichlet count of the window w[:-1], composed
+from lifted substitution blocks in O(k) per energy as in the DOS: a
+probe with count j-1 or j and sign_j x_k >= 1 lies in gap j, and a lane
+whose count bracket shrinks to merge_tol is a closed gap, its point
+refined on the count to double resolution.  Points still out of order
+after the search raise BandCountError; they are never sorted into
+shape.  A gap is also closed when |x_k| - 1 <= 1e-12 at its midpoint or
+it is at most merge_tol wide; closed gaps are merged and counted, and a
+band set that fails band_count + closed_gaps == q raises BandCountError.
 """
 
 import math
@@ -24,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobi import dirichlet_restriction, eigen_count_below_grid, initial_conditions_grid
-from .substitution import _image_length, _image_word
+from .jacobi import _block_count_below, dirichlet_restriction, initial_conditions_grid
+from .substitution import _image_length, _image_prefix_blocks, _image_word
 from .tracemap import (ESCAPE_NORM_DEFAULT, MAX_STEPS_POINT, _iterate, _verdicts, classify_batch,
                        recipe_from_substitution)
 
@@ -182,54 +192,69 @@ def _bisect(is_out, out, inn, tol):
     return out, inn
 
 
-def _nudge(x, mu, sign, j):
-    """Walk each mu_j out of a band in doubling ulp steps to both sides.
+def _search(x, count, mu, sign, j, merge_tol):
+    """Points in closed gaps j by multisection on the count, and the lanes found closed.
 
-    Inside (mu_{j-1}, mu_{j+1}) the gap sign sign_j x_k >= 1 holds only
-    in closed gap j, and sign_j x_k <= -1 only in the neighbouring gaps;
-    a side stops when it reaches either.  Returns the new points and the
-    mask of lanes with band on both sides (touching gaps, mu kept).
+    A lane's bracket keeps count <= j-1 at its left end and >= j at its
+    right end, so it holds the window's Dirichlet eigenvalue of gap j;
+    it starts from the neighbouring points where their counts confirm
+    that, else from the range ends.  Each round places 15 probes in
+    every live bracket.  A probe with count j-1 or j and sign_j x_k >= 1
+    lies in gap j and ends its lane; otherwise the bracket shrinks to
+    the first probe with count >= j and the point before it.  A lane
+    whose bracket shrinks to merge_tol first is a closed gap; its
+    bracket goes on shrinking on the count alone until double resolution
+    stops it, so that its point is the eigenvalue's, ordered as the
+    counts are, and not a point up to merge_tol away.
     """
-    m, s, lo, hi = mu[j], sign[j], mu[j - 1], mu[j + 1]
-    step = np.spacing(np.maximum(np.abs(m), 1.0))
-    new = m.copy()
-    found = np.zeros(m.size, dtype=bool)
-    live = np.ones((2, m.size), dtype=bool)   # left and right walks
-    while live.any():
-        E = np.stack([m - step, m + step])
-        v = s * x(E.ravel()).reshape(E.shape)
-        inside = (E > lo) & (E < hi)
-        hit = live & inside & (v >= 1.0)
-        new = np.where(hit[0], E[0], np.where(hit[1], E[1], new))
-        found |= hit.any(axis=0)
-        live &= inside & (v > -1.0) & ~found
-        step = 2.0 * step
-    return new, ~found
+    ends = count(np.concatenate([mu[j - 1], mu[j + 1]]))
+    lo = np.where(ends[:j.size] <= j - 1, mu[j - 1], mu[0])
+    hi = np.where(ends[j.size:] >= j, mu[j + 1], mu[-1])
+    point, closed = np.empty(j.size), np.zeros(j.size, dtype=bool)
+    live = np.arange(j.size)
+    while live.size:
+        lj, l, h = j[live, None], lo[live, None], hi[live, None]
+        E = l + (h - l) * (np.arange(1, 16) / 16.0)
+        c = count(E.ravel()).reshape(E.shape)
+        hit = (c >= lj - 1) & (c <= lj) & (sign[lj] * x(E.ravel()).reshape(E.shape) >= 1.0)
+        found = hit.any(axis=1) & ~closed[live]
+        point[live[found]] = E[found, hit[found].argmax(axis=1)]
+        # the first probe with count >= j and the point before it
+        pts = np.concatenate([l, E, h], axis=1)
+        i = 1 + np.argmax(np.concatenate([c >= lj, np.ones_like(h, dtype=bool)], axis=1), axis=1)
+        new_lo, new_hi = np.take_along_axis(pts, np.stack([i - 1, i], axis=1), axis=1).T
+        stuck = ~found & (new_lo == l[:, 0]) & (new_hi == h[:, 0])   # at double resolution
+        closed[live[~found & (new_hi - new_lo <= merge_tol) | stuck]] = True
+        lo[live], hi[live] = new_lo, new_hi
+        point[live[stuck]] = 0.5 * (new_lo + new_hi)[stuck]
+        live = live[~found & ~stuck]
+    return point, closed
 
 
-def _certify(x, mu, sign, spec):
-    """Move every interior mu_j into closed gap j, or raise.
+def _certify(x, count, mu, sign, merge_tol):
+    """Certify one point mu_j in each closed gap j, or raise; returns (mu, closed).
 
-    mu_j must satisfy sign_j x_k(mu_j) >= 1.  One that landed in a
-    neighbouring gap is recomputed by bisection on Sturm counts; one
-    that sits in a band is nudged out of it, and kept as a touching gap
-    when there is band on both sides.
+    A sterf point is kept when sign_j x_k(mu_j) >= 1 and mu increases
+    strictly around it, also once the searched points are in place.
+    The sign test alone also passes in gaps j+-2, j+-4, ..., so every
+    other lane is found by :func:`_search` on the count of the window
+    w[:-1].  ``closed`` marks the lanes it closed; points still out of
+    order after the search raise.
     """
     v = sign * x(mu)
     if not (v[0] >= 1.0 and v[-1] >= 1.0):
         raise BandCountError("energy range does not enclose the spectrum")
-    j = 1 + np.flatnonzero(~(v[1:-1] > -1.0))
-    if j.size:
-        _, mu[j] = _bisect(lambda E: eigen_count_below_grid(spec, E) < j,
-                           np.full(j.size, mu[0]), np.full(j.size, mu[-1]), 0.0)
-        v[j] = sign[j] * x(mu[j])
-    j = 1 + np.flatnonzero(np.abs(v[1:-1]) < 1.0)
-    if j.size:
-        mu[j], touching = _nudge(x, mu, sign, j)
-        v[j] = np.where(touching, 1.0, sign[j] * x(mu[j]))
-    if not np.all(v[1:-1] >= 1.0):
-        raise BandCountError("%d Dirichlet brackets failed" % np.sum(~(v[1:-1] >= 1.0)))
-    return mu
+    keep = (v[1:-1] >= 1.0) & (mu[:-2] < mu[1:-1]) & (mu[1:-1] < mu[2:])
+    closed = np.zeros(keep.size, dtype=bool)
+    j = 1 + np.flatnonzero(~keep)
+    while j.size:
+        mu[j], closed[j - 1] = _search(x, count, mu, sign, j, merge_tol)
+        # kept points now out of order with searched ones are searched too
+        j = 1 + np.flatnonzero(keep & ~((mu[:-2] < mu[1:-1]) & (mu[1:-1] < mu[2:])))
+        keep[j - 1] = False
+    if np.any(mu[1:] < mu[:-1]):
+        raise BandCountError("%d Dirichlet points out of order" % np.sum(mu[1:] < mu[:-1]))
+    return mu, closed
 
 
 def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=None):
@@ -253,7 +278,7 @@ def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=N
     word = _image_word(s, recipe.star, k)
     q = len(word)
     x = lambda E: half_trace_grid(recipe, params, E, k)
-    inner, spec = [], None
+    inner = []
     if q > 1:
         spec = dirichlet_restriction(params, word[1:])
         inner = eigvalsh_tridiagonal(np.asarray(spec.diag, dtype=float),
@@ -262,7 +287,10 @@ def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=N
     mu = np.concatenate([[min(lo, hull[0])], inner, [max(hi, hull[1])]])
     # sign of x_k in gap j (above band j): leading coefficient times (-1)^(q-j)
     sign = np.sign(params.p) ** word.count("1") * (-1.0) ** (q - np.arange(q + 1))
-    mu = _certify(x, mu, sign, spec)
+    # Dirichlet counts of the window w[:-1], another q-1 sites of the period
+    count = lambda E: _block_count_below(params, s, _image_prefix_blocks(s, recipe.star, k, q - 1),
+                                         q - 1, E)
+    mu, shut = _certify(x, count, mu, sign, merge_tol)   # shut: gaps the search closed
     # left edges: sign[j-1] x_k - 1 leaves >= 0; right edges: sign[j] x_k - 1 reaches it
     lane_sign = np.concatenate([sign[:-1], sign[1:]])
     out, inn = _bisect(lambda E: lane_sign * x(E) >= 1.0,
@@ -274,7 +302,7 @@ def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=N
         raise BandCountError("level %d: band edges out of order" % k)
     b = np.maximum(a, b)
     mids = 0.5 * (b[:-1] + a[1:])
-    closed = (a[1:] - b[:-1] <= merge_tol) | (np.abs(x(mids)) - 1.0 <= CLOSED_GAP_EXCESS)
+    closed = shut | (a[1:] - b[:-1] <= merge_tol) | (np.abs(x(mids)) - 1.0 <= CLOSED_GAP_EXCESS)
     cut = np.flatnonzero(~closed)
     bands = merge_intervals(zip(a[np.concatenate([[0], cut + 1])],
                                 b[np.concatenate([cut, [q - 1]])]))

@@ -17,6 +17,7 @@ The text format for substitutions is ``0->01;1->0``.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -313,24 +314,51 @@ def _image_word(s, letter, k):
 
 
 def _image_length(s, letter, k):
-    """|s^k(letter)| computed from abelianization powers (no expansion)."""
+    """|s^k(letter)|, read from the length table (no expansion)."""
     if k < 0:
         raise ValueError("need k >= 0")
-    m = s.abelianization_array().astype(object)  # exact integer arithmetic
-    row = np.array([1, 0], dtype=object) if letter == "0" else np.array([0, 1], dtype=object)
-    counts = row @ np.linalg.matrix_power(m, k) if k else row
-    return int(counts.sum())
+    return next(islice(_length_rows(s), k, None))[letter]
+
+
+def _length_rows(s):
+    """The length table: rows {c: |s^j(c)|} for j = 0, 1, 2, ..., exact ints."""
+    row = {"0": 1, "1": 1}
+    while True:
+        yield row
+        row = {c: sum(row[x] for x in s.image(c)) for c in "01"}
+
+
+def _image_prefix_blocks(sp, letter, k, n):
+    """Blocks (j, c) in reading order whose words sp^j(c) spell sp^k(letter)[:n].
+
+    Levels never increase along the list and no level holds more blocks
+    than the longest image of sp has letters (Dumont-Thomas).  The plan
+    descends through sp^j(c) = sp^(j-1)(x_1) ... sp^(j-1)(x_r), keeping
+    the whole blocks that fit and entering the one the prefix ends
+    inside; only block lengths are used, the word is never built.
+    """
+    lengths = list(islice(_length_rows(sp), k + 1))
+    blocks, j, c, need = [], k, letter, n
+    while need:
+        if lengths[j][c] == need:
+            blocks.append((j, c))
+            break
+        j -= 1
+        for x in sp.image(c):
+            if lengths[j][x] > need:
+                c = x
+                break
+            blocks.append((j, x))
+            need -= lengths[j][x]
+    return blocks
 
 
 def _prefix_blocks(s, n):
     """Blocks whose words concatenate to :func:`fixed_point_prefix` (s, n).
 
     Returns (sp, blocks): sp is s or s^2, the power whose fixed point
-    the prefix reads, and blocks lists pairs (j, c) in reading order
-    such that the words sp^j(c) spell the first n letters.  Levels never
-    increase along the list and no level holds more blocks than the
-    longest image of sp has letters (Dumont-Thomas).  Only block lengths
-    are used; the word itself is never built.
+    the prefix reads, and blocks is the plan of :func:`_image_prefix_blocks`
+    for sp^k(star)[:n], k the first level at least n letters long.
 
     The plan needs |sp^j(star)| to grow exponentially, so that it has
     O(log n) levels.  The one way an expanding fixed letter grows only
@@ -345,24 +373,8 @@ def _prefix_blocks(s, n):
     if n > 1 and sp.image(other) == other and sp.image(star).count(star) == 1:
         raise UnsupportedSubstitutionError("fixed letter grows only linearly; "
                                            "its fixed point is eventually periodic")
-    lengths = [{"0": 1, "1": 1}]  # lengths[j][c] = |sp^j(c)|
-    while lengths[-1][star] < n:
-        lengths.append({c: sum(lengths[-1][x] for x in sp.image(c)) for c in "01"})
-    # descend through sp^j(c) = sp^(j-1)(x_1) ... sp^(j-1)(x_r), keeping the
-    # whole blocks that fit and entering the one the prefix ends inside
-    blocks, j, c, need = [], len(lengths) - 1, star, n
-    while need:
-        if lengths[j][c] == need:
-            blocks.append((j, c))
-            break
-        j -= 1
-        for x in sp.image(c):
-            if lengths[j][x] > need:
-                c = x
-                break
-            blocks.append((j, x))
-            need -= lengths[j][x]
-    return sp, blocks
+    k = next(j for j, row in enumerate(_length_rows(sp)) if row[star] >= n)
+    return sp, _image_prefix_blocks(sp, star, k, n)
 
 
 def distinct_factors(word, k):

@@ -156,17 +156,27 @@ def test_repeat_runs_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("argv", [
+NON_FINITE_RUNS = [
     ["dos", FIB, "--p", "1", "--q", "nan", "--length", "89", "--grid", "5"],
     ["scan", FIB, "--kind", "probe", "--p", "nan"],
     ["surface", "--invariant", "nan", "--resolution", "8"],
     ["spectrum", FIB, "--q", "inf", "--level", "3"],
     ["gaps", FIB, "--p=-inf", "--level", "3", "--length", "34"],
     ["dims", FIB, "--q", "nan", "--level", "3"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_RUNS)
 def test_non_finite_inputs_are_computation_errors(tmp_path, argv):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 1
     assert not any(tmp_path.iterdir())  # no output file written
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_RUNS)
+def test_refused_command_creates_no_output_directory(tmp_path, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 1
+    assert not out.exists()
 
 
 class ReadRecorder(argparse.Namespace):

@@ -436,31 +436,122 @@ def test_strong_coupling_edges_match_mpmath():
     assert_edges_cross(word, params, bands, picks)
 
 
-def test_misplaced_dirichlet_eigenvalue_is_recomputed(monkeypatch):
-    params = st.JacobiParams(1.0, 2.0)
-    expected = st.floquet_bands(st.FIBONACCI, params, 8)
+def _misplace(monkeypatch, i, j):
+    """Make the Dirichlet eigensolver return mu[i] = mu[j] (0-based, interior points)."""
     exact = scipy.linalg.eigvalsh_tridiagonal
 
     def misplaced(d, e, **kw):
         mu = exact(d, e, **kw)
-        mu[20] = mu[21]   # into the neighbouring gap, where x_k has the wrong sign
+        mu[i] = mu[j]
         return mu
 
     monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", misplaced)
+
+
+def test_misplaced_dirichlet_eigenvalue_is_recomputed(monkeypatch):
+    params = st.JacobiParams(1.0, 2.0)
+    expected = st.floquet_bands(st.FIBONACCI, params, 8)
+    _misplace(monkeypatch, 20, 21)   # into the neighbouring gap, where x_k has the wrong sign
     got = st.floquet_bands(st.FIBONACCI, params, 8)
     assert got.band_count == 55
     assert np.allclose(got.bands, expected.bands, rtol=0.0, atol=got.edge_tol)
 
 
-def test_nudge_walks_out_of_band_or_reports_touching():
+def test_dirichlet_eigenvalue_two_gaps_off_is_recomputed(monkeypatch):
+    # two gaps up x_k has the right sign again: only the order and the count see it
+    params = st.JacobiParams(1.0, 2.0)
+    expected = st.floquet_bands(st.FIBONACCI, params, 8)
+    _misplace(monkeypatch, 20, 22)
+    got = st.floquet_bands(st.FIBONACCI, params, 8)
+    assert (got.band_count, got.closed_gaps) == (expected.band_count, expected.closed_gaps)
+    assert np.allclose(got.bands, expected.bands, rtol=0.0, atol=got.edge_tol)
+
+
+def _window_count(*eigenvalues):
+    """Dirichlet count (eigenvalues <= E) of a window with the given eigenvalues."""
+    nu = np.array(eigenvalues)
+    return lambda E: np.sum(np.asarray(E)[..., None] >= nu, axis=-1)
+
+
+def test_repair_closes_a_touching_gap():
+    # band on both sides of mu_1 = 0, where the window's eigenvalue sits
     mu, sign = np.array([-2.0, 0.0, 2.0]), np.array([-1.0, 1.0, -1.0])
-    # band on both sides of mu_1: a touching gap, mu kept
-    new, touching = spectrum_mod._nudge(lambda E: 1.0 - 1e-9 - E * E, mu, sign, np.array([1]))
-    assert touching.tolist() == [True] and new[0] == 0.0
-    # gap (1e-13, 3e-13) just right of mu_1
+    got, closed = spectrum_mod._certify(lambda E: 1.0 - 1e-9 - E * E, _window_count(0.0),
+                                        mu, sign, 1e-12)
+    assert closed.tolist() == [True] and abs(got[1]) <= 1e-12
+
+
+def test_repair_finds_a_gap_just_right_of_mu():
+    # gap (1e-13, 3e-13) just right of mu_1, with the window's eigenvalue in it
+    mu, sign = np.array([-2.0, 0.0, 2.0]), np.array([-1.0, 1.0, -1.0])
     x = lambda E: 1.0 + 1e18 * (E - 1e-13) * (3e-13 - E)
-    new, touching = spectrum_mod._nudge(x, mu, sign, np.array([1]))
-    assert touching.tolist() == [False] and x(new[0]) >= 1.0 and 0.0 < new[0] < 3e-13
+    got, closed = spectrum_mod._certify(x, _window_count(2e-13), mu, sign, 1e-14)
+    assert closed.tolist() == [False] and x(got[1]) >= 1.0 and 1e-13 <= got[1] <= 3e-13
+
+
+# q = 3: gap 1 is (-0.92, -0.88), gap 2 (0.9, 1.1) and gap 3 (1.6, 2]; x_k >= 1 in
+# gaps 1 and 3, so the sign test alone cannot tell them apart
+_KNOTS = ([-2.0, -1.5, -0.92, -0.9, -0.88, 0.9, 1.0, 1.1, 1.6, 2.0],
+          [-3.0, -1.0, 1.0, 1.5, 1.0, -1.0, -1.5, -1.0, 1.0, 3.0])
+
+
+def _three_gap_x(E):
+    return np.interp(E, *_KNOTS)
+
+
+def test_repair_certifies_the_gap_by_count_not_by_sign():
+    # both points in bands and out of order; mu_2's count does not bound lane 1,
+    # so its search spans the range, gap 3 included
+    mu, sign = np.array([-2.0, 0.0, -1.0, 2.0]), np.array([-1.0, 1.0, -1.0, 1.0])
+    got, closed = spectrum_mod._certify(_three_gap_x, _window_count(-0.9, 1.0), mu, sign, 1e-12)
+    assert closed.tolist() == [False, False]
+    assert -0.92 <= got[1] <= -0.88 and 0.9 <= got[2] <= 1.1
+
+
+def test_unordered_points_after_the_repair_raise():
+    # a count that falls again after 1.5, as counts can inside unresolved
+    # clusters, certifies lane 1 in gap 3 (1.75) and lane 2 in gap 2 (1.0)
+    mu, sign = np.array([-2.0, 0.0, -1.0, 2.0]), np.array([-1.0, 1.0, -1.0, 1.0])
+
+    def count(E):
+        E = np.asarray(E)
+        return np.where(E >= 1.9, 2, np.where((E >= 0.5) & (E < 1.5), 1, 0))
+
+    with pytest.raises(BandCountError, match="out of order"):
+        spectrum_mod._certify(_three_gap_x, count, mu, sign, 1e-12)
+
+
+def test_kept_point_out_of_order_with_a_searched_one_is_searched():
+    # mu_2 = 1.0 passes both tests against the sterf points; the count puts
+    # lane 1's eigenvalue in gap 3 (1.8), above it, so lane 2 is searched too
+    mu, sign = np.array([-2.0, 0.0, 1.0, 2.0]), np.array([-1.0, 1.0, -1.0, 1.0])
+    got, closed = spectrum_mod._certify(_three_gap_x, _window_count(1.8, 1.9), mu, sign, 1e-12)
+    assert got[1] == 1.75 and closed.tolist() == [False, True] and abs(got[2] - 1.9) <= 1e-12
+
+
+@pytest.mark.parametrize("V, k", [(24.0, 12), (33.949, 11)])
+def test_strong_coupling_repair_needs_no_sturm_loop(monkeypatch, V, k):
+    params = st.JacobiParams(1.0, V)
+    expected = st.floquet_bands(st.FIBONACCI, params, k)
+    searched = []
+    search = spectrum_mod._search
+    monkeypatch.setattr(spectrum_mod, "_search", lambda *a: searched.append(a) or search(*a))
+
+    def sturm_loop(*args):
+        raise AssertionError("the band solver ran the Sturm loop")
+
+    monkeypatch.setattr(st.jacobi, "eigen_count_below_grid", sturm_loop)
+    assert st.floquet_bands(st.FIBONACCI, params, k) == expected
+    assert searched   # the case needs a repair
+
+
+def test_closed_lanes_order_as_the_counts_do():
+    # at this hopping Dirichlet eigenvalues of neighbouring closed gaps lie
+    # 1e-13 apart, inside the 2.6e-9 merge tolerance: a closed lane's point is
+    # refined to its eigenvalue, since one left anywhere in its merge_tol
+    # bracket fell below a kept sterf point
+    bands = st.floquet_bands(parse_substitution("0->100;1->10"), st.JacobiParams(58.8, -8.58), 7)
+    assert (bands.band_count, bands.closed_gaps) == (207, 780)
 
 
 def test_range_not_enclosing_spectrum_raises(monkeypatch):

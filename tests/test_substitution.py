@@ -10,6 +10,7 @@ from sturmtrace.substitution import (
     SubstitutionError,
     UnsupportedSubstitutionError,
     _image_length,
+    _image_prefix_blocks,
     _prefix_blocks,
     check_invertible,
     check_primitive,
@@ -116,6 +117,40 @@ def test_prefix_blocks_spell_the_fixed_point_prefix(text):
         levels = [j for j, _ in blocks]
         assert levels == sorted(levels, reverse=True)
         assert max(levels.count(j) for j in levels) <= longest
+
+
+@pytest.mark.parametrize("text", BLOCK_CASES)
+def test_image_prefix_blocks_spell_image_prefixes(text):
+    # the band solver's window s^k(star)[:q - 1] is one such prefix
+    s = parse_substitution(text)
+    longest = max(len(s.image0), len(s.image1))
+    for c in "01":
+        for k in range(7):
+            word = s.power(k).image(c) if k else c
+            for n in sorted(set(range(min(len(word), 60) + 1)) | {len(word) - 1, len(word)}):
+                blocks = _image_prefix_blocks(s, c, k, n)
+                assert "".join(s.power(j).image(x) if j else x for j, x in blocks) == word[:n]
+                levels = [j for j, _ in blocks]
+                assert levels == sorted(levels, reverse=True)
+                assert all(levels.count(j) <= longest for j in levels)
+
+
+def _image_length_by_matrix_power(s, letter, k):
+    """|s^k(letter)| from a power of the abelianization, in exact integers."""
+    m = s.abelianization_array().astype(object)
+    row = np.array([1, 0] if letter == "0" else [0, 1], dtype=object)
+    return int((row @ np.linalg.matrix_power(m, k)).sum()) if k else 1
+
+
+@pytest.mark.parametrize("text", BLOCK_CASES + ("0->0;1->10", "0->011;1->1", "0->01;1->10"))
+def test_image_length_reads_the_length_table(text):
+    s = parse_substitution(text)
+    for c in "01":
+        for k in list(range(41)) + [100]:
+            got = _image_length(s, c, k)
+            assert type(got) is int and got == _image_length_by_matrix_power(s, c, k)
+    with pytest.raises(ValueError):
+        _image_length(s, "0", -1)
 
 
 def test_prefix_blocks_errors_and_no_expansion():
