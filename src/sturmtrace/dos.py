@@ -128,8 +128,8 @@ def ids_scaling_exponent(ids_fn, E, eps_ladder):
     return _ladder_slope(eps, vals, floor)
 
 
-def dyadic_ladder(eps_max, n_scales=8, ratio=0.5):
-    return tuple(eps_max * ratio ** i for i in range(n_scales))
+def dyadic_ladder(eps_max, n_scales=8):
+    return tuple(eps_max * 0.5 ** i for i in range(n_scales))
 
 
 @dataclass(frozen=True)
@@ -142,13 +142,13 @@ class DosSummary:
     skipped: int
 
 
-def dos_dimension_summary(s, params, sample_count, L, seed=0, eps_max=None,
-                          n_scales=7, table_points=4097):
+def dos_dimension_summary(s, params, sample_count, L, seed=0, eps_max=None, n_scales=7):
     """Scaling exponents at dN-sampled energies, summarized.
 
-    Energies are drawn by inverse-transform sampling of the IDS table
-    (so gap plateaus are never hit); samples whose ladder underflows the
-    2/L resolution are skipped and counted.
+    Energies are drawn by inverse-transform sampling of a 4097-point IDS
+    table over the spectrum hull (so gap plateaus are never hit);
+    samples whose ladder underflows the 2/L resolution are skipped and
+    counted.
     """
     if sample_count < 1:
         raise ValueError("need sample_count >= 1")
@@ -156,7 +156,7 @@ def dos_dimension_summary(s, params, sample_count, L, seed=0, eps_max=None,
 
     lo, hi = default_energy_range(params)
     counter = ids_counter(s, params, L)
-    table = _table(counter, np.linspace(lo, hi, table_points))
+    table = _table(counter, np.linspace(lo, hi, 4097))
     if eps_max is None:
         eps_max = (hi - lo) / 64.0
     rng = np.random.default_rng(seed)

@@ -33,13 +33,11 @@ class DimensionEstimate:
     scale_min: float
     scale_max: float
     n_scales: int
-    method: str = "box-counting"
 
 
 @dataclass(frozen=True)
 class ThicknessEstimate:
     value: float
-    level: int = -1
 
 
 def _count_boxes(edges, eps):
@@ -126,10 +124,9 @@ def thickness(bands):
     band_list = _band_pairs(bands)
     if not band_list:
         raise ValueError("empty band set")
-    level = getattr(bands, "level", -1)
     gaps = [(b1, a2) for (_, b1), (a2, _) in zip(band_list, band_list[1:])]
     if not gaps:
-        return ThicknessEstimate(math.inf, level)
+        return ThicknessEstimate(math.inf)
     hull_lo, hull_hi = band_list[0][0], band_list[-1][1]
     gaps.sort(key=lambda g: (g[1] - g[0]), reverse=True)
     cuts = [hull_lo, hull_hi]
@@ -147,10 +144,10 @@ def thickness(bands):
             continue
         bisect.insort(cuts, lo)
         bisect.insort(cuts, hi)
-    return ThicknessEstimate(float(tau), level)
+    return ThicknessEstimate(float(tau))
 
 
-def local_dimension_profile(s, params, k, window_count, bands=None, **floquet_kw):
+def local_dimension_profile(s, params, k, window_count, bands=None):
     """Windowed box dimensions across the spectrum hull.
 
     Splits the hull into window_count equal windows and estimates the
@@ -160,7 +157,7 @@ def local_dimension_profile(s, params, k, window_count, bands=None, **floquet_kw
     if window_count < 1:
         raise ValueError("need window_count >= 1")
     if bands is None:
-        bands = floquet_bands(s, params, k, **floquet_kw)
+        bands = floquet_bands(s, params, k)
     lo, hi = bands.hull()
     width = (hi - lo) / window_count
     out = []
@@ -176,23 +173,27 @@ def local_dimension_profile(s, params, k, window_count, bands=None, **floquet_kw
     return out
 
 
-def large_coupling_check(V_list, k=12, s=FIBONACCI, **floquet_kw):
-    """Fibonacci Schrodinger dimensions against the log(1+sqrt2)/log V asymptote."""
-    # strong coupling packs bands below the default relative tolerances
-    floquet_kw.setdefault("tol", 3e-14)
-    floquet_kw.setdefault("merge_tol", 2e-13)
+def large_coupling_check(V_list, k=12, s=FIBONACCI):
+    """Fibonacci Schrodinger dimensions against the log(1+sqrt2)/log|V| asymptote.
+
+    H(-V) is unitarily -H(V), so the sign of V only mirrors the
+    spectrum.  The asymptote is reported as NaN for |V| <= 1, where it
+    has no meaning; V = 0 (the free case) is skipped.
+    """
     rows = []
     for V in V_list:
         if V == 0:
             continue  # free case, dimension 1; asymptote meaningless
         params = JacobiParams(1.0, float(V))
-        bands = floquet_bands(s, params, k, **floquet_kw)
+        # strong coupling packs bands below the default relative tolerances
+        bands = floquet_bands(s, params, k, tol=3e-14, merge_tol=2e-13)
         est = box_dimension(bands)
         rows.append({
             "V": float(V),
             "dim": est.value,
             "stderr": est.stderr,
-            "asymptote": math.log(1.0 + math.sqrt(2.0)) / math.log(V),
+            "asymptote": (math.log(1.0 + math.sqrt(2.0)) / math.log(abs(V))
+                          if abs(V) > 1 else math.nan),
             "bands": bands.band_count,
         })
     return rows
@@ -208,34 +209,36 @@ class GapRateResult:
     stable: bool
 
 
-def gap_opening_rate(s, path, t_list, label_m, k=10, L=1597, m_max=34, tol=None,
-                     **floquet_kw):
+def gap_opening_rate(s, path, t_list, label_m, k=10):
     """Track one labeled gap along a parameter path toward (1, 0).
 
     ``path`` maps t to (p, q); the gap is identified at every t by its
     IDS label (band order is not stable under perturbation, labels
-    are).  Ratios |gap| / ||(p,q) - (1,0)|| are reported together with
+    are), read from an L = 1597 truncation with |m| <= 34 and tolerance
+    2/L.  Ratios |gap| / ||(p,q) - (1,0)|| are reported together with
     the relative spread over the last three t values (<= 10% counts as
     stable).
     """
     from .rotation import rotation_number
 
-    alpha = rotation_number(s).alpha
+    L = 1597
     t_values = sorted((float(t) for t in t_list), reverse=True)
+    if not t_values:
+        raise ValueError("need at least one t value")
+    alpha = rotation_number(s).alpha
     widths, ratios = [], []
     for t in t_values:
         if t == 0:
             raise ValueError("t = 0 is the unperturbed point; rate undefined")
         p, q = path(t)
         params = JacobiParams(float(p), float(q))
-        bands = floquet_bands(s, params, k, **floquet_kw)
+        bands = floquet_bands(s, params, k)
         lo, hi = bands.hull()
         pad = 0.05 * (hi - lo)
         # labels read the IDS at gap midpoints only
         mids = [0.5 * (g[0] + g[1]) for g in bands.gaps()]
         table = ids(s, params, L, np.unique([lo - pad, hi + pad] + mids))
-        gap_tol = tol if tol is not None else 2.0 / L
-        labeled = gaps_with_labels(bands, table, alpha, m_max=m_max, tol=gap_tol)
+        labeled = gaps_with_labels(bands, table, alpha, m_max=34, tol=2.0 / L)
         match = [g for g in labeled if g.label_m is not None and abs(g.label_m) == abs(label_m)]
         if not match:
             raise RuntimeError("no gap with label |m| = %d at t = %g" % (abs(label_m), t))
@@ -249,20 +252,21 @@ def gap_opening_rate(s, path, t_list, label_m, k=10, L=1597, m_max=34, tol=None,
                          float(np.mean(last)), spread, spread <= 0.10)
 
 
-def p_to_zero_scan(s, q_fixed, p_list, k=8, prefix_len=2048, **floquet_kw):
+def p_to_zero_scan(s, q_fixed, p_list, k=8):
     """Dimension/measure trend as p -> 0, against the decoupled reference set.
 
     The p = 0 reference is the finite eigenvalue set of the decoupled
-    blocks (runs of letter 1 cut the chain); the Hausdorff distance of
-    each band set to that reference tracks the norm collapse.
+    blocks of the first 2048 letters of the fixed point (runs of letter
+    1 cut the chain); the Hausdorff distance of each band set to that
+    reference tracks the norm collapse.
     """
-    word = fixed_point_prefix(s, prefix_len)
+    word = fixed_point_prefix(s, 2048)
     reference = decoupled_block_spectrum(word, q_fixed)
     ref_bands = tuple((float(v), float(v)) for v in reference)
     rows = []
     for p in sorted((float(p) for p in p_list), reverse=True):
         params = JacobiParams(p, float(q_fixed))
-        bands = floquet_bands(s, params, k, **floquet_kw)
+        bands = floquet_bands(s, params, k)
         est = box_dimension(bands)
         rows.append({
             "p": p,

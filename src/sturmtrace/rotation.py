@@ -99,18 +99,19 @@ def _is_square(n):
     return s * s == n
 
 
-def continued_fraction(surd, max_terms=10000):
+def continued_fraction(surd):
     """CF digits of a surd in (0,1): returns (preperiod, period) tuples.
 
     Gauss map with exact state (p, q, r); eventual periodicity of the CF
-    of a quadratic irrational guarantees a repeat.
+    of a quadratic irrational guarantees a repeat, looked for within
+    10000 terms.
     """
     if surd.is_rational():
         raise ValueError("continued_fraction needs a quadratic irrational")
     x = surd
     seen = {}
     digits = []
-    for i in range(max_terms):
+    for i in range(10000):
         state = (x.p, x.q, x.r)
         if state in seen:
             j = seen[state]
@@ -122,16 +123,16 @@ def continued_fraction(surd, max_terms=10000):
             raise ValueError("CF digit < 1; surd not in (0,1)?")
         digits.append(a)
         x = inv.minus_int(a)
-    raise RuntimeError("no CF period found within %d terms" % max_terms)
+    raise RuntimeError("no CF period found within 10000 terms")
 
 
-def cf_value(preperiod, period, terms=64):
-    """Float value of [0; preperiod, period, period, ...]."""
+def cf_value(preperiod, period):
+    """Float value of [0; preperiod, period, period, ...], cut at 64 digits."""
     digits = list(preperiod)
-    while len(digits) < terms:
+    while len(digits) < 64:
         digits.extend(period)
     v = 0.0
-    for a in reversed(digits[:terms]):
+    for a in reversed(digits[:64]):
         v = 1.0 / (a + v)
     return v
 
@@ -207,21 +208,20 @@ def rotation_number(s):
     return RotationParams(cf_preperiod=pre, cf_period=per, surd=slope)
 
 
-def scan_beta(s, n_letters=50, m_max=30, params=None):
-    """Search beta over {frac(m alpha)} for agreement with the fixed point.
+def scan_beta(s, n_letters=50):
+    """Search beta over {frac(m alpha)}, |m| <= 30, for agreement with the fixed point.
 
     Both letter polarities and both endpoint conventions are scanned,
     since the classical realization pins neither the phase nor the
     indicator variant.  Returns the best match as a dict with keys
     beta, swap_letters, closed_right, match_len.
     """
-    if params is None:
-        params = rotation_number(s)
+    params = rotation_number(s)
     target = fixed_point_prefix(s, n_letters)
     swapped = target.translate(str.maketrans("01", "10"))
     alpha = params.alpha
     best = {"beta": 0.0, "swap_letters": False, "closed_right": False, "match_len": -1}
-    for m in range(-m_max, m_max + 1):
+    for m in range(-30, 31):
         beta = (m * alpha) % 1.0
         for closed_right in (False, True):
             trial = RotationParams(params.cf_preperiod, params.cf_period,

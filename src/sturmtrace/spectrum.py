@@ -57,8 +57,6 @@ class BandSet:
 
     bands: tuple
     level: int = -1
-    params: object = None
-    label: str = ""
     edge_tol: float = 0.0
     closed_gaps: int = 0
 
@@ -87,12 +85,12 @@ class BandSet:
         return [(b1, a2) for (_, b1), (a2, _) in zip(self.bands, self.bands[1:])]
 
 
-def merge_intervals(intervals, merge_tol=0.0):
-    """Union of closed intervals, gluing gaps of width <= merge_tol."""
+def merge_intervals(intervals):
+    """Union of closed intervals (touching ones are glued)."""
     ivs = sorted((float(a), float(b)) for a, b in intervals if b >= a)
     out = []
     for a, b in ivs:
-        if out and a <= out[-1][1] + merge_tol:
+        if out and a <= out[-1][1]:
             out[-1][1] = max(out[-1][1], b)
         else:
             out.append([a, b])
@@ -118,10 +116,10 @@ def band_measure(bands):
     return float(sum(b - a for a, b in _band_pairs(bands)))
 
 
-def band_sum(A, B, merge_tol=0.0):
+def band_sum(A, B):
     """Minkowski sum of two band sets (interval arithmetic, merged)."""
     sums = [(a1 + a2, b1 + b2) for a1, b1 in _band_pairs(A) for a2, b2 in _band_pairs(B)]
-    return BandSet(merge_intervals(sums, merge_tol), level=-1, label="sum")
+    return BandSet(merge_intervals(sums))
 
 
 def _distance_to_bands(x, bands):
@@ -169,8 +167,7 @@ def half_trace_grid(recipe, params, E, k):
     x, y, z = initial_conditions_grid(params, E)
     if recipe.swapped_start:
         y, z = z, y
-    return _iterate(tuple(recipe.prefix) + tuple(recipe.period) * k, x, y, z,
-                    bound=SATURATION)[1]
+    return _iterate(recipe.period * k, x, y, z, bound=SATURATION)[1]
 
 
 def default_energy_range(params):
@@ -312,16 +309,12 @@ def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=N
     if e_range is not None:
         bands = restrict_bands(bands, lo, hi)
         closed = closed & (mids >= lo) & (mids <= hi)
-    return BandSet(bands, level=k, params=params, label=s.text(), edge_tol=tol,
-                   closed_gaps=int(closed.sum()))
+    return BandSet(bands, level=k, edge_tol=tol, closed_gaps=int(closed.sum()))
 
 
-def floquet_band_tower(s, params, k_max, e_range=None, tol=None, merge_tol=None,
-                       recipe=None):
+def floquet_band_tower(s, params, k_max, tol=None, merge_tol=None):
     """Band sets of every level 0..k_max (each level is solved on its own)."""
-    recipe = recipe or recipe_from_substitution(s)
-    return {k: floquet_bands(s, params, k, e_range=e_range, tol=tol,
-                             merge_tol=merge_tol, recipe=recipe)
+    return {k: floquet_bands(s, params, k, tol=tol, merge_tol=merge_tol)
             for k in range(k_max + 1)}
 
 
@@ -382,9 +375,9 @@ def combinatorial_gap_label(s, bands, gap_index, recipe=None):
     return m
 
 
-def gap_index_for_label(s, bands, m, recipe=None):
+def gap_index_for_label(s, bands, m):
     """Inverse of :func:`combinatorial_gap_label`: 1-based gap index of label m."""
-    q_k, q_km1 = _label_periods(s, bands, recipe)
+    q_k, q_km1 = _label_periods(s, bands, None)
     j = (int(m) * q_km1) % q_k
     if not 1 <= j <= q_k - 1:
         raise ValueError("label m = %d has no gap at level %d" % (m, bands.level))

@@ -36,11 +36,9 @@ class ResourceLimitError(RuntimeError):
     """A requested expansion would exceed the configured size cap."""
 
 
-def _check_word(word, allow_empty=True):
+def _check_word(word):
     if not isinstance(word, str) or any(c not in "01" for c in word):
         raise SubstitutionError("words must be strings over the alphabet {0,1}: %r" % (word,))
-    if not allow_empty and not word:
-        raise SubstitutionError("empty image word")
     return word
 
 

@@ -12,7 +12,9 @@ a substitution whose transposed abelianization factors as
 M_{a_1} ... M_{a_n}, with M_a = [[a, 1], [1, 0]], has the periodic
 trace-map block t_{a_n} o ... o t_{a_1}.  One block application advances
 the orbit by one substitution level, so the y coordinate after k blocks
-is the half-trace of the transfer matrix over s^k(star).
+is the half-trace of the transfer matrix over s^k(star).  A
+:class:`TraceMapRecipe` holds that block and the start; k levels apply
+the block k times from the curve of initial conditions.
 
 Every map here preserves the Fricke-Vogt invariant
 
@@ -95,7 +97,7 @@ def fibonacci_map_inverse(point):
 
 @dataclass(frozen=True)
 class TraceMapRecipe:
-    """Composition recipe: prefix factors once, then the periodic block.
+    """Composition recipe: the periodic block t_{a_n} o ... o t_{a_1}.
 
     ``swapped_start`` records which of the two letters the first word of
     the standard pair tracks: True means the orbit starts from the
@@ -104,14 +106,13 @@ class TraceMapRecipe:
     :attr:`star`, the letter whose iterated images the block advances.
     """
 
-    prefix: tuple = ()
     period: tuple = (1,)
     swapped_start: bool = True
 
     def __post_init__(self):
         if not self.period:
             raise ValueError("period must be nonempty")
-        if any(a < 1 for a in tuple(self.prefix) + tuple(self.period)):
+        if any(a < 1 for a in self.period):
             raise ValueError("all factors must be >= 1")
 
     @property
@@ -120,31 +121,10 @@ class TraceMapRecipe:
 
     def text(self):
         """Compact form; the start is written only when it is pair (1,0)."""
-        body = "prefix=[%s];period=[%s]" % (
-            ",".join(str(a) for a in self.prefix),
-            ",".join(str(a) for a in self.period),
-        )
+        body = "period=[%s]" % ",".join(str(a) for a in self.period)
         if not self.swapped_start:
             body += ";start=pair10"
         return body
-
-
-def parse_recipe(text):
-    """Inverse of :meth:`TraceMapRecipe.text`; ValueError on an unknown field or start."""
-    fields = dict(part.split("=", 1) for part in text.split(";") if part)
-    unknown = sorted(set(fields) - {"prefix", "period", "start"})
-    if unknown:
-        raise ValueError("unknown recipe field(s): %s" % ", ".join(unknown))
-    if fields.get("start", "pair01") not in ("pair01", "pair10"):
-        raise ValueError("unknown recipe start: %r" % fields["start"])
-    def int_list(v):
-        v = v.strip("[]")
-        return tuple(int(t) for t in v.split(",") if t)
-    return TraceMapRecipe(
-        prefix=int_list(fields.get("prefix", "[]")),
-        period=int_list(fields.get("period", "[1]")),
-        swapped_start=fields.get("start", "pair01") != "pair10",
-    )
 
 
 def recipe_from_substitution(s):
@@ -192,7 +172,7 @@ def apply_period_inverse(recipe, point):
 
 
 def step(recipe, point, n):
-    """Orbit point after the prefix and n periodic blocks.
+    """Orbit point after n periodic blocks.
 
     The returned triple is arranged so that its x coordinate is the
     half-trace of the transfer matrix over s^n(star) when ``point`` is
@@ -205,8 +185,7 @@ def step(recipe, point, n):
     x, y, z = _lanes(point)
     if recipe.swapped_start:
         y, z = z, y
-    x, y, z = (float(c[0]) for c in
-               _iterate(tuple(recipe.prefix) + tuple(recipe.period) * n, x, y, z))
+    x, y, z = (float(c[0]) for c in _iterate(recipe.period * n, x, y, z))
     if not all(math.isfinite(c) for c in (x, y, z)):
         raise OverflowError("trace-map orbit overflowed at block %d" % n)
     return (y, x, z)
@@ -246,7 +225,6 @@ def classify_batch(recipe, xs, ys, zs, max_steps=MAX_STEPS_BANDS,
     x, y, z = (np.array(c, dtype=float).ravel() for c in (xs, ys, zs))
     if recipe.swapped_start:
         y, z = z, y
-    x, y, z = _iterate(recipe.prefix, x, y, z)
     n_pts = x.size
     escaped_at = np.full(n_pts, max_steps + 1, dtype=np.int64)
     last = np.stack([x, y, z])
@@ -296,22 +274,20 @@ def classify(recipe, point, max_steps=MAX_STEPS_POINT, escape_norm=ESCAPE_NORM_D
     return _verdicts(at, last, max_norm, max_steps)[0]
 
 
-def surface_section(V, resolution, recipe=None, chart=(-2.0, 2.0, -2.0, 2.0),
+def surface_section(V, resolution, chart=(-2.0, 2.0, -2.0, 2.0),
                     max_steps=MAX_STEPS_BANDS, escape_norm=ESCAPE_NORM_DEFAULT):
     """Escape-time raster of a chart of the invariant surface S_V.
 
     The quadric I(x,y,z) = V is solved for z over an (x, y) grid
     (z = xy +- sqrt((x^2-1)(y^2-1) + V)); both sheets are classified
-    pixel by pixel under the periodic block (default: the Fibonacci
-    recipe).  Pixels with no real root carry step count -1; bounded
+    pixel by pixel under the Fibonacci block t_1.  Pixels with no real root carry step count -1; bounded
     pixels carry max_steps + 1.
     """
     if resolution < 2:
         raise ValueError("need resolution >= 2")
     if not math.isfinite(V):
         raise ValueError("the invariant V must be finite: %r" % (V,))
-    if recipe is None:
-        recipe = TraceMapRecipe(period=(1,))
+    recipe = TraceMapRecipe(period=(1,))
     x_lo, x_hi, y_lo, y_hi = chart
     xs = np.linspace(x_lo, x_hi, resolution)
     ys = np.linspace(y_lo, y_hi, resolution)

@@ -25,7 +25,7 @@ def test_subst_report(capsys):
     assert report["primitive"] is True and report["invertible"] is True
     assert report["alpha_cf_period"] == [1] and report["alpha_cf_preperiod"] == []
     assert len(report["prefix"]) == 50
-    assert report["recipe"] == "prefix=[];period=[1]"
+    assert report["recipe"] == "period=[1]"
 
 
 def test_subst_malformed_is_usage_error():
@@ -144,6 +144,17 @@ def test_scan_probe_defaults_when_values_empty(tmp_path):
                  "--out-dir", str(out)]) == 0
     lines = (out / "scan_probe.csv").read_text().strip().splitlines()
     assert len(lines) == 513  # header + default 512-point grid
+
+
+def test_scan_at_unit_coupling_and_without_t_values(tmp_path, capsys):
+    out = tmp_path / "lc"
+    assert main(["scan", FIB, "--kind", "large_coupling", "--values", "1,-2", "--level", "4",
+                 "--out-dir", str(out)]) == 0
+    rows = [r.split(",") for r in (out / "scan_large_coupling.csv").read_text().splitlines()]
+    assert rows[1][3] == "nan" and float(rows[2][3]) > 0  # no asymptote at |V| = 1
+    assert main(["scan", FIB, "--kind", "gap_rate", "--values", "",
+                 "--out-dir", str(tmp_path / "gr")]) == 1
+    assert "error: need at least one t value" in capsys.readouterr().err
 
 
 def test_repeat_runs_byte_identical(tmp_path):

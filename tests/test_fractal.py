@@ -216,6 +216,19 @@ def test_large_coupling_skips_zero():
     assert rows == []
 
 
+def test_large_coupling_asymptote_needs_coupling_above_one():
+    rows = st.large_coupling_check([1.0, 0.5, -2.0, 2.0], k=4)
+    assert math.isnan(rows[0]["asymptote"]) and math.isnan(rows[1]["asymptote"])
+    # H(-V) is unitarily -H(V): same asymptote, mirrored bands
+    assert rows[2]["asymptote"] == rows[3]["asymptote"] == math.log(1 + math.sqrt(2)) / math.log(2)
+    assert rows[2]["bands"] == rows[3]["bands"]
+
+
+def test_gap_opening_rate_rejects_empty_t_list():
+    with pytest.raises(ValueError, match="need at least one t value"):
+        st.gap_opening_rate(st.FIBONACCI, lambda t: (1.0, t), [], label_m=1, k=6)
+
+
 def test_gap_opening_rate_rejects_t_zero():
     with pytest.raises(ValueError):
         st.gap_opening_rate(st.FIBONACCI, lambda t: (1.0, t), [0.2, 0.0], label_m=1, k=6)

@@ -390,7 +390,7 @@ def half_trace_loop(recipe, params, E, k):
     x, y, z = initial_conditions_grid(params, E)
     if recipe.swapped_start:
         y, z = z, y
-    for a in tuple(recipe.prefix) + tuple(recipe.period) * k:
+    for a in recipe.period * k:
         y, z = z, y
         for _ in range(a):
             x, y = np.clip(2.0 * x * z - y, -SATURATION, SATURATION), x

@@ -21,7 +21,6 @@ from sturmtrace.tracemap import (
     fibonacci_map_inverse,
     fricke_vogt,
     p_swap,
-    parse_recipe,
     recipe_from_substitution,
     step,
     surface_section,
@@ -80,7 +79,6 @@ def test_fibonacci_map_equals_t1():
 
 def test_recipe_examples():
     assert st.recipe_from_substitution(st.FIBONACCI).period == (1,)
-    assert st.recipe_from_substitution(st.FIBONACCI).prefix == ()
     assert st.recipe_from_substitution(st.FIBONACCI.power(2)).period == (1, 1)
     assert st.recipe_from_substitution(METAL).period == (2,)
     with pytest.raises(Exception):
@@ -88,30 +86,27 @@ def test_recipe_examples():
 
 
 def test_recipe_text_roundtrip():
-    r = TraceMapRecipe(prefix=(), period=(2, 1), swapped_start=True)
-    assert parse_recipe(r.text()) == r
-    assert r.text() == "prefix=[];period=[2,1]"
+    r = TraceMapRecipe(period=(2, 1), swapped_start=True)
+    assert r.text() == "period=[2,1]"
     r2 = TraceMapRecipe(period=(1,), swapped_start=False)
-    assert parse_recipe(r2.text()) == r2
+    assert r2.text() == "period=[1];start=pair10"
     assert (r.star, r2.star) == ("0", "1")  # the start decides the period letter
 
 
-@pytest.mark.parametrize("text", ["prefix=[];period=[1];star=1", "period=[2];stat=pair10",
-                                  "prefix=[];period=[1];start=pair10;star=0",
-                                  "period=[1];start=pair11"])
-def test_parse_recipe_rejects_unknown_fields(text):
-    with pytest.raises(ValueError, match="unknown recipe"):
-        parse_recipe(text)
-
-
 @pytest.mark.parametrize("text", ["0->01;1->0", "0->001;1->0", "0->1;1->10", "0->1;1->01"])
-def test_derived_recipe_text_roundtrip_solves(text):
+def test_recipe_argument_is_redundant(text):
+    # the recipe= of these three calls only repeats recipe_from_substitution(s)
     s = st.parse_substitution(text)
     r = recipe_from_substitution(s)
-    assert parse_recipe(r.text()) == r
     params = st.JacobiParams(1.0, 2.0)
-    bands = st.floquet_bands(s, params, 6, recipe=parse_recipe(r.text()))
-    assert bands.bands == st.floquet_bands(s, params, 6).bands
+    bands = st.floquet_bands(s, params, 6)
+    assert st.floquet_bands(s, params, 6, recipe=r) == bands
+    E = np.linspace(*st.spectrum.default_energy_range(params), 33)
+    assert (st.dynamical_spectrum_probe(s, params, E, recipe=r)
+            == st.dynamical_spectrum_probe(s, params, E))
+    for j in range(1, bands.band_count):
+        assert (st.spectrum.combinatorial_gap_label(s, bands, j, recipe=r)
+                == st.spectrum.combinatorial_gap_label(s, bands, j))
 
 
 def test_factor_matrix_product():
@@ -189,16 +184,15 @@ def test_step_matches_oracle_on_random_invertible_compositions():
 
 
 def random_recipe(rng):
-    factors = lambda lo: tuple(int(a) for a in rng.integers(1, 4, size=rng.integers(lo, 4)))
-    return TraceMapRecipe(prefix=factors(0), period=factors(1),
-                          swapped_start=bool(rng.integers(2)))
+    period = tuple(int(a) for a in rng.integers(1, 4, size=rng.integers(1, 4)))
+    return TraceMapRecipe(period=period, swapped_start=bool(rng.integers(2)))
 
 
 def scalar_orbit(recipe, point, n):
-    """Start swap, prefix and n blocks as a composition of scalar t_factor calls."""
+    """Start swap and n blocks as a composition of scalar t_factor calls."""
     if recipe.swapped_start:
         point = p_swap(point)
-    for a in tuple(recipe.prefix) + tuple(recipe.period) * n:
+    for a in recipe.period * n:
         point = t_factor(a, point)
     return point
 
