@@ -26,6 +26,10 @@ from .tracemap import recipe_from_substitution, surface_section
 F17 = lambda x: format(float(x), ".17g")
 
 
+class UsageError(Exception):
+    """A flag value the command cannot take (exit code 2)."""
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -227,9 +231,26 @@ def _write_ppm(path, raster):
         fh.write(img.tobytes())
 
 
+def _probe_grid_size(text):
+    """The energy count of ``scan --kind probe``: one positive integer, 512 if empty."""
+    if not text.strip():
+        return 512
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise UsageError("scan --kind probe takes one positive integer in --values "
+                         "(the energy count), not %r" % text)
+    return n
+
+
 def cmd_scan(args):
     s = parse_substitution(args.substitution)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    if args.kind == "probe":
+        n = _probe_grid_size(args.values)
+    else:
+        values = [float(v) for v in args.values.split(",") if v.strip()]
     if args.kind == "large_coupling":
         name, header = "scan_large_coupling.csv", ("V", "dim", "stderr", "asymptote", "bands")
         rows = [(r["V"], r["dim"], r["stderr"], r["asymptote"], r["bands"])
@@ -246,7 +267,7 @@ def cmd_scan(args):
     else:  # probe: escape classification along an energy grid
         params = _params(args)
         lo, hi = default_energy_range(params)
-        energies = np.linspace(lo, hi, int(values[0]) if values else 512)
+        energies = np.linspace(lo, hi, n)
         verdicts = dynamical_spectrum_probe(s, params, energies)
         name, header = "scan_probe.csv", ("E", "kind", "steps")
         rows = [(E, v.kind, v.steps_used) for E, v in zip(energies, verdicts)]
@@ -321,7 +342,9 @@ def build_parser():
     p.add_argument("substitution")
     p.add_argument("--kind", choices=["large_coupling", "p_to_zero", "gap_rate", "probe"],
                    required=True)
-    p.add_argument("--values", default="", help="comma-separated scan values")
+    p.add_argument("--values", default="",
+                   help="comma-separated scan values; for --kind probe one positive "
+                        "integer, the energy count (default 512)")
     p.add_argument("--label-m", type=int, default=1)
     _add_common(p, with_level=True)
     p.set_defaults(fn=cmd_scan)
@@ -335,7 +358,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except SubstitutionError as exc:
+    except (SubstitutionError, UsageError) as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, OSError) as exc:

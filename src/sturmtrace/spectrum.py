@@ -14,19 +14,22 @@ sign(p)^(#1s in w) (-1)^(q-j) in gap j, so each edge is the one sign
 change of sign * x_k - 1 on its bracket; all 2q edges are bisected at
 once.
 
-The points are the eigenvalues of the window w[1:] (LAPACK sterf).  One
-is kept when sign_j x_k(mu_j) >= 1 and the points increase strictly
-around it, also once the searched points are in place; the sign test
-alone also passes in gaps j+-2, j+-4, ...  Every other point is found
-by multisection on the Dirichlet count of the window w[:-1], composed
-from lifted substitution blocks in O(k) per energy as in the DOS: a
-probe with count j-1 or j and sign_j x_k >= 1 lies in gap j, and a lane
-whose count bracket shrinks to merge_tol is a closed gap, its point
-refined on the count to double resolution.  Points still out of order
-after the search raise BandCountError; they are never sorted into
-shape.  A gap is also closed when |x_k| - 1 <= 1e-12 at its midpoint or
-it is at most merge_tol wide; closed gaps are merged and counted, and a
-band set that fails band_count + closed_gaps == q raises BandCountError.
+For q up to STERF_MAX_Q the points are seeded by the eigenvalues of the
+window w[1:] (LAPACK sterf, O(q^2)).  One is kept when
+sign_j x_k(mu_j) >= 1 and the points increase strictly around it, also
+once the searched points are in place; the sign test alone also passes
+in gaps j+-2, j+-4, ...  Above STERF_MAX_Q nothing is seeded and scipy
+is not imported.  Every lane without a kept point is found by one
+multisection on the Dirichlet count of the window w[:-1], composed from
+lifted substitution blocks in O(k) per energy as in the DOS, whose
+probes all lanes share: a probe with count j-1 or j and
+sign_j x_k >= 1 lies in gap j, and a lane whose count interval shrinks
+to merge_tol is a closed gap, its point refined on the count to double
+resolution.  Points still out of order after the search raise
+BandCountError; they are never sorted into shape.  A gap is also closed
+when |x_k| - 1 <= 1e-12 at its midpoint or it is at most merge_tol wide;
+closed gaps are merged and counted, and a band set that fails
+band_count + closed_gaps == q raises BandCountError.
 """
 
 import math
@@ -41,6 +44,11 @@ from .tracemap import (ESCAPE_NORM_DEFAULT, MAX_STEPS_POINT, _iterate, _verdicts
 
 SATURATION = 1e150         # |x| cap of one trace-map step; keeps the sign in gaps
 BISECT_ROUNDS = 128        # halvings of a bracket, ample for any tol above 1 ulp
+COUNT_CHUNK = 4096         # energies per lifted-count call of the search
+# sterf seeds the Dirichlet points up to this q; above it the search alone is
+# faster (measured: from q of about 900-1400 at moderate coupling, about 3500
+# at V = 24, whose clustered bands cost the search more probes per lane)
+STERF_MAX_Q = 1500
 CLOSED_GAP_EXCESS = 1e-12  # a gap with |x_k(midpoint)| - 1 at most this is closed
 
 
@@ -189,54 +197,101 @@ def _bisect(is_out, out, inn, tol):
     return out, inn
 
 
-def _search(x, count, mu, sign, j, merge_tol):
-    """Points in closed gaps j by multisection on the count, and the lanes found closed.
+def _runs(n):
+    """The run index and the place in its run of each element of runs n long."""
+    owner = np.repeat(np.arange(n.size), n)
+    return owner, np.arange(owner.size) - (np.cumsum(n) - n)[owner]
 
-    A lane's bracket keeps count <= j-1 at its left end and >= j at its
-    right end, so it holds the window's Dirichlet eigenvalue of gap j;
-    it starts from the neighbouring points where their counts confirm
-    that, else from the range ends.  Each round places 15 probes in
-    every live bracket.  A probe with count j-1 or j and sign_j x_k >= 1
-    lies in gap j and ends its lane; otherwise the bracket shrinks to
-    the first probe with count >= j and the point before it.  A lane
-    whose bracket shrinks to merge_tol first is a closed gap; its
-    bracket goes on shrinking on the count alone until double resolution
-    stops it, so that its point is the eigenvalue's, ordered as the
-    counts are, and not a point up to merge_tol away.
+
+def _counts(count, E):
+    """count(E) taken COUNT_CHUNK energies at a time."""
+    return np.concatenate([count(E[i:i + COUNT_CHUNK]) for i in range(0, E.size, COUNT_CHUNK)])
+
+
+def _search(x, count, mu, sign, j, merge_tol):
+    """Points in closed gaps j by one multisection on the count, and the lanes found closed.
+
+    All lanes share the probes.  The search keeps sorted probe energies
+    P with their counts C, starting from the range ends and the points
+    mu[j-1], mu[j+1]; an interval (P_i, P_i+1) holds the open lanes j
+    with C_i < j <= C_i+1, whose eigenvalue of the window it brackets.
+    Each round every interval holding n > 0 open lanes gets min(15, 2n+1)
+    evenly spaced probes, counted and evaluated in one batch.  A probe
+    with count c and |x_k| >= 1 lies in gap c or gap c+1, and the sign of
+    x_k tells which: it ends that lane (the certificate: count in
+    {j-1, j} and sign_j x_k >= 1) if its interval holds the lane, so a
+    miscounted probe cannot end a lane held elsewhere.  When an interval
+    shrinks to merge_tol, one probe merge_tol/2 beyond each end looks for
+    a gap that starts at that end (an end on a band edge can fail the
+    sign test by rounding); its lanes still open after that round are
+    closed.  Closed lanes go on shrinking on the count alone until double
+    resolution stops them, so that each point is its eigenvalue's,
+    ordered as the counts are, and not a point up to merge_tol away.
+    Probes that border no live interval are dropped.  A lane that no
+    interval holds any more raises BandCountError.
     """
-    ends = count(np.concatenate([mu[j - 1], mu[j + 1]]))
-    lo = np.where(ends[:j.size] <= j - 1, mu[j - 1], mu[0])
-    hi = np.where(ends[j.size:] >= j, mu[j + 1], mu[-1])
-    point, closed = np.empty(j.size), np.zeros(j.size, dtype=bool)
-    live = np.arange(j.size)
-    while live.size:
-        lj, l, h = j[live, None], lo[live, None], hi[live, None]
-        E = l + (h - l) * (np.arange(1, 16) / 16.0)
-        c = count(E.ravel()).reshape(E.shape)
-        hit = (c >= lj - 1) & (c <= lj) & (sign[lj] * x(E.ravel()).reshape(E.shape) >= 1.0)
-        found = hit.any(axis=1) & ~closed[live]
-        point[live[found]] = E[found, hit[found].argmax(axis=1)]
-        # the first probe with count >= j and the point before it
-        pts = np.concatenate([l, E, h], axis=1)
-        i = 1 + np.argmax(np.concatenate([c >= lj, np.ones_like(h, dtype=bool)], axis=1), axis=1)
-        new_lo, new_hi = np.take_along_axis(pts, np.stack([i - 1, i], axis=1), axis=1).T
-        stuck = ~found & (new_lo == l[:, 0]) & (new_hi == h[:, 0])   # at double resolution
-        closed[live[~found & (new_hi - new_lo <= merge_tol) | stuck]] = True
-        lo[live], hi[live] = new_lo, new_hi
-        point[live[stuck]] = 0.5 * (new_lo + new_hi)[stuck]
-        live = live[~found & ~stuck]
+    P = np.unique(mu[np.union1d([0, mu.size - 1], np.concatenate([j - 1, j + 1]))])
+    P = P[np.isfinite(P)]
+    C = _counts(count, P)
+    point, closed = np.full(j.size, np.nan), np.zeros(j.size, dtype=bool)
+    open_ = np.ones(j.size, dtype=bool)
+    while True:
+        # the open lanes each interval holds; probes bordering none are dropped
+        at = np.flatnonzero(open_)
+        first = np.searchsorted(j[at], C[:-1], side="right")
+        n = np.maximum(np.searchsorted(j[at], C[1:], side="right") - first, 0)
+        live = n > 0
+        lo, hi, first, n = P[:-1][live], P[1:][live], first[live], n[live]
+        C_lo, C_hi = C[:-1][live], C[1:][live]
+        border = np.concatenate([live, [False]]) | np.concatenate([[False], live])
+        P, C = P[border], C[border]
+        owner, place = _runs(n)
+        held = at[first[owner] + place]
+        m = np.minimum(15, 2 * n + 1)
+        iv, t = _runs(m)
+        E = lo[iv] + (hi - lo)[iv] * ((t + 1.0) / (m[iv] + 1.0))
+        # an interval no probe splits is at double resolution: its lanes end closed
+        stuck = np.bincount(iv[(E > lo[iv]) & (E < hi[iv])], minlength=m.size) == 0
+        ended = stuck[owner]
+        point[held[ended]] = 0.5 * (lo + hi)[owner[ended]]
+        closed[held[ended]], open_[held[ended]] = True, False
+        closing = np.zeros(j.size, dtype=bool)
+        closing[held[(hi - lo <= merge_tol)[owner] & ~closed[held]]] = True
+        fresh = np.unique(owner[closing[held]])
+        E = np.concatenate([E[~stuck[iv]], lo[fresh] - 0.5 * merge_tol,
+                            hi[fresh] + 0.5 * merge_tol])
+        iv = np.concatenate([iv[~stuck[iv]], fresh, fresh])   # the interval each probe is for
+        E, first = np.unique(E, return_index=True)
+        new = ~np.isin(E, P)
+        E, iv = E[new], iv[first][new]
+        if not E.size:
+            break
+        c, v = _counts(count, E), x(E)
+        # the gap c or c+1 that the sign of x_k picks, when |x_k| >= 1
+        up = sign[c] * v >= 1.0
+        lane = np.where(up, c, c + 1)
+        pos = np.minimum(np.searchsorted(j, lane), j.size - 1)
+        hit = ((up | (sign[c + 1] * v >= 1.0)) & (C_lo[iv] < lane) & (lane <= C_hi[iv])
+               & (j[pos] == lane) & open_[pos] & ~closed[pos])
+        pos, first = np.unique(pos[hit], return_index=True)
+        point[pos], open_[pos] = E[hit][first], False
+        closed |= closing & open_
+        order = np.argsort(np.concatenate([P, E]), kind="stable")
+        P, C = np.concatenate([P, E])[order], np.concatenate([C, c])[order]
+    if open_.any():
+        raise BandCountError("%d Dirichlet lanes left without a point" % open_.sum())
     return point, closed
 
 
 def _certify(x, count, mu, sign, merge_tol):
     """Certify one point mu_j in each closed gap j, or raise; returns (mu, closed).
 
-    A sterf point is kept when sign_j x_k(mu_j) >= 1 and mu increases
-    strictly around it, also once the searched points are in place.
-    The sign test alone also passes in gaps j+-2, j+-4, ..., so every
-    other lane is found by :func:`_search` on the count of the window
-    w[:-1].  ``closed`` marks the lanes it closed; points still out of
-    order after the search raise.
+    A seeded (sterf) point is kept when sign_j x_k(mu_j) >= 1 and mu
+    increases strictly around it, also once the searched points are in
+    place; a NaN seed is never kept.  The sign test alone also passes in
+    gaps j+-2, j+-4, ..., so every other lane is found by :func:`_search`
+    on the count of the window w[:-1].  ``closed`` marks the lanes it
+    closed; points still out of order after the search raise.
     """
     v = sign * x(mu)
     if not (v[0] >= 1.0 and v[-1] >= 1.0):
@@ -262,8 +317,6 @@ def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=N
     closed.  ``e_range`` clips the result to a window; the band count is
     checked on the whole level first.
     """
-    from scipy.linalg import eigvalsh_tridiagonal  # 0.3 s import, kept off module load
-
     recipe = recipe or recipe_from_substitution(s)
     hull = default_energy_range(params)
     lo, hi = hull if e_range is None else (float(e_range[0]), float(e_range[1]))
@@ -275,8 +328,9 @@ def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=N
     word = _image_word(s, recipe.star, k)
     q = len(word)
     x = lambda E: half_trace_grid(recipe, params, E, k)
-    inner = []
-    if q > 1:
+    inner = np.full(q - 1, np.nan)   # no seed passes: every lane is searched
+    if 1 < q <= STERF_MAX_Q:
+        from scipy.linalg import eigvalsh_tridiagonal  # 0.3 s import, kept off module load
         spec = dirichlet_restriction(params, word[1:])
         inner = eigvalsh_tridiagonal(np.asarray(spec.diag, dtype=float),
                                      np.asarray(spec.offdiag[1:], dtype=float),
@@ -285,8 +339,8 @@ def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=N
     # sign of x_k in gap j (above band j): leading coefficient times (-1)^(q-j)
     sign = np.sign(params.p) ** word.count("1") * (-1.0) ** (q - np.arange(q + 1))
     # Dirichlet counts of the window w[:-1], another q-1 sites of the period
-    count = lambda E: _block_count_below(params, s, _image_prefix_blocks(s, recipe.star, k, q - 1),
-                                         q - 1, E)
+    blocks = _image_prefix_blocks(s, recipe.star, k, q - 1)
+    count = lambda E: _block_count_below(params, s, blocks, q - 1, E)
     mu, shut = _certify(x, count, mu, sign, merge_tol)   # shut: gaps the search closed
     # left edges: sign[j-1] x_k - 1 leaves >= 0; right edges: sign[j] x_k - 1 reaches it
     lane_sign = np.concatenate([sign[:-1], sign[1:]])

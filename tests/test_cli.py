@@ -146,6 +146,16 @@ def test_scan_probe_defaults_when_values_empty(tmp_path):
     assert len(lines) == 513  # header + default 512-point grid
 
 
+@pytest.mark.parametrize("values", ["0.5", "0", "-3", "64,128", "abc"])
+def test_scan_probe_takes_one_positive_integer(tmp_path, capsys, values):
+    out = tmp_path / "probe"
+    assert main(["scan", FIB, "--kind", "probe", "--values", values, "--out-dir", str(out)]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["scan", FIB, "--kind", "probe", "--values", "7", "--out-dir", str(out)]) == 0
+    assert len((out / "scan_probe.csv").read_text().strip().splitlines()) == 8
+
+
 def test_scan_at_unit_coupling_and_without_t_values(tmp_path, capsys):
     out = tmp_path / "lc"
     assert main(["scan", FIB, "--kind", "large_coupling", "--values", "1,-2", "--level", "4",

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -317,11 +320,15 @@ def assert_edges_cross(word, params, bands, indices):
     ("0->01;1->0", 1.0, 0.1, 16, 1e-13, 2584),    # [-0.716193, -0.716109] was dropped
     ("0->001;1->0", 1.0, 0.5287, 7, None, 577),   # 578 bands were reported, and raised
     ("0->100;1->10", 1.0, 2.0, 6, None, 377),     # 267 bands were reported
+    ("0->01;1->0", 1.0, 2.0, 20, None, 17711),    # every lane searched, no sterf
 ])
 def test_every_band_found(text, p, q, k, tol, count):
-    bands = st.floquet_bands(parse_substitution(text), st.JacobiParams(p, q), k, tol=tol)
+    s, params = parse_substitution(text), st.JacobiParams(p, q)
+    bands = st.floquet_bands(s, params, k, tol=tol)
     assert bands.band_count == count
     assert bands.closed_gaps == 0
+    if count > spectrum_mod.STERF_MAX_Q:
+        assert_edges_cross(periodic_word(s, k), params, bands, [0, count // 2, count - 1])
 
 
 @given(st_h.sampled_from(["0->01;1->0", "0->001;1->0", "0->1;1->10", "0->1;1->01"]),
@@ -552,6 +559,82 @@ def test_closed_lanes_order_as_the_counts_do():
     # bracket fell below a kept sterf point
     bands = st.floquet_bands(parse_substitution("0->100;1->10"), st.JacobiParams(58.8, -8.58), 7)
     assert (bands.band_count, bands.closed_gaps) == (207, 780)
+
+
+def test_gap_beyond_a_probe_on_its_edge_is_found():
+    # mu_1 = 1e-14 lies on band 1's upper edge (x_k just below 1) with count 1,
+    # and as lane 2's neighbour it ends lane 1's interval there; gap 1 lies
+    # wholly beyond it, so only the probe past the interval's end finds it
+    knots = ([-2.0, -1.0, 1e-13, 0.25, 0.5, 0.7, 0.95, 1.2, 1.5, 2.0],
+             [-3.0, -1.0, 1.0, 3.0, 1.0, -1.0, -3.0, -1.0, 1.0, 3.0])
+    x = lambda E: np.interp(E, *knots)
+    mu, sign = np.array([-2.0, 1e-14, 0.6, 2.0]), np.array([-1.0, 1.0, -1.0, 1.0])
+    got, closed = spectrum_mod._certify(x, _window_count(0.0, 1.0), mu, sign, 1e-12)
+    assert closed.tolist() == [False, False]
+    assert 1e-13 < got[1] < 0.5 and 0.7 < got[2] < 1.2
+
+
+def test_miscounted_probe_ends_no_lane_outside_its_interval():
+    # the lifted count reads 418 at E = -0.9806225248199232, where the window
+    # has 417 eigenvalues below; a probe there passes lane 419's certificate,
+    # but lane 419 lies in another interval, and ending it there would put
+    # its point below lane 418's
+    bands = st.floquet_bands(parse_substitution("0->0010;1->010"),
+                             st.JacobiParams(-0.237, -28.019), 5)
+    assert (bands.band_count, bands.closed_gaps) == (222, 558)
+
+
+def test_lane_no_interval_holds_raises():
+    # the count never reaches 2, so no interval ever holds lane 2; its point
+    # would stay NaN, which the order check cannot see
+    mu, sign = np.array([-2.0, 0.0, -1.0, 2.0]), np.array([-1.0, 1.0, -1.0, 1.0])
+    with pytest.raises(BandCountError, match="1 Dirichlet lanes left without a point"):
+        spectrum_mod._certify(_three_gap_x, _window_count(-0.9), mu, sign, 1e-12)
+
+
+@pytest.mark.parametrize("text, p, q, k, kw", [
+    ("0->01;1->0", 1.1, 0.3, 8, {}),
+    ("0->01;1->0", 1.0, 24.0, 12, dict(tol=3e-14, merge_tol=2e-13)),
+    ("0->1;1->10", 1.0, 2.0, 14, {}),
+    ("0->001;1->0", 1.087, 1.854, 9, {}),
+    ("0->100;1->10", 58.8, -8.58, 7, {}),
+    ("0->001;1->0", 1.5, 1.0, 10, {}),
+])
+def test_search_agrees_with_sterf_across_the_crossover(monkeypatch, text, p, q, k, kw):
+    s, params = parse_substitution(text), st.JacobiParams(p, q)
+    search, searched = spectrum_mod._search, []
+
+    def recorded(x, count, mu, sign, j, merge_tol):
+        point, closed = search(x, count, mu, sign, j, merge_tol)
+        searched.append((x, count, sign, j[~closed], point[~closed]))
+        return point, closed
+
+    monkeypatch.setattr(spectrum_mod, "_search", recorded)
+    solved = {}
+    for crossover in (10 ** 9, 0):   # sterf seeds every level / every lane is searched
+        monkeypatch.setattr(spectrum_mod, "STERF_MAX_Q", crossover)
+        solved[crossover] = st.floquet_bands(s, params, k, **kw)
+    assert searched
+    for x, count, sign, j, point in searched:   # the certificate of every point found
+        c = count(point)
+        assert np.all((c == j - 1) | (c == j))
+        assert np.all(sign[j] * x(point) >= 1.0)
+    sterf, lifted = solved[10 ** 9], solved[0]
+    assert (lifted.band_count, lifted.closed_gaps) == (sterf.band_count, sterf.closed_gaps)
+    assert np.allclose(lifted.bands, sterf.bands, rtol=0.0, atol=sterf.edge_tol)
+
+
+def test_deep_solve_never_imports_scipy():
+    # above the crossover every lane is searched on the lifted count
+    code = ("import sys\n"
+            "from sturmtrace import FIBONACCI, JacobiParams, floquet_bands, spectrum\n"
+            "bands = floquet_bands(FIBONACCI, JacobiParams(1.0, 2.0), 16)\n"
+            "print(bands.band_count > spectrum.STERF_MAX_Q, 'scipy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(st.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == ["True", "False"]
 
 
 def test_range_not_enclosing_spectrum_raises(monkeypatch):
