@@ -21,7 +21,7 @@ from .rotation import rotation_number, scan_beta
 from .spectrum import (default_energy_range, dynamical_spectrum_probe, floquet_bands,
                        gaps_with_labels)
 from .substitution import fixed_point_prefix, parse_substitution
-from .tracemap import recipe_from_substitution, surface_section
+from .tracemap import MAX_STEPS_BANDS, recipe_from_substitution, surface_section
 
 F17 = lambda x: format(float(x), ".17g")
 
@@ -206,14 +206,25 @@ def cmd_surface(args):
 
 
 def _write_surface_csv(path, raster):
-    """The raster as (sheet, x, y, steps) CSV rows, one raster row per write."""
+    """The raster as (sheet, x, y, steps) CSV rows, one raster row per write.
+
+    Each write joins the row's cells from the sheet's "sheet,x," heads,
+    the row's "y," and a table of the step strings, so no cell is
+    formatted on its own and the file is never whole in memory.
+    """
     xs = [F17(v) for v in raster["x"]]
+    width = len(xs)
+    # steps[n] for every count n in -1 .. max_steps + 1 (the last entry is -1)
+    steps = ["%d\r\n" % n for n in range(raster["max_steps"] + 2)] + ["-1\r\n"]
+    cells = [None] * (3 * width)   # head, y, steps of each cell in turn
     with open(path, "w", newline="") as fh:
         fh.write("sheet,x,y,steps\r\n")
         for sheet, block in enumerate(raster["steps"]):
-            for yv, row in zip(raster["y"], block.tolist()):
-                y = F17(yv)
-                fh.write("".join("%d,%s,%s,%d\r\n" % (sheet, x, y, n) for x, n in zip(xs, row)))
+            cells[0::3] = ["%d,%s," % (sheet, x) for x in xs]
+            for yv, row in zip(raster["y"], block):
+                cells[1::3] = [F17(yv) + ","] * width
+                cells[2::3] = [steps[n] for n in row.tolist()]
+                fh.write("".join(cells))
 
 
 def _write_ppm(path, raster):
@@ -334,7 +345,7 @@ def build_parser():
     p = sub.add_parser("surface", help="escape-time raster of S_V")
     p.add_argument("--invariant", type=float, default=0.01, help="Fricke-Vogt value V")
     p.add_argument("--resolution", type=int, default=128)
-    p.add_argument("--max-steps", type=int, default=60)
+    p.add_argument("--max-steps", type=int, default=MAX_STEPS_BANDS)
     _add_common(p, with_params=False)
     p.set_defaults(fn=cmd_surface)
 

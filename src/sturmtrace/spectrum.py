@@ -172,6 +172,9 @@ def half_trace_grid(recipe, params, E, k):
     Every U-step saturates at +-SATURATION: deep in a gap, where the
     true value would overflow, the result keeps the sign of 2xz - y.
     """
+    E = np.asarray(E, dtype=float)
+    if E.ndim == 0:   # the kernel clips in place, on arrays
+        return half_trace_grid(recipe, params, E[None], k)[0]
     x, y, z = initial_conditions_grid(params, E)
     if recipe.swapped_start:
         y, z = z, y

@@ -144,7 +144,9 @@ def _iterate(factors, x, y, z, bound=None):
     """The trace-map kernel: apply t_a for each a of ``factors``, in order.
 
     (x, y, z) are aligned arrays and the image triple is returned.  With
-    ``bound``, every U-step clips 2xz - y to [-bound, bound].
+    ``bound``, every U-step clips 2xz - y to [-bound, bound], in place on
+    the fresh array (so the inputs are never written), which needs the
+    lanes to be arrays of at least one dimension.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for a in factors:
@@ -152,7 +154,8 @@ def _iterate(factors, x, y, z, bound=None):
             for _ in range(a):
                 x, y = 2.0 * x * z - y, x
                 if bound is not None:
-                    x = np.clip(x, -bound, bound)
+                    np.minimum(x, bound, out=x)
+                    np.maximum(x, -bound, out=x)
     return x, y, z
 
 
@@ -199,10 +202,6 @@ class OrbitVerdict:
     max_norm: float
 
 
-def _max_abs(x, y, z):
-    return np.maximum(np.abs(x), np.maximum(np.abs(y), np.abs(z)))
-
-
 def classify_batch(recipe, xs, ys, zs, max_steps=MAX_STEPS_BANDS,
                    escape_norm=ESCAPE_NORM_DEFAULT):
     """Escape/bounded dichotomy of every lane after at most max_steps blocks.
@@ -217,6 +216,13 @@ def classify_batch(recipe, xs, ys, zs, max_steps=MAX_STEPS_BANDS,
     last_point is the (3, n) array of each lane's last finite point (at
     escape, or after max_steps blocks); max_norm is the max-norm at
     escape (inf on overflow), or the largest along a bounded orbit.
+
+    Only live lanes are iterated: once at least half of the working
+    arrays are escaped lanes, they shrink to the live ones, and the loop
+    ends when no lane is live.  The escape test itself runs only on the
+    live lanes whose max-norm is above escape_norm or not finite.  Each
+    lane's arithmetic is that of a lone lane, so the results are the same
+    lane by lane.
     """
     if max_steps < 1:
         raise ValueError("need max_steps >= 1")
@@ -227,37 +233,54 @@ def classify_batch(recipe, xs, ys, zs, max_steps=MAX_STEPS_BANDS,
         y, z = z, y
     n_pts = x.size
     escaped_at = np.full(n_pts, max_steps + 1, dtype=np.int64)
-    last = np.stack([x, y, z])
+    last = np.empty((3, n_pts))
     max_norm = np.empty(n_pts)
-    peak = _max_abs(x, y, z)
+    # the working set: lane indices, their triples, peaks and last three norms
+    lanes = np.arange(n_pts)
+    live = np.ones(n_pts, dtype=bool)
+    peak = np.maximum(np.abs(x), np.maximum(np.abs(y), np.abs(z)))
     h1 = h2 = np.zeros(n_pts)
     h3 = peak.copy()
+    n_live = n_pts
     for n in range(1, max_steps + 1):
         prev = (x, y, z)
         x, y, z = _iterate(recipe.period, x, y, z)
-        bad = ~(np.isfinite(x) & np.isfinite(y) & np.isfinite(z))
-        norm = _max_abs(x, y, z)
-        cond = bad
-        if n >= 3:
-            cond = bad | ((np.minimum(np.abs(x), np.minimum(np.abs(y), np.abs(z))) > 1.0)
-                          & (norm > escape_norm) & (norm > h3) & (h3 > h2) & (h2 > h1))
-        hit = (escaped_at > max_steps) & cond
-        if hit.any():
-            escaped_at[hit] = n
-            over = bad[hit]
-            max_norm[hit] = np.where(over, np.inf, norm[hit])
-            for row, old, new in zip(last, prev, (x, y, z)):
-                row[hit] = np.where(over, old[hit], new[hit])
+        norm = np.abs(x)
+        np.maximum(norm, np.abs(y), out=norm)
+        np.maximum(norm, np.abs(z), out=norm)
         np.maximum(peak, norm, out=peak)
+        # an escaping lane has norm above escape_norm or not finite: test only those
+        c = np.flatnonzero(live & ~(norm <= escape_norm))
+        if c.size:
+            nc = norm[c]
+            over = ~np.isfinite(nc)   # NaN and inf carry through np.maximum
+            hit = over
+            if n >= 3:
+                h3c, h2c = h3[c], h2[c]
+                xc, yc, zc = np.abs(x[c]), np.abs(y[c]), np.abs(z[c])
+                hit = over | ((np.minimum(xc, np.minimum(yc, zc)) > 1.0)
+                              & (nc > h3c) & (h3c > h2c) & (h2c > h1[c]))
+            c, over = c[hit], over[hit]
+        if c.size:
+            at = lanes[c]
+            escaped_at[at] = n
+            max_norm[at] = np.where(over, np.inf, norm[c])
+            for row, old, new in zip(last, prev, (x, y, z)):
+                row[at] = np.where(over, old[c], new[c])
+            live[c] = False
+            n_live -= c.size
+            if n_live == 0:
+                break
+            if 2 * n_live <= lanes.size:
+                keep = np.flatnonzero(live)
+                lanes, x, y, z, peak, h2, h3, norm = (
+                    a[keep] for a in (lanes, x, y, z, peak, h2, h3, norm))
+                live = np.ones(n_live, dtype=bool)
         h1, h2, h3 = h2, h3, norm
-        # freeze overflowed lanes to keep the arithmetic quiet
-        x[bad] = 0.0
-        y[bad] = 0.0
-        z[bad] = 0.0
-    live = escaped_at > max_steps
-    last[:, live] = np.stack([x, y, z])[:, live]
-    max_norm[live] = peak[live]
-    return ~live, escaped_at, last, max_norm
+    at = lanes[live]
+    last[:, at] = np.stack([x, y, z])[:, live]
+    max_norm[at] = peak[live]
+    return escaped_at <= max_steps, escaped_at, last, max_norm
 
 
 def _verdicts(escaped_at, last, max_norm, max_steps):

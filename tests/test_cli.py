@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -110,6 +111,18 @@ def test_surface_command(tmp_path, capsys):
     ppm = next(p for p in os.listdir(out) if p.endswith(".ppm"))
     data = (out / ppm).read_bytes()
     assert data.startswith(b"P6\n24 48\n255\n")
+
+
+def test_surface_outputs_are_pinned(tmp_path):
+    # reference digests: a faster classifier or writer must keep both files byte for byte
+    out = tmp_path / "surf"
+    assert main(["surface", "--invariant", "0.01", "--resolution", "64",
+                 "--out-dir", str(out)]) == 0
+    digest = lambda name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+    assert digest("surface_V0.01.csv") == (
+        "34d67918f7942efcd861e7f022502676f366f203d72012c3c174a539fe093098")
+    assert digest("surface_V0.01.ppm") == (
+        "0fdd64ccb042aafa62d6e829b4568b04912ec614ea3e447cad3bc6fea4802e9b")
 
 
 def test_surface_rejects_zero_max_steps(tmp_path):

@@ -410,14 +410,21 @@ def test_half_trace_grid_bitwise_equals_loop(text, k):
     s = parse_substitution(text)
     recipe = st.recipe_from_substitution(s)
     saturated = 0
+    # E = +-1e200 start the orbit at x = inf (p > 0) or -inf (p < 0), E = +-inf and NaN at NaN
+    non_finite = [-np.inf, -1e200, 1e200, np.inf, np.nan]
+    starts = set()
     for params in (st.JacobiParams(1.0, 2.0), st.JacobiParams(-1.3, 0.7)):
         lo, hi = default_energy_range(params)
-        E = np.linspace(lo - 1.0, hi + 1.0, 4097)
-        for level in (0, 1, k // 2, k):
-            got = half_trace_grid(recipe, params, E, level)
-            assert got.tobytes() == half_trace_loop(recipe, params, E, level).tobytes()
-            saturated += int(np.sum(np.abs(got) == SATURATION))
-    assert saturated > 0
+        E = np.concatenate([np.linspace(lo - 1.0, hi + 1.0, 4097), non_finite])
+        with np.errstate(over="ignore", invalid="ignore"):
+            starts.update(map(repr, initial_conditions_grid(params, E)[0][-5:].tolist()))
+            for level in (0, 1, k // 2, k):
+                got = half_trace_grid(recipe, params, E, level)
+                assert got.tobytes() == half_trace_loop(recipe, params, E, level).tobytes()
+                assert half_trace_grid(recipe, params, E[2048], level) == got[2048]  # scalar E
+                saturated += int(np.sum(np.abs(got) == SATURATION))
+        assert np.isnan(got[-5:]).any()
+    assert saturated > 0 and {"inf", "-inf", "nan"} <= starts
 
 
 def test_free_case_closes_every_gap():

@@ -12,6 +12,7 @@ from sturmtrace.substitution import Substitution, periodic_word
 from sturmtrace.tracemap import (
     OrbitVerdict,
     TraceMapRecipe,
+    _verdicts,
     apply_period,
     apply_period_inverse,
     classify,
@@ -256,6 +257,42 @@ def test_classify_equals_scalar_loop():
                 assert repr(got) == repr(want), (rec, p)  # repr: exact, NaN-safe
                 kinds.add((got.kind, math.isinf(got.max_norm)))
     assert kinds == {("escaped", True), ("escaped", False), ("bounded-so-far", False)}
+
+
+def test_mixed_batch_equals_scalar_loop():
+    # one call whose lanes leave the working set at different steps
+    rng = np.random.default_rng(33)
+    points = [tuple(rng.uniform(-3, 3, size=3)) for _ in range(150)]
+    points += [tuple(rng.uniform(-12, 12, size=3)) for _ in range(50)]
+    points += [torus_point(*rng.uniform(0, 1, size=2)) for _ in range(60)]
+    points += [(1e200, 1e200, 1e200), (1e160, -1e160, 3.0), (2.0, 1e300, -1e300),
+               (1e100, 1e100, 1e100), (1e60, 1e60, 1e60), (math.inf, 0.5, 0.5),
+               (0.5, -math.inf, 2.0), (math.nan, 0.2, 0.3), (1.5, 2.0, math.nan),
+               (1.0, 1.0, 1.0)]
+    points = [points[i] for i in rng.permutation(len(points))]
+    lanes = np.array(points).T
+    recipes = [st.recipe_from_substitution(st.FIBONACCI), TraceMapRecipe(period=(2, 1)),
+               TraceMapRecipe(period=(1, 3), swapped_start=False)]
+    escape_steps = set()
+    for rec in recipes:
+        for max_steps in (1, 2, 3, 5, 40):
+            escaped, at, last, max_norm = classify_batch(rec, *lanes, max_steps=max_steps)
+            want = [classify_loop(rec, p, max_steps, 1e3) for p in points]
+            got = _verdicts(at, last, max_norm, max_steps)
+            for g, w, p in zip(got, want, points):
+                assert repr(g) == repr(w), (rec, max_steps, p)  # repr: exact, NaN-safe
+            want_at = np.array([w.steps_used if w.kind == "escaped" else max_steps + 1
+                                for w in want])
+            assert np.array_equal(at, want_at)
+            assert np.array_equal(escaped, want_at <= max_steps)
+            assert np.array_equal(last, np.array([w.last_point for w in want]).T,
+                                  equal_nan=True)
+            assert np.array_equal(max_norm, np.array([w.max_norm for w in want]),
+                                  equal_nan=True)
+            escape_steps.update(at[escaped].tolist())
+            if max_steps == 40:
+                assert (~escaped).sum() >= 10  # bounded torus points stay in the batch
+    assert {1, 2, 3, 4}.issubset(escape_steps) and max(escape_steps) > 5
 
 
 @pytest.mark.parametrize("text", ["0->01;1->0", "0->001;1->0", "0->1;1->10", "0->1;1->01"])
