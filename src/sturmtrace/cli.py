@@ -7,6 +7,7 @@ success, 2 on usage errors, 1 on computation errors.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from .jacobi import JacobiParams
 from .rotation import rotation_number, scan_beta
 from .spectrum import (default_energy_range, dynamical_spectrum_probe, floquet_bands,
                        gaps_with_labels)
-from .substitution import fixed_point_prefix, parse_substitution
+from .substitution import SubstitutionError, fixed_point_prefix, parse_substitution
 from .tracemap import MAX_STEPS_BANDS, recipe_from_substitution, surface_section
 
 F17 = lambda x: format(float(x), ".17g")
@@ -300,7 +301,9 @@ def _add_common(sp, with_params=True, with_level=False, with_tol=False):
         sp.add_argument("--tol", type=float, default=None, help="band edge tolerance")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     ap = argparse.ArgumentParser(prog="sturmtrace",
                                  description="substitution Jacobi spectra via trace maps")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -363,10 +366,7 @@ def build_parser():
 
 
 def main(argv=None):
-    from .substitution import SubstitutionError
-
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (SubstitutionError, UsageError) as exc:

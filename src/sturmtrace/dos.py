@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jacobi import _block_count_below
+from .spectrum import default_energy_range
 from .substitution import _prefix_blocks
 
 
@@ -152,8 +153,6 @@ def dos_dimension_summary(s, params, sample_count, L, seed=0, eps_max=None, n_sc
     """
     if sample_count < 1:
         raise ValueError("need sample_count >= 1")
-    from .spectrum import default_energy_range
-
     lo, hi = default_energy_range(params)
     counter = ids_counter(s, params, L)
     table = _table(counter, np.linspace(lo, hi, 4097))

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dos import _loglog_fit, ids
+from .dos import _loglog_fit
 from .jacobi import JacobiParams, decoupled_block_spectrum
-from .spectrum import (BandSet, _band_pairs, floquet_bands, gaps_with_labels, hausdorff_distance,
-                       restrict_bands)
+from .spectrum import (BandSet, _band_pairs, floquet_bands, gap_index_for_label,
+                       hausdorff_distance, restrict_bands)
 from .substitution import FIBONACCI, fixed_point_prefix
 
 
@@ -212,40 +212,29 @@ class GapRateResult:
 def gap_opening_rate(s, path, t_list, label_m, k=10):
     """Track one labeled gap along a parameter path toward (1, 0).
 
-    ``path`` maps t to (p, q); the gap is identified at every t by its
-    IDS label (band order is not stable under perturbation, labels
-    are), read from an L = 1597 truncation with |m| <= 34 and tolerance
-    2/L.  Ratios |gap| / ||(p,q) - (1,0)|| are reported together with
-    the relative spread over the last three t values (<= 10% counts as
-    stable).
+    ``path`` maps t to (p, q).  At every t the gap is named by its band
+    count: label m is gap j = m q_{k-1} mod q_k of the level-k band set
+    (see :func:`~sturmtrace.spectrum.gap_index_for_label`), and the
+    wider of the gaps of m and -m is tracked.  The band set must be
+    complete (q_k bands), else ValueError.  Ratios
+    |gap| / ||(p,q) - (1,0)|| are reported together with the relative
+    spread over the last three t values (<= 10% counts as stable).
     """
-    from .rotation import rotation_number
-
-    L = 1597
     t_values = sorted((float(t) for t in t_list), reverse=True)
     if not t_values:
         raise ValueError("need at least one t value")
-    alpha = rotation_number(s).alpha
     widths, ratios = [], []
     for t in t_values:
         if t == 0:
             raise ValueError("t = 0 is the unperturbed point; rate undefined")
         p, q = path(t)
-        params = JacobiParams(float(p), float(q))
-        bands = floquet_bands(s, params, k)
-        lo, hi = bands.hull()
-        pad = 0.05 * (hi - lo)
-        # labels read the IDS at gap midpoints only
-        mids = [0.5 * (g[0] + g[1]) for g in bands.gaps()]
-        table = ids(s, params, L, np.unique([lo - pad, hi + pad] + mids))
-        labeled = gaps_with_labels(bands, table, alpha, m_max=34, tol=2.0 / L)
-        match = [g for g in labeled if g.label_m is not None and abs(g.label_m) == abs(label_m)]
-        if not match:
-            raise RuntimeError("no gap with label |m| = %d at t = %g" % (abs(label_m), t))
-        gap = max(match, key=lambda g: g.width)
+        bands = floquet_bands(s, JacobiParams(float(p), float(q)), k)
+        gaps = bands.gaps()
+        named = [gaps[gap_index_for_label(s, bands, m) - 1] for m in (label_m, -label_m)]
+        width = max(hi - lo for lo, hi in named)
         dist = math.hypot(p - 1.0, q)
-        widths.append(gap.width)
-        ratios.append(gap.width / dist)
+        widths.append(width)
+        ratios.append(width / dist)
     last = np.array(ratios[-3:]) if len(ratios) >= 3 else np.array(ratios)
     spread = float((last.max() - last.min()) / abs(np.mean(last)))
     return GapRateResult(tuple(t_values), tuple(widths), tuple(ratios),

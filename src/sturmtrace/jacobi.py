@@ -172,11 +172,14 @@ def eigen_count_below_grid(spec, E):
 
     Shifted LDL^T pivots of (A - E); negative pivots count eigenvalues
     below E, with zero and NaN pivots set to -1e-300 so exact hits land
-    on the "<=" side.  A zero off-diagonal restarts the recursion (block
-    splitting), so degenerate p = 0 chains are handled exactly.  The
-    site loop works in place on buffers allocated once, so a step costs
-    a fixed handful of ufunc calls whatever the number of energies:
-    batch energies into one call rather than making many small ones.
+    on the "<=" side.  An exact zero pivot inside the chain can still put
+    an exact hit on the "<" side (``0->100;1->10``, L = 100, p = q = 1:
+    E = -1 counts 26, not 27).  A zero off-diagonal restarts the
+    recursion (block splitting), so degenerate p = 0 chains are handled
+    exactly.  The site loop works in place on buffers allocated once, so
+    a step costs a fixed handful of ufunc calls whatever the number of
+    energies: batch energies into one call rather than making many small
+    ones.
     """
     E = np.asarray(E, dtype=float)
     d = np.empty(E.shape)

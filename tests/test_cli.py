@@ -180,6 +180,28 @@ def test_scan_at_unit_coupling_and_without_t_values(tmp_path, capsys):
     assert "error: need at least one t value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--values", "1e-9", "--level", "12"], "labels undefined"),   # 1 band, 376 closed gaps
+    (["--values", "0.4", "--label-m", "13", "--level", "5"], "has no gap at level 5"),
+])
+def test_scan_gap_rate_without_its_gap_is_a_computation_error(tmp_path, capsys, flags, message):
+    out = tmp_path / "gr"
+    assert main(["scan", FIB, "--kind", "gap_rate", "--out-dir", str(out)] + flags) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    argv = ["scan", FIB, "--kind", "gap_rate", "--values", "0.4,0.2", "--level", "6",
+            "--out-dir", str(tmp_path)]
+    runs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        runs.append((capsys.readouterr().out, (tmp_path / "scan_gap_rate.csv").read_bytes()))
+    assert runs[0] == runs[1]
+
+
 def test_repeat_runs_byte_identical(tmp_path):
     outs = []
     for name in ("r1", "r2"):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -212,6 +213,36 @@ def test_ids_counter_exact_hits_land_on_the_le_side(L, E, counts):
     assert np.rint(got).astype(int).tolist() == counts
     spec = dirichlet_restriction(params, fixed_point_prefix(ALL_ZERO, L))
     assert eigen_count_below_grid(spec, np.array(E)).tolist() == counts
+
+
+def exact_count_below(spec, x):
+    """Eigenvalues below the rational x, by a Sturm count in exact rationals."""
+    bonds = [0.0] + list(spec.offdiag[1:])
+    d, negative = None, 0
+    for a, b in zip(spec.diag, bonds):
+        d = Fraction(a) - x - (Fraction(b) ** 2 / d if b else 0)
+        negative += d < 0
+    return negative
+
+
+# E = -1 is an eigenvalue, and the Sturm recursion meets an exact zero pivot inside the chain
+EXACT_HIT = (parse_substitution("0->100;1->10"), st.JacobiParams(1.0, 1.0), 100, -1.0)
+
+
+def test_ids_counter_counts_an_interior_zero_pivot_hit():
+    s, params, L, E = EXACT_HIT
+    spec = dirichlet_restriction(params, fixed_point_prefix(s, L))
+    step = Fraction(1, 10 ** 40)
+    assert exact_count_below(spec, Fraction(E) - step) == 26
+    assert exact_count_below(spec, Fraction(E) + step) == 27   # the "<=" count at E
+    assert ids_counter(s, params, L)(E) * L == 27
+
+
+@pytest.mark.xfail(strict=True, reason="the -1e-300 pivot does not reproduce the E + 0 limit")
+def test_sturm_loop_counts_an_interior_zero_pivot_hit():
+    s, params, L, E = EXACT_HIT
+    spec = dirichlet_restriction(params, fixed_point_prefix(s, L))
+    assert eigen_count_below_grid(spec, np.array([E])).tolist() == [27]
 
 
 def test_ids_counter_errors_unchanged():

@@ -5,6 +5,7 @@ import pytest
 
 import sturmtrace as st
 from sturmtrace.fractal import box_count, box_dimension, restrict_bands, thickness
+from sturmtrace.spectrum import combinatorial_gap_label
 
 
 def middle_thirds(level, lo=0.0, hi=1.0):
@@ -238,6 +239,86 @@ def test_gap_opening_rate_smoke():
     res = st.gap_opening_rate(st.FIBONACCI, lambda t: (1.0, t), [0.4, 0.2], label_m=1, k=8)
     assert len(res.ratios) == 2
     assert all(r > 0 for r in res.ratios)
+
+
+def ids_reference_width(s, path, t, label_m, k):
+    """Width of the |label_m| gap as read from an IDS truncation, or None.
+
+    The selection gap_opening_rate made before it named gaps by band
+    count: IDS at the gap midpoints of an L = 1597 truncation, labels
+    frac(m alpha) with |m| <= 34 matched within 2/L, widest match.
+    """
+    L = 1597
+    p, q = path(t)
+    params = st.JacobiParams(float(p), float(q))
+    bands = st.floquet_bands(s, params, k)
+    lo, hi = bands.hull()
+    pad = 0.05 * (hi - lo)
+    mids = [0.5 * (g[0] + g[1]) for g in bands.gaps()]
+    table = st.ids(s, params, L, np.unique([lo - pad, hi + pad] + mids))
+    labeled = st.gaps_with_labels(bands, table, st.rotation_number(s).alpha, m_max=34,
+                                  tol=2.0 / L)
+    widths = [g.width for g in labeled if g.label_m is not None and abs(g.label_m) == abs(label_m)]
+    return max(widths) if widths else None
+
+
+GAP_RATE_PATHS = {"(1, t)": lambda t: (1.0, t), "(1 + t, t)": lambda t: (1.0 + t, t)}
+
+
+@pytest.mark.parametrize("path_name", sorted(GAP_RATE_PATHS))
+@pytest.mark.parametrize("k", [6, 8, 10])
+def test_gap_opening_rate_equals_the_ids_reference(k, path_name):
+    path = GAP_RATE_PATHS[path_name]
+    compared = 0
+    for m in (1, 2, 3, 5):
+        res = st.gap_opening_rate(st.FIBONACCI, path, [0.4, 0.1], label_m=m, k=k)
+        for t, width, ratio in zip(res.t_values, res.widths, res.ratios):
+            ref = ids_reference_width(st.FIBONACCI, path, t, m, k)
+            if ref is None:
+                continue  # the truncation cannot resolve this label
+            p, q = path(t)
+            assert width == ref and ratio == ref / math.hypot(p - 1.0, q)
+            compared += 1
+    assert compared >= 4   # the reference resolves at least half of the 8 cases
+
+
+def test_gap_opening_rate_needs_no_ids(monkeypatch):
+    path = lambda t: (1.0, t)
+    t_list = [0.4, 0.2, 0.1, 0.05]
+    ref = [ids_reference_width(st.FIBONACCI, path, t, 1, 10) for t in t_list]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gap_opening_rate evaluated the IDS")
+
+    monkeypatch.setattr("sturmtrace.dos.ids_counter", refuse)
+    res = st.gap_opening_rate(st.FIBONACCI, path, t_list, label_m=1, k=10)
+    assert list(res.widths) == ref
+    assert res.stable
+
+
+@pytest.mark.parametrize("text, k, m, t_list", [
+    ("0->1;1->10", 4, 1, [0.1, 0.05]),
+    ("0->01;1->0", 12, 40, [0.4, 0.2]),   # |m| past the truncation's 34
+])
+def test_gap_opening_rate_where_the_ids_match_fails(text, k, m, t_list):
+    s, path = st.parse_substitution(text), lambda t: (1.0, t)
+    res = st.gap_opening_rate(s, path, t_list, label_m=m, k=k)
+    for t, width in zip(res.t_values, res.widths):
+        assert ids_reference_width(s, path, t, m, k) is None
+        bands = st.floquet_bands(s, st.JacobiParams(*path(t)), k)
+        # the widest gap whose band-count label is +-m
+        assert width == max(hi - lo for j, (lo, hi) in enumerate(bands.gaps(), 1)
+                            if abs(combinatorial_gap_label(s, bands, j)) == m)
+
+
+def test_gap_opening_rate_errors_name_the_missing_gap():
+    path = lambda t: (1.0, t)
+    # at q = 1e-9 the level-12 set is 1 band and 376 closed gaps
+    with pytest.raises(ValueError, match="labels undefined"):
+        st.gap_opening_rate(st.FIBONACCI, path, [1e-9], label_m=1, k=12)
+    # q_5 = 13: label 13 names no gap
+    with pytest.raises(ValueError, match="label m = 13 has no gap at level 5"):
+        st.gap_opening_rate(st.FIBONACCI, path, [0.4], label_m=13, k=5)
 
 
 def test_p_to_zero_reference_and_trend():
