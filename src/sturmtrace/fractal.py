@@ -7,13 +7,19 @@ inside [4 * smallest band, hull / 4] whenever the set has gaps: below
 the smallest band every finite band union looks one-dimensional, so
 scales finer than the approximation are excluded rather than reported.
 
-Thickness: gaps are removed in order of decreasing length; each removal
-compares the gap against the two bridges flanking it at removal time,
-and the thickness is the worst bridge/gap ratio.  For the middle-thirds
-Cantor construction every bridge equals its gap, giving exactly 1.
+Thickness: gaps are removed in order of decreasing length (equal
+lengths left to right); each removal compares the gap against the two
+bridges flanking it at removal time, and the thickness is the worst
+bridge/gap ratio.  A gap's bridges end at the nearest larger gaps on
+either side, so two monotone-stack passes over the gaps in band order
+find them in linear time: the left bridge ends at the upper end of the
+nearest gap to the left at least as long, the right bridge at the lower
+end of the nearest gap to the right strictly longer, and the hull ends
+where there is none.  Gaps of length <= 0 (touching bands) are ignored.
+For the middle-thirds Cantor construction every bridge equals its gap,
+giving exactly 1.
 """
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -21,8 +27,8 @@ import numpy as np
 
 from .dos import _loglog_fit
 from .jacobi import JacobiParams, decoupled_block_spectrum
-from .spectrum import (BandSet, _band_pairs, floquet_bands, gap_index_for_label,
-                       hausdorff_distance, restrict_bands)
+from .spectrum import floquet_bands, gap_index_for_label, hausdorff_distance
+from .spectrum import restrict_bands  # noqa: F401  (re-exported)
 from .substitution import FIBONACCI, fixed_point_prefix
 
 
@@ -38,6 +44,11 @@ class DimensionEstimate:
 @dataclass(frozen=True)
 class ThicknessEstimate:
     value: float
+
+
+def _edges(bands):
+    """The band edges of a BandSet, a pair sequence or an edge array, as an (n, 2) float array."""
+    return np.asarray(getattr(bands, "bands", bands), dtype=float).reshape(-1, 2)
 
 
 def _count_boxes(edges, eps):
@@ -58,7 +69,7 @@ def box_count(bands, eps):
     integer array of the same shape).  Box indices are int64, so every
     |edge| / eps must stay below 2**63.
     """
-    edges = np.asarray(_band_pairs(bands), dtype=float).reshape(-1, 2)
+    edges = _edges(bands)
     e = np.asarray(eps, dtype=float)
     # one scale at a time keeps every temporary the size of the band set
     counts = np.array([_count_boxes(edges, x) for x in e.ravel().tolist()], dtype=np.int64)
@@ -72,15 +83,18 @@ def box_dimension(bands, scales=None):
     rejected.  The default ladder halves from hull/4 down to the
     validity floor (at least five scales).
     """
-    band_list = _band_pairs(bands)
-    if not band_list:
+    return _box_dimension(_edges(bands), getattr(bands, "edge_tol", 0.0), scales)
+
+
+def _box_dimension(edges, edge_tol, scales=None):
+    """:func:`box_dimension` of sorted (n, 2) band edges."""
+    if not len(edges):
         raise ValueError("empty band set")
-    hull = band_list[-1][1] - band_list[0][0]
+    hull = float(edges[-1, 1] - edges[0, 0])
     if hull <= 0:
         raise ValueError("degenerate hull")
-    smallest = min(b - a for a, b in band_list)
-    edge_tol = getattr(bands, "edge_tol", 0.0)
-    if len(band_list) == 1:
+    smallest = float((edges[:, 1] - edges[:, 0]).min())
+    if len(edges) == 1:
         floor = hull / 2 ** 8
     else:
         floor = max(4.0 * smallest, 100.0 * edge_tol, hull * 2 ** -46)
@@ -107,11 +121,11 @@ def box_dimension(bands, scales=None):
     if len(scales) < 5:
         raise ValueError("need at least 5 scales")
     eps = np.array(sorted(scales))
-    counts = box_count(band_list, eps).astype(float)
-    if default_ladder and len(band_list) > 1:
+    counts = box_count(edges, eps).astype(float)
+    if default_ladder and len(edges) > 1:
         # fit the resolved mid-regime: enough boxes to see structure, but
         # not so many that the finite-level approximation is exhausted
-        mask = (counts >= 12) & (counts <= 0.7 * len(band_list))
+        mask = (counts >= 12) & (counts <= 0.7 * len(edges))
         if mask.sum() >= 5:
             eps, counts = eps[mask], counts[mask]
     slope, stderr = _loglog_fit(np.log(1.0 / eps), np.log(counts))
@@ -119,32 +133,42 @@ def box_dimension(bands, scales=None):
     return DimensionEstimate(value, stderr, float(eps[0]), float(eps[-1]), int(eps.size))
 
 
+def _nearest_at_least(widths, order, strict):
+    """Per gap, the index of the nearest gap before it in ``order`` that is
+    at least as long (strictly longer if ``strict``), or -1; gaps of
+    length <= 0 are neither looked up nor found."""
+    out = [-1] * len(widths)
+    stack = []  # candidate indices, lengths decreasing from bottom to top
+    for i in order:
+        w = widths[i]
+        if w <= 0:
+            continue
+        while stack and (widths[stack[-1]] <= w if strict else widths[stack[-1]] < w):
+            stack.pop()
+        if stack:
+            out[i] = stack[-1]
+        stack.append(i)
+    return out
+
+
 def thickness(bands):
     """Newhouse thickness with gaps ordered by decreasing length."""
-    band_list = _band_pairs(bands)
-    if not band_list:
+    edges = _edges(bands)
+    if not len(edges):
         raise ValueError("empty band set")
-    gaps = [(b1, a2) for (_, b1), (a2, _) in zip(band_list, band_list[1:])]
-    if not gaps:
+    lo, hi = edges[:-1, 1], edges[1:, 0]
+    width = hi - lo
+    positive = width > 0
+    if not positive.any():
         return ThicknessEstimate(math.inf)
-    hull_lo, hull_hi = band_list[0][0], band_list[-1][1]
-    gaps.sort(key=lambda g: (g[1] - g[0]), reverse=True)
-    cuts = [hull_lo, hull_hi]
-    tau = math.inf
-    for lo, hi in gaps:
-        width = hi - lo
-        i = bisect.bisect_right(cuts, lo)
-        left_bridge = lo - cuts[i - 1]
-        j = bisect.bisect_left(cuts, hi)
-        right_bridge = cuts[j] - hi
-        if width > 0:
-            tau = min(tau, left_bridge / width, right_bridge / width)
-        else:
-            # zero-width gap between numerically touching bands: ignore
-            continue
-        bisect.insort(cuts, lo)
-        bisect.insort(cuts, hi)
-    return ThicknessEstimate(float(tau))
+    widths = width.tolist()
+    n = len(widths)
+    # index -1 reads the hull end appended after the gaps
+    left_cut = np.append(hi, edges[0, 0])[_nearest_at_least(widths, range(n), strict=False)]
+    right_cut = np.append(lo, edges[-1, 1])[_nearest_at_least(widths, range(n - 1, -1, -1),
+                                                              strict=True)]
+    bridge = np.minimum(lo - left_cut, right_cut - hi)
+    return ThicknessEstimate(float((bridge[positive] / width[positive]).min()))
 
 
 def local_dimension_profile(s, params, k, window_count, bands=None):
@@ -160,16 +184,19 @@ def local_dimension_profile(s, params, k, window_count, bands=None):
         bands = floquet_bands(s, params, k)
     lo, hi = bands.hull()
     width = (hi - lo) / window_count
+    edges = _edges(bands)
     out = []
     for i in range(window_count):
         w_lo, w_hi = lo + i * width, lo + (i + 1) * width
-        chunk = restrict_bands(bands.bands, w_lo, w_hi)
+        # the bands clipped to the window, as restrict_bands clips them
+        a, b = np.maximum(edges[:, 0], w_lo), np.minimum(edges[:, 1], w_hi)
+        keep = b >= a
         center = 0.5 * (w_lo + w_hi)
-        if len(chunk) < 2 and window_count > 1:
+        if keep.sum() < 2 and window_count > 1:
             out.append((center, None))
             continue
-        est = box_dimension(BandSet(chunk, edge_tol=bands.edge_tol))
-        out.append((center, est))
+        out.append((center, _box_dimension(np.stack([a[keep], b[keep]], axis=1),
+                                           bands.edge_tol)))
     return out
 
 

@@ -444,7 +444,8 @@ def gap_index_for_label(s, bands, m):
 def gaps_with_labels(bands, ids_table, alpha, m_max=34, tol=1e-3):
     """Label spectral gaps with IDS plateau values matched to frac(m alpha).
 
-    Each interior gap gets the IDS value at its midpoint; the nearest
+    Each interior gap gets the IDS table's step value at its midpoint
+    (the value at the last grid point <= the midpoint); the nearest
     label frac(m alpha), |m| <= m_max (ties to smaller |m|), is attached
     when it lies within ``tol``, otherwise label_m stays None.
     """
@@ -456,7 +457,11 @@ def gaps_with_labels(bands, ids_table, alpha, m_max=34, tol=1e-3):
     lam, m = lam[order], m[order]
     first = np.concatenate([[True], lam[1:] != lam[:-1]])
     lam, m = lam[first], m[first]
-    values = np.array([float(ids_table.value_at(0.5 * (g_lo + g_hi))) for g_lo, g_hi in gaps])
+    mids = np.array([0.5 * (g_lo + g_hi) for g_lo, g_hi in gaps], dtype=float)
+    # the table's step value at each midpoint, as IdsTable.value_at looks it up
+    step = np.maximum(np.searchsorted(np.asarray(ids_table.e_grid, dtype=float), mids,
+                                      side="right") - 1, 0)
+    values = np.asarray(ids_table.n_values, dtype=float)[step]
     # the nearest label is a neighbour of the value in sorted order; equal
     # distances go to the smaller |m|, then to the smaller m
     hi = np.minimum(np.searchsorted(lam, values), lam.size - 1)

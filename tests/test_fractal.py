@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import sturmtrace as st
 from sturmtrace.fractal import box_count, box_dimension, restrict_bands, thickness
-from sturmtrace.spectrum import combinatorial_gap_label
+from sturmtrace.spectrum import BandSet, combinatorial_gap_label
 
 
 def middle_thirds(level, lo=0.0, hi=1.0):
@@ -146,6 +147,69 @@ def test_thickness_examples():
     assert thickness(integer_middle_thirds(8)).value == 1.0  # exact
 
 
+def thickness_by_insort(bands):
+    """The insort thickness that the nearest-larger-gap passes replaced, kept as their oracle."""
+    band_list = tuple(getattr(bands, "bands", bands))
+    gaps = [(b1, a2) for (_, b1), (a2, _) in zip(band_list, band_list[1:])]
+    hull_lo, hull_hi = band_list[0][0], band_list[-1][1]
+    gaps.sort(key=lambda g: (g[1] - g[0]), reverse=True)  # stable: equal lengths left first
+    cuts = [hull_lo, hull_hi]
+    tau = math.inf
+    for lo, hi in gaps:
+        width = hi - lo
+        if width <= 0:
+            continue  # touching bands
+        left_bridge = lo - cuts[bisect.bisect_right(cuts, lo) - 1]
+        right_bridge = cuts[bisect.bisect_left(cuts, hi)] - hi
+        tau = min(tau, left_bridge / width, right_bridge / width)
+        bisect.insort(cuts, lo)
+        bisect.insort(cuts, hi)
+    return float(tau)
+
+
+def random_band_set(rng):
+    """Sorted bands of integer lengths, with tied gap lengths, zero-length
+    gaps and point bands a == b; half of them moved off the integers."""
+    n = int(rng.integers(1, 80))
+    lengths = rng.choice([1, 2, 3], size=n).tolist()
+    if rng.random() < 0.3:
+        lengths[int(rng.integers(n))] = 0  # one point band
+    gaps = rng.choice([0, 1, 2, 3, 5], size=n, p=[0.1, 0.3, 0.3, 0.2, 0.1]).tolist()
+    bands, x = [], 0
+    for length, gap in zip(lengths, gaps):
+        bands.append((x, x + length))
+        x += length + gap
+    scale, shift = (rng.uniform(0.01, 3.0), rng.uniform(-5.0, 5.0)) if rng.random() < 0.5 else (1, 0)
+    return tuple((float(scale * a + shift), float(scale * b + shift)) for a, b in bands)
+
+
+def test_thickness_equals_insort_on_seeded_band_sets():
+    rng = np.random.default_rng(13)
+    values = []
+    for _ in range(300):
+        bands = random_band_set(rng)
+        values.append(thickness(bands).value)
+        assert values[-1] == thickness_by_insort(bands)
+    # the sets reach every branch: no gaps, touching bands, zero and finite thickness
+    assert math.inf in values and 0.0 in values
+    assert sum(0.0 < v < math.inf for v in values) >= 50
+
+
+@pytest.mark.parametrize("text, p, q, k", [("0->01;1->0", 1.0, 0.2, 10),
+                                           ("0->01;1->0", 1.0, 1.0, 10),
+                                           ("0->01;1->0", 1.0, 16.0, 10),
+                                           ("0->001;1->0", 1.5, 1.0, 7)])
+def test_thickness_equals_insort_on_solver_band_sets(text, p, q, k):
+    kw = {"tol": 3e-14, "merge_tol": 2e-13} if q > 4 else {}
+    bands = st.floquet_bands(st.parse_substitution(text), st.JacobiParams(p, q), k, **kw)
+    assert thickness(bands).value == thickness_by_insort(bands)
+
+
+def test_thickness_deep_middle_thirds_is_one():
+    # 65536 bands: about 0.1 s with the linear passes, about 1 s with one insort per gap
+    assert thickness(integer_middle_thirds(16)).value == 1.0
+
+
 def test_thickness_affine_invariance():
     bands = middle_thirds(7)
     base = thickness(bands).value
@@ -205,6 +269,38 @@ def test_local_profile_single_window_is_global():
     assert len(profile) == 1
     global_est = box_dimension(bands)
     assert abs(profile[0][1].value - global_est.value) < 1e-12
+
+
+def profile_by_restrict(bands, window_count):
+    """The profile that clipped each window to a validated BandSet, kept as its oracle."""
+    lo, hi = bands.hull()
+    width = (hi - lo) / window_count
+    out = []
+    for i in range(window_count):
+        w_lo, w_hi = lo + i * width, lo + (i + 1) * width
+        chunk = restrict_bands(bands.bands, w_lo, w_hi)
+        center = 0.5 * (w_lo + w_hi)
+        if len(chunk) < 2 and window_count > 1:
+            out.append((center, None))
+        else:
+            out.append((center, box_dimension(BandSet(chunk, edge_tol=bands.edge_tol))))
+    return out
+
+
+@pytest.mark.parametrize("window_count", [1, 6, 13])
+def test_local_profile_equals_restrict_reference(window_count):
+    solved = [st.floquet_bands(st.FIBONACCI, st.JacobiParams(1.0, 2.0), 10),
+              st.floquet_bands(st.parse_substitution("0->001;1->0"), st.JacobiParams(1.5, 1.0), 7)]
+    # two clusters far apart, so that some windows hold one band or none,
+    # and a point band that a clip must keep
+    sparse = BandSet(middle_thirds(5, 0.0, 1.0) + ((1.05, 1.05), (3.1, 3.2))
+                     + middle_thirds(5, 10.0, 11.0))
+    nones = 0
+    for bands in solved + [sparse]:
+        profile = st.local_dimension_profile(None, None, bands.level, window_count, bands=bands)
+        assert profile == profile_by_restrict(bands, window_count)
+        nones += sum(est is None for _, est in profile)
+    assert (nones > 0) == (window_count > 1)
 
 
 def test_restrict_bands():

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st_h
 
 import sturmtrace as st
 import sturmtrace.spectrum as spectrum_mod
+from sturmtrace.dos import IdsTable
 from sturmtrace.jacobi import half_trace, initial_conditions_grid, word_transfer
 from sturmtrace.spectrum import (
     SATURATION,
@@ -219,7 +220,7 @@ def test_combinatorial_labels_roundtrip():
 
 
 def test_gaps_with_labels_synthetic():
-    table = type("T", (), {"value_at": lambda self, E: 0.5})()
+    table = IdsTable((0.0, 1.0), (0.5, 0.5), 10)  # 0.5 at every energy
     single = BandSet(((0.0, 1.0),), level=1)
     assert st.gaps_with_labels(single, table, 0.618, m_max=5, tol=0.1) == []
     two = BandSet(((0.0, 1.0), (2.0, 3.0)), level=1)
@@ -249,14 +250,34 @@ def _labels_by_min(bands, ids_table, alpha, m_max=34, tol=1e-3):
 def test_gap_labels_equal_the_per_gap_min(alpha, m_max):
     rng = np.random.default_rng(m_max)
     lam = sorted({math.fmod(m * alpha, 1.0) % 1.0 for m in range(-m_max, m_max + 1)})
-    values = np.concatenate([rng.uniform(-0.2, 1.2, 300), lam,
-                             [0.5 * (a + b) for a, b in zip(lam, lam[1:])],  # exact ties
-                             [-1.0, 2.0, 0.0, 1.0]]).tolist()
+    # sorted, so that the values form a (nondecreasing) IDS table
+    values = np.sort(np.concatenate([rng.uniform(-0.2, 1.2, 300), lam,
+                                     [0.5 * (a + b) for a, b in zip(lam, lam[1:])],  # exact ties
+                                     [-1.0, 2.0, 0.0, 1.0]])).tolist()
     bands = BandSet(tuple((2.0 * i, 2.0 * i + 1.0) for i in range(len(values) + 1)), level=1)
-    table = type("T", (), {"value_at": lambda self, E: values[int(E) // 2]})()
+    # gap i is (2i + 1, 2i + 2), and its midpoint is the grid point of values[i]
+    table = IdsTable(tuple(2.0 * i + 1.5 for i in range(len(values))), tuple(values), 10)
     for tol in (0.0, 1e-3, 0.05, 1.0):
         got = st.gaps_with_labels(bands, table, alpha, m_max=m_max, tol=tol)
         assert repr(got) == repr(_labels_by_min(bands, table, alpha, m_max=m_max, tol=tol))
+
+
+@pytest.mark.parametrize("text, p, q, k", [("0->01;1->0", 1.1, 0.3, 8),
+                                           ("0->001;1->0", 1.2, 0.7, 6)])
+def test_gap_labels_equal_the_value_at_loop(text, p, q, k):
+    # one searchsorted over the table's grid gives every gap its value_at step
+    s, params, L = parse_substitution(text), st.JacobiParams(p, q), 987
+    bands = st.floquet_bands(s, params, k)
+    alpha = st.rotation_number(s).alpha
+    mids = [0.5 * (a + b) for a, b in bands.gaps()]
+    # every third midpoint is a grid point, the last is the top one, and the
+    # first lies below the grid, where the lookup clamps to the first value
+    grid = np.unique(np.concatenate([np.linspace(mids[1], mids[-1], 301), mids[1:-1:3]]))
+    assert mids[0] < grid[0] and mids[-1] == grid[-1]
+    table = st.ids(s, params, L, grid)
+    for tol in (0.0, 2.0 / L, 1.0):
+        got = st.gaps_with_labels(bands, table, alpha, tol=tol)
+        assert repr(got) == repr(_labels_by_min(bands, table, alpha, tol=tol))
 
 
 def test_dynamical_probe_examples():
