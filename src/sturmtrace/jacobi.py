@@ -215,7 +215,12 @@ def eigen_count_below_grid(spec, E):
 # orientation and maps the angles ((m - 1/2) pi, (m + 1/2) pi] of (x, y)
 # onto (m pi, (m + 1) pi], so along the lifted angle theta of the pivot
 # vector, started at d = +inf (theta = 0), floor(theta / pi + 1/2) grows
-# by one exactly at each pivot <= 0.  A word's lift is kept as a block
+# by one exactly at each pivot <= 0.  Read one site later, the same map
+# counts all sites but the last: with theta_n the angle after n sites,
+# site n sends theta_(n-1) in ((m - 1/2) pi, (m + 1/2) pi] to theta_n in
+# (m pi, (m + 1) pi], so floor(theta_n / pi) = floor(theta_(n-1) / pi + 1/2)
+# is the count of the first n - 1 sites.  The lift of a whole period
+# word w thus also counts the window w[:-1].  A word's lift is kept as a block
 # (k, t1, x, t2), the map
 #
 #     theta -> k pi + t1 + S_x(t2 + theta),
@@ -345,7 +350,28 @@ def _block_count_below(params, sp, blocks, L, E):
     or NaN counts every site.
     """
     E = np.asarray(E, dtype=float)
-    finite = np.isfinite(E)
+    return _finite_count(_lift_count(_blocks_lift(params, sp, blocks, E)), L, E)
+
+
+def _window_count_below(params, sp, letter, k, L, E):
+    """Dirichlet eigenvalues <= E of the window w[:-1], L = |w| - 1 sites, of w = sp^k(letter).
+
+    The count is floor(theta / pi) of the lift of the whole word (see
+    "lifted pivot maps"): the blocks of k levels and no tail, where
+    spelling the window itself takes a tail of about one block per
+    level (8 to 18 at Fibonacci k = 16, metal-mean k = 10 and
+    0->100;1->10 k = 9).  Ties, infinities and NaN count as in
+    :func:`_block_count_below`.
+    """
+    E = np.asarray(E, dtype=float)
+    return _finite_count(_lift_count(_blocks_lift(params, sp, [(k, letter)], E), 0.0), L, E)
+
+
+def _blocks_lift(params, sp, blocks, E):
+    """Lift of the word spelled by blocks, at E scaled by the largest hopping.
+
+    Non-finite energies are lifted at 0; :func:`_finite_count` sets their counts.
+    """
     # Counts do not change when H and E are divided by the largest hopping.
     # A site with hopping b > 1 keeps its dependence on E only in an angle
     # offset of order 1/b^2, which double precision loses once b^2 nears
@@ -353,7 +379,7 @@ def _block_count_below(params, sp, blocks, L, E):
     # moves onto the "<=" side then lie within a few times 1e-13 * scale
     # of an eigenvalue, a window that grows with |p| (see dos.ids_counter).
     scale = max(abs(params.hopping(c)) for c in "01")
-    e = np.where(finite, E, 0.0) / scale
+    e = np.where(np.isfinite(E), E, 0.0) / scale
     level_blocks = {c: _lift_site(params.potential(c) / scale, abs(params.hopping(c)) / scale, e)
                     for c in "01"}
     level, tail = 0, None
@@ -363,16 +389,25 @@ def _block_count_below(params, sp, blocks, L, E):
             level += 1
         # each block precedes the tail already composed
         tail = level_blocks[c] if tail is None else _lift_compose(tail, level_blocks[c])
-    count = _lift_count(tail)
+    return tail
+
+
+def _finite_count(count, L, E):
+    """count with E = -inf set to 0 and E = +inf or NaN to every one of the L sites."""
+    finite = np.isfinite(E)
     count[~finite] = np.where(E[~finite] < 0.0, 0, L)
     return count
 
 
-def _lift_count(block):
-    """Pivots <= 0 along a block, entered at d = +inf: floor(theta / pi + 1/2)."""
+def _lift_count(block, shift=0.5):
+    """floor(theta / pi + shift) of a block entered at d = +inf (theta rounded up by _TIE_ANGLE).
+
+    With shift 1/2 this counts the pivots <= 0 along the block, with
+    shift 0 those along all its sites but the last.
+    """
     k, t1, x, t2 = block
     phi = t1 + _stretch(x, t2) + _TIE_ANGLE
-    return k + np.floor(phi / np.pi + 0.5).astype(np.int64)
+    return k + np.floor(phi / np.pi + shift).astype(np.int64)
 
 
 def _chain(level_blocks, word):

@@ -20,16 +20,21 @@ sign_j x_k(mu_j) >= 1 and the points increase strictly around it, also
 once the searched points are in place; the sign test alone also passes
 in gaps j+-2, j+-4, ...  Above STERF_MAX_Q nothing is seeded and scipy
 is not imported.  Every lane without a kept point is found by one
-multisection on the Dirichlet count of the window w[:-1], composed from
-lifted substitution blocks in O(k) per energy as in the DOS, whose
-probes all lanes share: a probe with count j-1 or j and
-sign_j x_k >= 1 lies in gap j, and a lane whose count interval shrinks
-to merge_tol is a closed gap, its point refined on the count to double
-resolution.  Points still out of order after the search raise
-BandCountError; they are never sorted into shape.  A gap is also closed
-when |x_k| - 1 <= 1e-12 at its midpoint or it is at most merge_tol wide;
-closed gaps are merged and counted, and a band set that fails
-band_count + closed_gaps == q raises BandCountError.
+multisection on the Dirichlet count of the window w[:-1], whose probes
+all lanes share.  The count is read in O(k) per energy off the lifted
+pivot maps of the whole period w, the blocks s^k(star) (see jacobi.py),
+so the window needs no blocks of its own.  A probe with count j-1 or j
+and sign_j x_k >= 1 lies in gap j.  Where the counts at the ends of an
+interval are j-1 and j, the interval lies between the window's
+eigenvalues in gaps j-1 and j+1, in which x_k has sign -sign_j; there
+sign_j x_k >= 1 alone certifies a probe, and the probes inside are not
+counted.  A lane whose count interval shrinks to merge_tol is a closed
+gap, its point refined on the count to double resolution.  Points
+still out of order after the search raise BandCountError; they are
+never sorted into shape.  A gap is also closed when |x_k| - 1 <= 1e-12
+at its midpoint or it is at most merge_tol wide; closed gaps are merged
+and counted, so band_count + closed_gaps == q, and edges too far out of
+order to merge into bands raise BandCountError.
 """
 
 import math
@@ -37,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobi import _block_count_below, dirichlet_restriction, initial_conditions_grid
-from .substitution import _image_length, _image_prefix_blocks, _image_word
+from .jacobi import _window_count_below, dirichlet_restriction, initial_conditions_grid
+from .substitution import _image_length, _image_word
 from .tracemap import (ESCAPE_NORM_DEFAULT, MAX_STEPS_POINT, _iterate, _verdicts, classify_batch,
                        recipe_from_substitution)
 
@@ -46,8 +51,11 @@ SATURATION = 1e150         # |x| cap of one trace-map step; keeps the sign in ga
 BISECT_ROUNDS = 128        # halvings of a bracket, ample for any tol above 1 ulp
 COUNT_CHUNK = 4096         # energies per lifted-count call of the search
 # sterf seeds the Dirichlet points up to this q; above it the search alone is
-# faster (measured: from q of about 900-1400 at moderate coupling, about 3500
-# at V = 24, whose clustered bands cost the search more probes per lane)
+# faster.  Warm solves, medians of 9, 2-CPU x86 machine: at q = 1393
+# (metal-mean k = 8) the search takes 35 ms against sterf's 41 ms at
+# (p, q) = (1.087, 1.854), but 66 against 46 ms at V = 24, whose clustered
+# bands cost the search more probes per lane; at q = 2584 (Fibonacci
+# k = 16) 50 against 114 ms and 92 against 115 ms.
 STERF_MAX_Q = 1500
 CLOSED_GAP_EXCESS = 1e-12  # a gap with |x_k(midpoint)| - 1 at most this is closed
 
@@ -208,7 +216,8 @@ def _runs(n):
 
 def _counts(count, E):
     """count(E) taken COUNT_CHUNK energies at a time."""
-    return np.concatenate([count(E[i:i + COUNT_CHUNK]) for i in range(0, E.size, COUNT_CHUNK)])
+    return np.concatenate([count(E[i:i + COUNT_CHUNK]) for i in range(0, E.size, COUNT_CHUNK)]
+                          or [np.zeros(0, dtype=np.int64)])
 
 
 def _search(x, count, mu, sign, j, merge_tol):
@@ -219,11 +228,18 @@ def _search(x, count, mu, sign, j, merge_tol):
     mu[j-1], mu[j+1]; an interval (P_i, P_i+1) holds the open lanes j
     with C_i < j <= C_i+1, whose eigenvalue of the window it brackets.
     Each round every interval holding n > 0 open lanes gets min(15, 2n+1)
-    evenly spaced probes, counted and evaluated in one batch.  A probe
-    with count c and |x_k| >= 1 lies in gap c or gap c+1, and the sign of
-    x_k tells which: it ends that lane (the certificate: count in
-    {j-1, j} and sign_j x_k >= 1) if its interval holds the lane, so a
-    miscounted probe cannot end a lane held elsewhere.  When an interval
+    evenly spaced probes, and x_k is evaluated at all of them in one
+    batch.  An interval with C_i+1 - C_i = 1 holds one lane j and lies
+    between the window's eigenvalues in gaps j-1 and j+1, gaps in which
+    x_k carries -sign_j; so a probe strictly inside it with
+    sign_j x_k >= 1 is in gap j.  The lowest such probe ends the lane if
+    it is not closed, and the interval's inner probes are not counted
+    (the sign certificate: the count certificate would accept the same
+    probe).  The remaining probes are counted in one batch.  A probe
+    with count c and |x_k| >= 1 lies in gap c or gap c+1, and the sign
+    of x_k tells which: it ends that lane (the count certificate: count
+    in {j-1, j} and sign_j x_k >= 1) if its interval holds the lane, so
+    a miscounted probe cannot end a lane held elsewhere.  When an interval
     shrinks to merge_tol, one probe merge_tol/2 beyond each end looks for
     a gap that starts at that end (an end on a band edge can fail the
     sign test by rounding); its lanes still open after that round are
@@ -269,7 +285,18 @@ def _search(x, count, mu, sign, j, merge_tol):
         E, iv = E[new], iv[first][new]
         if not E.size:
             break
-        c, v = _counts(count, E), x(E)
+        v = x(E)
+        # the sign certificate: counts j-1 and j at an interval's ends put it
+        # between the window's eigenvalues in gaps j-1 and j+1, where x_k has
+        # sign -sign_j, so an inner probe with sign_j x_k >= 1 is in gap j
+        inside = (E > lo[iv]) & (E < hi[iv])
+        top = held[np.cumsum(n) - 1]   # each interval's last lane, its only one if n == 1
+        sure = ((C_hi - C_lo == 1) & ~closed[top])[iv] & inside & (sign[C_hi[iv]] * v >= 1.0)
+        lanes, first = np.unique(top[iv[sure]], return_index=True)
+        point[lanes], open_[lanes] = E[sure][first], False
+        kept = ~(np.isin(iv, iv[sure]) & inside)
+        E, iv, v = E[kept], iv[kept], v[kept]
+        c = _counts(count, E)
         # the gap c or c+1 that the sign of x_k picks, when |x_k| >= 1
         up = sign[c] * v >= 1.0
         lane = np.where(up, c, c + 1)
@@ -316,9 +343,10 @@ def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=N
     """Level-k periodic-approximation spectrum as a BandSet.
 
     Edges are bisected to ``tol`` (default 1e-12 of the energy range);
-    gaps at most ``merge_tol`` wide (default 1e-11 of the range) count as
-    closed.  ``e_range`` clips the result to a window; the band count is
-    checked on the whole level first.
+    gaps at most ``merge_tol`` wide (default 1e-11 of the range; a
+    negative or NaN one raises ValueError) count as closed.  ``e_range``
+    clips the result to a window; the band count is checked on the
+    whole level first.
     """
     recipe = recipe or recipe_from_substitution(s)
     hull = default_energy_range(params)
@@ -328,6 +356,8 @@ def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=N
         raise ValueError("empty energy range")
     tol = 1e-12 * span if tol is None else tol
     merge_tol = 1e-11 * span if merge_tol is None else merge_tol
+    if not merge_tol >= 0:
+        raise ValueError("merge_tol must be >= 0: %r" % merge_tol)
     word = _image_word(s, recipe.star, k)
     q = len(word)
     x = lambda E: half_trace_grid(recipe, params, E, k)
@@ -342,8 +372,7 @@ def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=N
     # sign of x_k in gap j (above band j): leading coefficient times (-1)^(q-j)
     sign = np.sign(params.p) ** word.count("1") * (-1.0) ** (q - np.arange(q + 1))
     # Dirichlet counts of the window w[:-1], another q-1 sites of the period
-    blocks = _image_prefix_blocks(s, recipe.star, k, q - 1)
-    count = lambda E: _block_count_below(params, s, blocks, q - 1, E)
+    count = lambda E: _window_count_below(params, s, recipe.star, k, q - 1, E)
     mu, shut = _certify(x, count, mu, sign, merge_tol)   # shut: gaps the search closed
     # left edges: sign[j-1] x_k - 1 leaves >= 0; right edges: sign[j] x_k - 1 reaches it
     lane_sign = np.concatenate([sign[:-1], sign[1:]])
@@ -358,11 +387,13 @@ def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=N
     mids = 0.5 * (b[:-1] + a[1:])
     closed = shut | (a[1:] - b[:-1] <= merge_tol) | (np.abs(x(mids)) - 1.0 <= CLOSED_GAP_EXCESS)
     cut = np.flatnonzero(~closed)
-    bands = merge_intervals(zip(a[np.concatenate([[0], cut + 1])],
-                                b[np.concatenate([cut, [q - 1]])]))
-    if len(bands) + int(closed.sum()) != q:
-        raise BandCountError("level %d: %d bands + %d closed gaps != %d"
-                             % (k, len(bands), int(closed.sum()), q))
+    # one band per open gap and one more, so band_count + closed_gaps == q;
+    # open gaps are wider than merge_tol >= 0, so the bands are disjoint
+    lo_e, hi_e = a[np.concatenate([[0], cut + 1])], b[np.concatenate([cut, [q - 1]])]
+    if np.any(hi_e < lo_e):
+        raise BandCountError("level %d: %d merged bands end below their start"
+                             % (k, np.sum(hi_e < lo_e)))
+    bands = tuple(zip(lo_e.tolist(), hi_e.tolist()))
     if e_range is not None:
         bands = restrict_bands(bands, lo, hi)
         closed = closed & (mids >= lo) & (mids <= hi)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -19,8 +21,10 @@ from sturmtrace.jacobi import (
     word_transfer,
 )
 from sturmtrace.jacobi import (_block_count_below, _lift_compose, _lift_count,
-                               _lift_site)
-from sturmtrace.substitution import FIBONACCI, _prefix_blocks, fixed_point_prefix
+                               _lift_site, _window_count_below)
+from sturmtrace.spectrum import default_energy_range
+from sturmtrace.substitution import (FIBONACCI, _image_prefix_blocks, _prefix_blocks,
+                                     fixed_point_prefix, parse_substitution, periodic_word)
 
 
 def test_params_validation():
@@ -325,3 +329,56 @@ def test_lifted_count_resolves_strong_coupling_clusters():
     got = _block_count_below(params, sp, blocks, L, E)
     assert np.array_equal(got, eigen_count_below_grid(spec, E))
     assert np.array_equal(got, np.searchsorted(eig, E, side="right"))
+
+
+def _window_counts(params, s, k, E):
+    """The window count of w = s^k(star) read off w's lift, and composed from w[:-1]'s blocks."""
+    star = st.recipe_from_substitution(s).star
+    L = len(periodic_word(s, k)) - 1
+    return (_window_count_below(params, s, star, k, L, E),
+            _block_count_below(params, s, _image_prefix_blocks(s, star, k, L), L, E))
+
+
+@pytest.mark.parametrize("text, p, q, k", [
+    ("0->01;1->0", 1.0, 34.0, 15),         # strong coupling: clusters of eigenvalues
+    ("0->001;1->0", 76.2516, 8.156, 8),    # |p| >> 1: counted on H / |p|
+    ("0->1;1->10", 1.0, 2.1, 12),          # the period is s^k(1)
+    ("0->0001;1->0", 0.5, 1.3, 5),
+])
+def test_window_count_read_off_the_whole_period(text, p, q, k):
+    # floor(theta / pi) after all q sites counts the first q - 1; energies
+    # within 1 ulp of an eigenvalue are left out, where either lifted count
+    # can take either side
+    s, params = parse_substitution(text), JacobiParams(p, q)
+    window = dirichlet_restriction(params, periodic_word(s, k)[:-1])
+    eig = scipy.linalg.eigvalsh_tridiagonal(np.array(window.diag), np.array(window.offdiag[1:]))
+    lo, hi = default_energy_range(params)
+    rng = np.random.default_rng(k)
+    E = np.concatenate([rng.uniform(lo, hi, 1000),
+                        eig + 10.0 ** rng.uniform(-10.5, -8, eig.size),
+                        eig - 10.0 ** rng.uniform(-10.5, -8, eig.size),
+                        [-np.inf, np.inf, np.nan]])
+    whole, blocks = _window_counts(params, s, k, E)
+    assert np.array_equal(whole, blocks)
+    assert np.array_equal(whole, eigen_count_below_grid(window, E))
+
+
+def test_window_count_puts_free_chain_hits_on_the_le_side():
+    # the free chain on q - 1 sites has the eigenvalues 2 cos(pi m / q), 0 < m < q,
+    # so E = 2 cos(pi t) is one when t q is an integer; at q = 144 all five are
+    # (sqrt(2) up to its rounding), and each counts as <= E
+    params = JacobiParams(1.0, 0.0)
+    E = np.array([0.0, 1.0, -1.0, np.sqrt(2.0), -np.sqrt(2.0)])
+    t = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(3, 4)]
+    for text, k in (("0->01;1->0", 10), ("0->1;1->10", 10), ("0->100;1->10", 5),
+                    ("0->0001;1->0", 1), ("0->0001;1->0", 4)):
+        s = parse_substitution(text)
+        word = periodic_word(s, k)
+        q = len(word)
+        want = [sum(Fraction(m, q) >= tm for m in range(1, q)) for tm in t]
+        whole, blocks = _window_counts(params, s, k, E)
+        assert whole.tolist() == blocks.tolist() == want
+        # the Sturm loop agrees on the exact hits; -sqrt(2) rounds 1e-16 below
+        # its eigenvalue, which the loop then counts strictly
+        assert eigen_count_below_grid(dirichlet_restriction(params, word[:-1]),
+                                      E[:3]).tolist() == want[:3]

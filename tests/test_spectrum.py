@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -13,7 +14,8 @@ from hypothesis import example, given, settings, strategies as st_h
 import sturmtrace as st
 import sturmtrace.spectrum as spectrum_mod
 from sturmtrace.dos import IdsTable
-from sturmtrace.jacobi import half_trace, initial_conditions_grid, word_transfer
+from sturmtrace.jacobi import (eigen_count_below_grid, half_trace, initial_conditions_grid,
+                               word_transfer)
 from sturmtrace.spectrum import (
     SATURATION,
     BandCountError,
@@ -631,6 +633,73 @@ def test_gap_beyond_a_probe_on_its_edge_is_found():
     assert 1e-13 < got[1] < 0.5 and 0.7 < got[2] < 1.2
 
 
+def _recording(count):
+    """count, and the list of the energies it was called on."""
+    counted = []
+
+    def recorded(E):
+        counted.append(np.array(E))
+        return count(E)
+
+    return recorded, counted
+
+
+def test_single_step_lane_ends_by_sign_uncounted():
+    # q = 2, gap 1 is (-0.5, 1.2), where x_k <= -1, and the window's eigenvalue
+    # is 0.2.  The range ends count 0 and 1, so (-2, 2) holds lane 1 alone;
+    # of its probes -1, 0 and 1 the last two pass the sign test, and the lane
+    # ends at the lower one with no probe counted
+    x = lambda E: np.interp(E, [-2.0, -1.5, -0.5, 0.0, 1.2, 1.6, 2.0],
+                            [3.0, 1.0, -1.0, -2.0, -1.0, 1.0, 3.0])
+    count, counted = _recording(_window_count(0.2))
+    mu, sign = np.array([-2.0, np.nan, 2.0]), np.array([1.0, -1.0, 1.0])
+    got, closed = spectrum_mod._certify(x, count, mu, sign, 1e-12)
+    assert got[1] == 0.0 and closed.tolist() == [False]
+    assert np.concatenate(counted).tolist() == [-2.0, 2.0]
+
+
+def test_sign_test_leaves_a_closed_lane_alone():
+    # x_k >= 1 only within 2e-14 of the window's eigenvalue 0.1, inside the
+    # 1e-12 merge tolerance: no probe lands there before the lane closes, and
+    # the probes that land there later are counted, not taken as its point,
+    # which is refined on the count to the eigenvalue
+    nu = 0.1
+    x = lambda E: np.where(np.abs(E - nu) < 2e-14, 2.0, 1.0 - 1e-9 - (E - nu) ** 2)
+    count, counted = _recording(_window_count(nu))
+    mu, sign = np.array([-2.0, np.nan, 2.0]), np.array([-1.0, 1.0, -1.0])
+    got, closed = spectrum_mod._certify(x, count, mu, sign, 1e-12)
+    assert closed.tolist() == [True] and abs(got[1] - nu) <= 1e-16
+    counted = np.concatenate(counted)
+    assert np.any(x(counted[np.abs(counted - nu) < 2e-14]) >= 1.0)
+
+
+@pytest.mark.parametrize("text, p, q, k, kw", [
+    ("0->001;1->0", 1.5, 1.0, 10, {}),
+    ("0->01;1->0", 1.0, 24.0, 15, dict(tol=3e-14, merge_tol=2e-13)),
+])
+def test_lanes_ended_by_sign_hold_their_sturm_count(monkeypatch, text, p, q, k, kw):
+    # a lane ended uncounted has its point in gap j: j-1 or j eigenvalues of
+    # the window w[:-1] lie below it, by the Sturm loop, and sign_j x_k >= 1
+    s, params = parse_substitution(text), st.JacobiParams(p, q)
+    search, ended = spectrum_mod._search, []
+
+    def recorded(x, count, mu, sign, j, merge_tol):
+        count, counted = _recording(count)
+        point, closed = search(x, count, mu, sign, j, merge_tol)
+        uncounted = ~closed & ~np.isin(point, np.concatenate(counted))
+        ended.append((x, sign, j[uncounted], point[uncounted]))
+        return point, closed
+
+    monkeypatch.setattr(spectrum_mod, "_search", recorded)
+    st.floquet_bands(s, params, k, **kw)
+    window = st.dirichlet_restriction(params, periodic_word(s, k)[:-1])
+    for x, sign, j, point in ended:
+        c = eigen_count_below_grid(window, point)
+        assert np.all((c == j - 1) | (c == j))
+        assert np.all(sign[j] * x(point) >= 1.0)
+    assert sum(j.size for _, _, j, _ in ended) > 100
+
+
 def test_miscounted_probe_ends_no_lane_outside_its_interval():
     # the lifted count reads 418 at E = -0.9806225248199232, where the window
     # has 417 eigenvalues below; a probe there passes lane 419's certificate,
@@ -716,3 +785,31 @@ def test_word_length_cap_checked_before_expansion():
         st.floquet_bands(st.FIBONACCI, st.JacobiParams(1.0, 2.0), 35)
     with pytest.raises(ValueError):
         st.floquet_bands(st.FIBONACCI, st.JacobiParams(1.0, 2.0), -1)
+
+
+def test_negative_merge_tol_raises():
+    for merge_tol in (-1e-12, np.nan):
+        with pytest.raises(ValueError, match="merge_tol"):
+            st.floquet_bands(st.FIBONACCI, st.JacobiParams(1.0, 2.0), 4, merge_tol=merge_tol)
+    # at merge_tol = 0 only a gap that the x_k test closes is merged
+    bands = st.floquet_bands(st.FIBONACCI, st.JacobiParams(1.0, 2.0), 4, merge_tol=0.0)
+    assert (bands.band_count, bands.closed_gaps) == (8, 0)
+
+
+# sha256 of repr((bands, closed_gaps)): a faster search must find every band
+# set float for float
+@pytest.mark.parametrize("text, p, q, k, kw, digest", [
+    ("0->001;1->0", 1.5, 1.0, 10, {},
+     "6199f2df33e405d85e27ffb5fcffca1311bc551feaf52b586a531bfc8628560e"),
+    ("0->01;1->0", 1.0, 0.1, 16, dict(tol=1e-13),
+     "22c02e9abad11b3a12096e93291a455e058867ea593e148ec96602d5327d30f2"),
+    ("0->01;1->0", 1.0, 24.0, 16, dict(tol=3e-14, merge_tol=2e-13),
+     "d11eae254d520400041393aa7551ce5f0d036a745a016d9397ce1656d5be406b"),
+    ("0->100;1->10", -0.33, 19.7, 9, {},
+     "73403bc6f2ebd0c8bb1a58dcc265beb644c0e6b6e26967a17b4442e3f2b74e42"),
+    ("0->1;1->10", 1.0, 2.1, 16, {},
+     "36fb049cae4888f1df98eb8572d8a8812cb244fa0f0c50d4ec3728e7182e4f29"),
+])
+def test_deep_band_sets_are_pinned(text, p, q, k, kw, digest):
+    bands = st.floquet_bands(parse_substitution(text), st.JacobiParams(p, q), k, **kw)
+    assert hashlib.sha256(repr((bands.bands, bands.closed_gaps)).encode()).hexdigest() == digest
