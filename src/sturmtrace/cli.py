@@ -176,13 +176,14 @@ def cmd_dos(args):
     params = _params(args)
     lo, hi = default_energy_range(params)
     table = ids(s, params, args.length, np.linspace(lo, hi, args.grid))
+    # the summary may refuse the run, so it runs before the first write
+    summary = (dos_dimension_summary(s, params, args.samples, args.length, seed=args.seed)
+               if args.samples else None)
     out = _out_dir(args)
     path = os.path.join(out, "ids_L%d.csv" % args.length)
     _write_csv(path, ("E", "N"), list(zip(table.e_grid, table.n_values)))
     report = {"L": args.length, "csv": path}
-    if args.samples:
-        summary = dos_dimension_summary(s, params, args.samples, args.length,
-                                        seed=args.seed)
+    if summary is not None:
         report.update({
             "d_min": F17(summary.d_min), "d_median": F17(summary.d_median),
             "d_max": F17(summary.d_max), "skipped": summary.skipped,
@@ -262,7 +263,14 @@ def cmd_scan(args):
     if args.kind == "probe":
         n = _probe_grid_size(args.values)
     else:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+        try:
+            values = [float(v) for v in args.values.split(",") if v.strip()]
+        except ValueError:
+            raise UsageError("scan --kind %s takes comma-separated numbers in --values, not %r"
+                             % (args.kind, args.values)) from None
+        if not values:
+            what = {"large_coupling": "V", "p_to_zero": "p"}.get(args.kind, "t")
+            raise ValueError("need at least one %s value" % what)
     if args.kind == "large_coupling":
         name, header = "scan_large_coupling.csv", ("V", "dim", "stderr", "asymptote", "bands")
         rows = [(r["V"], r["dim"], r["stderr"], r["asymptote"], r["bands"])

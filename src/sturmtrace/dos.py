@@ -16,7 +16,6 @@ dimensionality says these exponents exist dN-almost everywhere, which
 is sampled here by inverse-transform draws from the IDS itself.
 """
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,13 +44,18 @@ class IdsTable:
             raise ValueError("IDS values must be nondecreasing")
 
     def value_at(self, E):
-        """Step lookup: the tabulated value at the last grid point <= E."""
-        return self.n_values[max(bisect.bisect_right(self.e_grid, E) - 1, 0)]
+        """Step lookup: the value at the last grid point <= E, else the first.
+        E is a number (a float is returned) or an array (an array of its shape)."""
+        i = np.maximum(np.searchsorted(self.e_grid, E, side="right") - 1, 0)
+        v = np.asarray(self.n_values, dtype=float)[i]
+        return v if np.ndim(i) else float(v)
 
     def quantile(self, u):
-        """Inverse transform: smallest grid energy with N(E) >= u."""
-        i = bisect.bisect_left(self.n_values, u)
-        return self.e_grid[min(i, len(self.n_values) - 1)]
+        """Inverse transform: smallest grid energy with N(E) >= u, else the last
+        (the first for a NaN u, as bisect_left); u a number or an array, as E above."""
+        i = np.minimum(np.searchsorted(self.n_values, u), len(self.n_values) - 1)
+        v = np.asarray(self.e_grid, dtype=float)[np.where(np.isnan(u), 0, i)]
+        return v if np.ndim(i) else float(v)
 
 
 # Largest |p| at which the lifted counts were checked against the Sturm loop.
@@ -161,7 +165,7 @@ def dos_dimension_summary(s, params, sample_count, L, seed=0, eps_max=None, n_sc
     rng = np.random.default_rng(seed)
     draws = rng.uniform(1.0 / L, 1.0 - 1.0 / L, size=sample_count)
     eps = np.sort(np.asarray(dyadic_ladder(eps_max, n_scales), dtype=float))
-    centers = np.array([float(table.quantile(u)) for u in draws])
+    centers = table.quantile(draws)
     # every sample's ladder, N(E + eps) then N(E - eps), in one batched count
     ladders = np.concatenate([centers[:, None] + eps, centers[:, None] - eps], axis=1)
     rows = counter(ladders.ravel()).reshape(ladders.shape)

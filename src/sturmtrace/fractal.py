@@ -18,6 +18,8 @@ end of the nearest gap to the right strictly longer, and the hull ends
 where there is none.  Gaps of length <= 0 (touching bands) are ignored.
 For the middle-thirds Cantor construction every bridge equals its gap,
 giving exactly 1.
+
+The estimators take a BandSet, (lo, hi) pairs or an (n, 2) edge array.
 """
 
 import math
@@ -27,7 +29,7 @@ import numpy as np
 
 from .dos import _loglog_fit
 from .jacobi import JacobiParams, decoupled_block_spectrum
-from .spectrum import floquet_bands, gap_index_for_label, hausdorff_distance
+from .spectrum import _clip, _edges, floquet_bands, gap_index_for_label, hausdorff_distance
 from .spectrum import restrict_bands  # noqa: F401  (re-exported)
 from .substitution import FIBONACCI, fixed_point_prefix
 
@@ -44,11 +46,6 @@ class DimensionEstimate:
 @dataclass(frozen=True)
 class ThicknessEstimate:
     value: float
-
-
-def _edges(bands):
-    """The band edges of a BandSet, a pair sequence or an edge array, as an (n, 2) float array."""
-    return np.asarray(getattr(bands, "bands", bands), dtype=float).reshape(-1, 2)
 
 
 def _count_boxes(edges, eps):
@@ -188,15 +185,12 @@ def local_dimension_profile(s, params, k, window_count, bands=None):
     out = []
     for i in range(window_count):
         w_lo, w_hi = lo + i * width, lo + (i + 1) * width
-        # the bands clipped to the window, as restrict_bands clips them
-        a, b = np.maximum(edges[:, 0], w_lo), np.minimum(edges[:, 1], w_hi)
-        keep = b >= a
+        chunk = _clip(edges, w_lo, w_hi)
         center = 0.5 * (w_lo + w_hi)
-        if keep.sum() < 2 and window_count > 1:
+        if len(chunk) < 2 and window_count > 1:
             out.append((center, None))
             continue
-        out.append((center, _box_dimension(np.stack([a[keep], b[keep]], axis=1),
-                                           bands.edge_tol)))
+        out.append((center, _box_dimension(chunk, bands.edge_tol)))
     return out
 
 
@@ -278,7 +272,6 @@ def p_to_zero_scan(s, q_fixed, p_list, k=8):
     """
     word = fixed_point_prefix(s, 2048)
     reference = decoupled_block_spectrum(word, q_fixed)
-    ref_bands = tuple((float(v), float(v)) for v in reference)
     rows = []
     for p in sorted((float(p) for p in p_list), reverse=True):
         params = JacobiParams(p, float(q_fixed))
@@ -290,6 +283,6 @@ def p_to_zero_scan(s, q_fixed, p_list, k=8):
             "stderr": est.stderr,
             "measure": bands.measure(),
             "hull": bands.hull(),
-            "dist_to_reference": hausdorff_distance(bands.bands, ref_bands),
+            "dist_to_reference": hausdorff_distance(bands, np.stack([reference] * 2, axis=1)),
         })
     return {"reference": tuple(float(v) for v in reference), "rows": rows}

@@ -35,6 +35,9 @@ never sorted into shape.  A gap is also closed when |x_k| - 1 <= 1e-12
 at its midpoint or it is at most merge_tol wide; closed gaps are merged
 and counted, so band_count + closed_gaps == q, and edges too far out of
 order to merge into bands raise BandCountError.
+
+The band-set helpers take a BandSet, (lo, hi) pairs or an (n, 2) array,
+and read it as one (n, 2) float array of edges.
 """
 
 import math
@@ -101,47 +104,53 @@ class BandSet:
         return [(b1, a2) for (_, b1), (a2, _) in zip(self.bands, self.bands[1:])]
 
 
+def _edges(bands):
+    """A BandSet, (lo, hi) pairs or an (n, 2) array, as an (n, 2) float array of band edges."""
+    return np.asarray(getattr(bands, "bands", bands), dtype=float).reshape(-1, 2)
+
+
+def _clip(edges, lo, hi):
+    """(n, 2) band edges clipped to [lo, hi], the bands outside dropped; ties,
+    signed zeros and NaN keep the edge, as Python's max(a, lo), min(b, hi) do."""
+    a = np.where(lo > edges[:, 0], lo, edges[:, 0])
+    b = np.where(hi < edges[:, 1], hi, edges[:, 1])
+    keep = b >= a
+    return np.stack([a[keep], b[keep]], axis=1)
+
+
 def merge_intervals(intervals):
-    """Union of closed intervals (touching ones are glued)."""
-    ivs = sorted((float(a), float(b)) for a, b in intervals if b >= a)
-    out = []
-    for a, b in ivs:
-        if out and a <= out[-1][1]:
-            out[-1][1] = max(out[-1][1], b)
-        else:
-            out.append([a, b])
-    return tuple((a, b) for a, b in out)
-
-
-def _band_pairs(bands):
-    """The (lo, hi) pairs of a BandSet or of a raw pair sequence, as a tuple."""
-    return tuple(getattr(bands, "bands", bands))
+    """Union of closed intervals (touching ones are glued); intervals with b < a are dropped."""
+    e = _edges(intervals)
+    e = e[e[:, 1] >= e[:, 0]]
+    e = e[np.lexsort((e[:, 1], e[:, 0]))]
+    reach = np.maximum.accumulate(e[:, 1])
+    # a union starts where no earlier interval reaches, and ends at the end of
+    # its first interval that reaches furthest (the one Python's max() keeps)
+    start = np.concatenate([[True], e[1:, 0] > reach[:-1]])[:len(e)]
+    end = np.searchsorted(reach, reach[np.roll(start, -1)])
+    return tuple(zip(e[start, 0].tolist(), e[end, 1].tolist()))
 
 
 def restrict_bands(band_list, lo, hi):
     """The bands clipped to [lo, hi]; bands outside the window are dropped."""
-    out = []
-    for a, b in band_list:
-        a2, b2 = max(a, lo), min(b, hi)
-        if b2 >= a2:
-            out.append((a2, b2))
-    return tuple(out)
+    return tuple(zip(*_clip(_edges(band_list), lo, hi).T.tolist()))
 
 
 def band_measure(bands):
-    return float(sum(b - a for a, b in _band_pairs(bands)))
+    """Total length of the bands, summed in band order (not numpy's pairwise sum)."""
+    return float(sum(np.diff(_edges(bands)).ravel().tolist()))
 
 
 def band_sum(A, B):
     """Minkowski sum of two band sets (interval arithmetic, merged)."""
-    sums = [(a1 + a2, b1 + b2) for a1, b1 in _band_pairs(A) for a2, b2 in _band_pairs(B)]
-    return BandSet(merge_intervals(sums))
+    a, b = _edges(A), _edges(B)
+    return BandSet(merge_intervals((a[:, None, :] + b[None, :, :]).reshape(-1, 2)))
 
 
 def _distance_to_bands(x, bands):
     """Pointwise distance from x (array) to a sorted band union."""
-    los = np.array([a for a, _ in bands])
-    his = np.array([b for _, b in bands])
+    e = _edges(bands)
+    los, his = e[:, 0], e[:, 1]
     x = np.asarray(x, dtype=float)
     i = np.searchsorted(los, x, side="right") - 1
     inside = (i >= 0) & (x <= his[np.clip(i, 0, len(his) - 1)])
@@ -153,21 +162,17 @@ def _distance_to_bands(x, bands):
 
 def hausdorff_distance(A, B):
     """Hausdorff distance between two unions of closed intervals."""
-    a_bands, b_bands = _band_pairs(A), _band_pairs(B)
-    if not a_bands or not b_bands:
+    a_edges, b_edges = _edges(A), _edges(B)
+    if not len(a_edges) or not len(b_edges):
         raise ValueError("Hausdorff distance needs nonempty sets")
 
     def directed(src, dst):
-        pts = [np.array([a for a, _ in src]), np.array([b for _, b in src])]
-        if len(dst) > 1:
-            mids = np.array([0.5 * (r1 + l2)
-                             for (_, r1), (l2, _) in zip(dst, dst[1:])])
-            inside_src = _distance_to_bands(mids, src) == 0.0
-            pts.append(mids[inside_src])
-        x = np.concatenate(pts)
+        # the ends of src, and the midpoints of the gaps of dst that src covers
+        mids = 0.5 * (dst[:-1, 1] + dst[1:, 0])
+        x = np.concatenate([src[:, 0], src[:, 1], mids[_distance_to_bands(mids, src) == 0.0]])
         return float(np.max(_distance_to_bands(x, dst)))
 
-    return max(directed(a_bands, b_bands), directed(b_bands, a_bands))
+    return max(directed(a_edges, b_edges), directed(b_edges, a_edges))
 
 
 # -- half-trace evaluation ------------------------------------------------------
@@ -393,10 +398,10 @@ def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=N
     if np.any(hi_e < lo_e):
         raise BandCountError("level %d: %d merged bands end below their start"
                              % (k, np.sum(hi_e < lo_e)))
-    bands = tuple(zip(lo_e.tolist(), hi_e.tolist()))
     if e_range is not None:
-        bands = restrict_bands(bands, lo, hi)
+        lo_e, hi_e = _clip(np.stack([lo_e, hi_e], axis=1), lo, hi).T
         closed = closed & (mids >= lo) & (mids <= hi)
+    bands = tuple(zip(lo_e.tolist(), hi_e.tolist()))
     return BandSet(bands, level=k, edge_tol=tol, closed_gaps=int(closed.sum()))
 
 
@@ -476,10 +481,13 @@ def gaps_with_labels(bands, ids_table, alpha, m_max=34, tol=1e-3):
     """Label spectral gaps with IDS plateau values matched to frac(m alpha).
 
     Each interior gap gets the IDS table's step value at its midpoint
-    (the value at the last grid point <= the midpoint); the nearest
-    label frac(m alpha), |m| <= m_max (ties to smaller |m|), is attached
-    when it lies within ``tol``, otherwise label_m stays None.
+    (one IdsTable.value_at lookup for all of them); the nearest label
+    frac(m alpha), |m| <= m_max (ties to smaller |m|), is attached when
+    it lies within ``tol``, otherwise label_m stays None.  m_max < 0
+    raises ValueError.
     """
+    if m_max < 0:
+        raise ValueError("need m_max >= 0: %r" % m_max)
     gaps = bands.gaps()
     m = np.arange(-m_max, m_max + 1)
     lam = np.array([math.fmod(k * alpha, 1.0) % 1.0 for k in m.tolist()])
@@ -488,11 +496,8 @@ def gaps_with_labels(bands, ids_table, alpha, m_max=34, tol=1e-3):
     lam, m = lam[order], m[order]
     first = np.concatenate([[True], lam[1:] != lam[:-1]])
     lam, m = lam[first], m[first]
-    mids = np.array([0.5 * (g_lo + g_hi) for g_lo, g_hi in gaps], dtype=float)
-    # the table's step value at each midpoint, as IdsTable.value_at looks it up
-    step = np.maximum(np.searchsorted(np.asarray(ids_table.e_grid, dtype=float), mids,
-                                      side="right") - 1, 0)
-    values = np.asarray(ids_table.n_values, dtype=float)[step]
+    values = ids_table.value_at(np.array([0.5 * (g_lo + g_hi) for g_lo, g_hi in gaps],
+                                         dtype=float))
     # the nearest label is a neighbour of the value in sorted order; equal
     # distances go to the smaller |m|, then to the smaller m
     hi = np.minimum(np.searchsorted(lam, values), lam.size - 1)

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -279,3 +280,53 @@ def test_every_accepted_flag_is_read(tmp_path):
         read |= {(argv[0], name) for name in object.__getattribute__(args, "_reads")}
     assert {name for name, _ in accepted} == {argv[0] for argv in runs}
     assert accepted - read == UNREAD_BY_DESIGN
+
+
+def test_gaps_negative_m_max_is_a_computation_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["gaps", FIB, "--level", "4", "--length", "89", "--m-max", "-1",
+                 "--out-dir", str(out)]) == 1
+    assert "error: need m_max >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dos", FIB, "--samples", "-1"], "need sample_count >= 1"),
+    (["dos", FIB, "--samples", "3", "--length", "9"], "all samples below resolution"),
+    (["scan", FIB, "--kind", "large_coupling", "--values", ""], "need at least one V value"),
+    (["scan", FIB, "--kind", "p_to_zero", "--values", " , "], "need at least one p value"),
+    (["scan", FIB, "--kind", "gap_rate", "--values", ""], "need at least one t value"),
+])
+def test_refused_dos_and_scan_runs_leave_no_output(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: " + message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["large_coupling", "p_to_zero", "gap_rate"])
+def test_scan_non_numeric_values_are_usage_errors(tmp_path, capsys, kind):
+    out = tmp_path / "out"
+    assert main(["scan", FIB, "--kind", kind, "--values", "0.5,abc", "--out-dir", str(out)]) == 2
+    assert "usage error: scan --kind %s takes comma-separated numbers" % kind \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _readme_commands():
+    """The ``sturmtrace ...`` lines of the README's "Command line" section."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        section = fh.read().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    return [shlex.split(line)[1:] for line in section.splitlines()
+            if line.strip().startswith("sturmtrace ")]
+
+
+def test_readme_command_lines_run(tmp_path, capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 7
+    for i, argv in enumerate(commands):
+        if "--out-dir" in argv:
+            argv = argv[:argv.index("--out-dir")] + argv[argv.index("--out-dir") + 2:]
+        assert main(argv + ["--out-dir", str(tmp_path / str(i))]) == 0, argv
+    capsys.readouterr()

@@ -1,3 +1,4 @@
+import bisect
 import os
 import subprocess
 import sys
@@ -112,6 +113,41 @@ def test_ids_table_lookups_equal_searchsorted():
     for u in np.concatenate([n, rng.uniform(-0.5, 1.5, 300)]).tolist():
         i = min(int(np.searchsorted(n, u, side="left")), n.size - 1)
         assert t.quantile(u) == e[i]
+
+
+def _lookup_tables():
+    """The tables of this file's lookup tests: a small one, a random one with
+    repeated values, and a Fibonacci IDS table."""
+    rng = np.random.default_rng(3)
+    e = np.cumsum(rng.uniform(0.01, 1.0, 200)) - 50.0
+    n = np.sort(rng.integers(0, 40, 200)) / 40.0
+    params = st.JacobiParams(1.0, 2.0)
+    lo, hi = default_energy_range(params)
+    return [IdsTable((0.0, 1.0, 2.0), (0.0, 0.25, 1.0), 10),
+            IdsTable(tuple(e.tolist()), tuple(n.tolist()), 40),
+            ids(FIBONACCI, params, 144, np.linspace(lo, hi, 801))]
+
+
+@pytest.mark.parametrize("table", _lookup_tables())
+def test_ids_table_lookups_take_arrays_and_keep_the_bisect_rules(table):
+    rng = np.random.default_rng(7)
+    e, n = table.e_grid, table.n_values
+    E = np.concatenate([e, rng.uniform(e[0] - 2.0, e[-1] + 2.0, 300), [-np.inf, np.inf, np.nan]])
+    U = np.concatenate([n, rng.uniform(-0.5, 1.5, 300), [-np.inf, np.inf, np.nan]])
+    for x in E.tolist():
+        got = table.value_at(x)
+        assert type(got) is float
+        assert got == n[max(bisect.bisect_right(e, x) - 1, 0)]
+    for u in U.tolist():
+        got = table.quantile(u)
+        assert type(got) is float
+        assert got == e[min(bisect.bisect_left(n, u), len(n) - 1)]
+    # an array gives an array of its shape, element by element the scalar results
+    for fn, x in ((table.value_at, E), (table.quantile, U)):
+        got = fn(x.reshape(-1, 1))
+        assert isinstance(got, np.ndarray) and got.shape == (x.size, 1)
+        assert got.ravel().tolist() == [fn(v) for v in x.tolist()]
+        assert fn(x[:0]).shape == (0,)
 
 
 @pytest.mark.parametrize("text, p, q, k", [("0->01;1->0", 1.1, 0.3, 8),

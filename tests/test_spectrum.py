@@ -204,6 +204,60 @@ def test_band_sum_commutative_and_monotone(a_bands, b_bands):
     assert ab.measure() >= max(A.measure(), B.measure()) - 1e-12
 
 
+def _merge_by_loop(intervals):
+    """merge_intervals as a loop over the sorted pairs, kept as its oracle."""
+    out = []
+    for a, b in sorted((float(a), float(b)) for a, b in intervals if b >= a):
+        if out and a <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], b)
+        else:
+            out.append([a, b])
+    return tuple((a, b) for a, b in out)
+
+
+def _restrict_by_loop(pairs, lo, hi):
+    """restrict_bands as a loop of Python max and min, kept as its oracle."""
+    return tuple((max(a, lo), min(b, hi)) for a, b in pairs if min(b, hi) >= max(a, lo))
+
+
+def test_band_set_helpers_equal_their_pair_loops():
+    # repr tells -0.0 from 0.0, so signed zeros must come out as the loops give them
+    rng = np.random.default_rng(11)
+    zeros = [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (-1.0, -0.0), (-0.0, 2.0), (math.nan, 1.0)]
+    for trial in range(300):
+        n = int(rng.integers(0, 12))
+        a = np.round(rng.uniform(-5.0, 5.0, n), int(rng.integers(0, 3)))
+        w = np.round(rng.uniform(-0.5, 2.0, n), int(rng.integers(0, 3)))
+        pairs = [(float(x), float(x + y)) for x, y in zip(a, w)]
+        pairs += [zeros[i] for i in rng.integers(0, len(zeros), int(rng.integers(0, 3)))]
+        merged = merge_intervals(pairs)
+        assert repr(merged) == repr(_merge_by_loop(pairs))
+        assert repr(merge_intervals(np.array(pairs).reshape(-1, 2))) == repr(merged)
+        lo, hi = (-0.0, 0.0) if trial % 5 == 0 else sorted(rng.uniform(-6, 6, 2).round(1).tolist())
+        for bands in (merged, BandSet(merged), np.array(merged).reshape(-1, 2)):
+            assert (repr(spectrum_mod.restrict_bands(bands, lo, hi))
+                    == repr(_restrict_by_loop(merged, lo, hi)))
+            assert repr(st.band_measure(bands)) == repr(float(sum(b - a for a, b in merged)))
+        other = merge_intervals([(x, x + 0.5) for x in rng.uniform(-5, 5, 3).tolist()])
+        sums = [(a1 + a2, b1 + b2) for a1, b1 in merged for a2, b2 in other]
+        assert repr(st.band_sum(merged, other).bands) == repr(_merge_by_loop(sums))
+        if merged:
+            assert st.hausdorff_distance(merged, other) == st.hausdorff_distance(
+                BandSet(merged), np.array(other))
+    # the measure adds band by band; numpy's pairwise sum rounds differently here
+    bands = st.floquet_bands(st.FIBONACCI, st.JacobiParams(1.0, 1.0), 10).bands
+    widths = np.diff(np.array(bands)).ravel()
+    assert st.band_measure(bands) == float(sum(b - a for a, b in bands)) != float(widths.sum())
+
+
+def test_gaps_with_labels_refuses_negative_m_max():
+    table = IdsTable((0.0, 1.0), (0.5, 0.5), 10)
+    two = BandSet(((0.0, 1.0), (2.0, 3.0)), level=1)
+    with pytest.raises(ValueError, match="m_max"):
+        st.gaps_with_labels(two, table, 0.618, m_max=-1)
+    assert len(st.gaps_with_labels(two, table, 0.618, m_max=0)) == 1
+
+
 def test_combinatorial_labels_roundtrip():
     params = st.JacobiParams(1.0, 2.0)
     b8 = st.floquet_bands(st.FIBONACCI, params, 8)
