@@ -32,8 +32,9 @@ for E, N in zip(table.e_grid, table.n_values):
 
 print("\n== scaling exponents at a few energies")
 counter = ids_counter(FIBONACCI, params, L)
+fine = ids(FIBONACCI, params, L, np.linspace(lo, hi, 4097))
 for u in (0.2, 0.5, 0.8):
-    E = float(ids(FIBONACCI, params, L, np.linspace(lo, hi, 4097)).quantile(u))
+    E = fine.quantile(u)
     d, err = ids_scaling_exponent(counter, E, dyadic_ladder((hi - lo) / 128, 6))
     print("E = %+7.4f (IDS quantile %.1f): d = %.3f +- %.3f" % (E, u, d, err))
 

@@ -38,9 +38,10 @@ class IdsTable:
         n = np.asarray(self.n_values)
         if e.ndim != 1 or e.shape != n.shape or e.size < 2:
             raise ValueError("need aligned 1-d grids with >= 2 points")
-        if (np.diff(e) <= 0).any():
+        # each check fails on a NaN as well
+        if not (np.diff(e) > 0).all():
             raise ValueError("energy grid must be strictly increasing")
-        if (np.diff(n) < 0).any():
+        if not (np.diff(n) >= 0).all():
             raise ValueError("IDS values must be nondecreasing")
 
     def value_at(self, E):
@@ -147,25 +148,68 @@ class DosSummary:
     skipped: int
 
 
+def _grid_quantiles(counter, grid, u):
+    """Indices i of IdsTable.quantile(u) on the table of counter over grid,
+    without counting the whole grid.
+
+    Each draw u keeps a bracket [lo, hi] of grid indices, at first the
+    whole grid, whose last index stands for "no point reaches u".  A
+    round counts 15 evenly spaced probes inside every live bracket, all
+    draws' probes deduplicated in one counter call: a probe with N >= u
+    becomes the new hi, one with N < u moves lo past it.  When lo == hi
+    that is the first grid index with N >= u, else the last, as the
+    table's quantile finds it, because a count does not depend on the
+    energies counted with it.  A 4097-point grid takes 3 rounds
+    (4 when the answer is one of its last two points).  A count that is
+    not monotone in E, which an IdsTable of the whole grid refuses, goes
+    unseen here.
+    """
+    u = np.asarray(u, dtype=float)
+    lo = np.zeros(u.shape, dtype=np.int64)
+    hi = np.full(u.shape, grid.size - 1, dtype=np.int64)
+    steps = np.arange(1, 16)
+    while (live := lo < hi).any():
+        l, h = lo[live][:, None], hi[live][:, None]
+        probes = np.maximum(l - 1 + steps * (h - l + 1) // 16, l)
+        idx, inv = np.unique(probes.ravel(), return_inverse=True)
+        below = counter(grid[idx])[inv].reshape(probes.shape) < u[live][:, None]
+        lo[live] = np.where(below, probes + 1, l).max(axis=1)
+        hi[live] = np.where(below, h, probes).min(axis=1)
+    return lo
+
+
 def dos_dimension_summary(s, params, sample_count, L, seed=0, eps_max=None, n_scales=7):
     """Scaling exponents at dN-sampled energies, summarized.
 
-    Energies are drawn by inverse-transform sampling of a 4097-point IDS
-    table over the spectrum hull (so gap plateaus are never hit);
-    samples whose ladder underflows the 2/L resolution are skipped and
-    counted.
+    The energies are inverse-transform draws u from the IDS on the grid
+    np.linspace(lo, hi, 4097) over the spectrum hull: the first grid
+    energy with N >= u (so gap plateaus are never hit), found by
+    multisection on the count (see _grid_quantiles) instead of by
+    counting the whole grid.  Each sample's exponent is the fit over
+    the dyadic ladder of n_scales windows from eps_max down, all
+    ladders counted in one call; samples whose smallest window holds
+    no more than the 2/L resolution are skipped and counted.  Refuses
+    sample_count < 1, n_scales < 5, an eps_max that is not finite and
+    > 0, and L < 8 with ValueError before any count, and raises
+    RuntimeError when every sample is skipped.
     """
     if sample_count < 1:
         raise ValueError("need sample_count >= 1")
+    if n_scales < 5:
+        raise ValueError("need at least 5 ladder scales")
+    if eps_max is not None and not (np.isfinite(eps_max) and eps_max > 0):
+        raise ValueError("eps_max must be finite and > 0")
     lo, hi = default_energy_range(params)
     counter = ids_counter(s, params, L)
-    table = _table(counter, np.linspace(lo, hi, 4097))
+    if L < 8:
+        raise ValueError("need L >= 8")
     if eps_max is None:
         eps_max = (hi - lo) / 64.0
     rng = np.random.default_rng(seed)
     draws = rng.uniform(1.0 / L, 1.0 - 1.0 / L, size=sample_count)
     eps = np.sort(np.asarray(dyadic_ladder(eps_max, n_scales), dtype=float))
-    centers = table.quantile(draws)
+    grid = np.linspace(lo, hi, 4097)
+    centers = grid[_grid_quantiles(counter, grid, draws)]
     # every sample's ladder, N(E + eps) then N(E - eps), in one batched count
     ladders = np.concatenate([centers[:, None] + eps, centers[:, None] - eps], axis=1)
     rows = counter(ladders.ravel()).reshape(ladders.shape)

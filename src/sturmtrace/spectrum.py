@@ -80,11 +80,12 @@ class BandSet:
     closed_gaps: int = 0
 
     def __post_init__(self):
+        # each check fails on a NaN as well
         for (a, b) in self.bands:
-            if b < a:
+            if not b >= a:
                 raise ValueError("band with negative length: (%r, %r)" % (a, b))
         for (_, b), (a2, _) in zip(self.bands, self.bands[1:]):
-            if a2 <= b:
+            if not a2 > b:
                 raise ValueError("bands must be sorted and disjoint")
 
     @property

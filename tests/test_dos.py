@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import sturmtrace as st
-from sturmtrace.dos import (DosSummary, IdsTable, dyadic_ladder, ids, ids_counter,
-                            ids_scaling_exponent)
+import sturmtrace.dos as dos_mod
+from sturmtrace.dos import (DosSummary, IdsTable, _grid_quantiles, dyadic_ladder, ids,
+                            ids_counter, ids_scaling_exponent)
 from sturmtrace.jacobi import dirichlet_restriction, eigen_count_below_grid
 from sturmtrace.spectrum import default_energy_range
 from sturmtrace.substitution import (FIBONACCI, WORD_LENGTH_CAP, Substitution,
@@ -97,6 +98,11 @@ def test_ids_table_validation_and_quantile():
         IdsTable((0.0, 1.0), (0.5, 0.4), 10)
     with pytest.raises(ValueError):
         IdsTable((0.0, 0.0), (0.0, 1.0), 10)
+    nan = float("nan")
+    for e, n in (((0.0, nan, 2.0), (0.0, 0.5, 1.0)), ((0.0, 1.0, 2.0), (0.0, nan, 1.0)),
+                 ((0.0, 1.0, 2.0), (nan, 0.5, 1.0)), ((0.0, 1.0, 2.0), (0.0, 0.5, nan))):
+        with pytest.raises(ValueError):
+            IdsTable(e, n, 10)
     t = IdsTable((0.0, 1.0, 2.0), (0.0, 0.25, 1.0), 10)
     assert t.quantile(0.2) == 1.0
     assert t.value_at(1.5) == 0.25
@@ -148,6 +154,37 @@ def test_ids_table_lookups_take_arrays_and_keep_the_bisect_rules(table):
         assert isinstance(got, np.ndarray) and got.shape == (x.size, 1)
         assert got.ravel().tolist() == [fn(v) for v in x.tolist()]
         assert fn(x[:0]).shape == (0,)
+
+
+def _counted_grid_quantiles(table, u):
+    """The multisection of dos_dimension_summary on a table's own grid, with
+    the table's values as the count."""
+    return np.asarray(table.e_grid)[_grid_quantiles(table.value_at, np.asarray(table.e_grid), u)]
+
+
+@pytest.mark.parametrize("table", _lookup_tables())
+def test_grid_quantiles_equal_the_table_quantile(table):
+    rng = np.random.default_rng(11)
+    n = np.asarray(table.n_values)
+    U = np.concatenate([n, rng.uniform(-0.5, 1.5, 300), [-np.inf, np.inf, np.nan]])
+    assert np.array_equal(_counted_grid_quantiles(table, U), table.quantile(U))
+    # a draw equal to a table value lands on the first point of that plateau
+    first = np.searchsorted(n, n, side="left")
+    assert np.array_equal(_counted_grid_quantiles(table, n), np.asarray(table.e_grid)[first])
+
+
+@pytest.mark.parametrize("text, p, q, L, points", [("0->01;1->0", 1.0, 0.5, 4181, 4097),
+                                                   ("0->001;1->0", -1.2, 2.0, 6765, 4097),
+                                                   ("0->100;1->10", 0.7, -3.0, 987, 1000),
+                                                   ("0->01;1->0", 1.0, 0.5, 8, 17)])
+def test_grid_quantiles_on_the_count_equal_the_full_table(text, p, q, L, points):
+    s, params = parse_substitution(text), st.JacobiParams(p, q)
+    counter = ids_counter(s, params, L)
+    lo, hi = default_energy_range(params)
+    grid = np.linspace(lo, hi, points)
+    table = ids(s, params, L, grid)
+    U = np.concatenate([table.n_values, np.random.default_rng(L).uniform(-0.5, 1.5, 500)])
+    assert np.array_equal(grid[_grid_quantiles(counter, grid, U)], table.quantile(U))
 
 
 @pytest.mark.parametrize("text, p, q, k", [("0->01;1->0", 1.1, 0.3, 8),
@@ -207,6 +244,13 @@ def _per_sample_summary(s, params, sample_count, L, seed, eps_max=None, n_scales
     ("0->01;1->0", 1.1, 0.7, 17, 987, 3, {}),
     ("0->001;1->0", -0.9, 1.3, 13, 1393, 5, {"n_scales": 8}),
     ("0->01;1->0", 1.0, 2.0, 30, 377, 1, {"eps_max": 0.06}),  # most samples skipped
+    ("0->01;1->0", 1.1, 0.9, 21, 4181, 7, {}),
+    ("0->01;1->0", 0.8, 1.7, 21, 6765, 8, {}),
+    ("0->001;1->0", 1.2, 0.7, 21, 4181, 9, {}),
+    ("0->001;1->0", 1.4, 0.4, 21, 6765, 10, {}),
+    # the shortest chain a summary takes
+    ("0->01;1->0", 1.0, 0.5, 21, 8, 2, {"eps_max": 10.0, "n_scales": 5}),
+    ("0->001;1->0", 1.2, 0.7, 21, 8, 1, {"eps_max": 8.0, "n_scales": 5}),
 ])
 def test_dos_summary_batched_matches_per_sample(text, p, q, n, L, seed, kw):
     s, params = parse_substitution(text), st.JacobiParams(p, q)
@@ -214,6 +258,41 @@ def test_dos_summary_batched_matches_per_sample(text, p, q, n, L, seed, kw):
     assert summ == _per_sample_summary(s, params, n, L, seed, **kw)
     if "eps_max" in kw:
         assert summ.skipped > len(summ.exponents) > 0
+
+
+def _counting(monkeypatch):
+    """Sizes of the energy arrays of every block count the DOS module makes."""
+    sizes = []
+    count = dos_mod._block_count_below
+
+    def wrapped(params, sp, blocks, L, E):
+        sizes.append(np.size(E))
+        return count(params, sp, blocks, L, E)
+
+    monkeypatch.setattr(dos_mod, "_block_count_below", wrapped)
+    return sizes
+
+
+@pytest.mark.parametrize("text, L", [("0->01;1->0", 4181), ("0->001;1->0", 6765)])
+def test_dos_summary_count_budget(monkeypatch, text, L):
+    # three multisection rounds and one ladder count, against the 4097-point
+    # table and the ladders (2 calls, 4391 energies) of a full sweep
+    sizes = _counting(monkeypatch)
+    summ = st.dos_dimension_summary(parse_substitution(text), st.JacobiParams(1.1, 0.9), 21, L,
+                                    seed=2)
+    assert len(summ.exponents) + summ.skipped == 21
+    assert len(sizes) <= 4 and sum(sizes) < 1000
+
+
+@pytest.mark.parametrize("L, kw, message", [
+    (987, {"n_scales": 4}, "5 ladder scales"), (987, {"eps_max": 0.0}, "eps_max"),
+    (987, {"eps_max": -0.1}, "eps_max"), (987, {"eps_max": float("nan")}, "eps_max"),
+    (987, {"eps_max": float("inf")}, "eps_max"), (7, {}, "need L >= 8")])
+def test_dos_summary_refuses_before_counting(monkeypatch, L, kw, message):
+    sizes = _counting(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        st.dos_dimension_summary(FIBONACCI, st.JacobiParams(1.0, 0.5), 5, L, **kw)
+    assert sizes == []
 
 
 PINNED = [parse_substitution(t) for t in ("0->01;1->0", "0->001;1->0", "0->1;1->10", "0->1;1->01",

@@ -170,6 +170,14 @@ def test_hausdorff_examples():
         st.hausdorff_distance(BandSet(()), A)
 
 
+@pytest.mark.parametrize("bands", [((0.0, 1.0), (3.0, 2.0)), ((0.0, 1.0), (1.0, 2.0)),
+                                   ((0.0, 1.0), (0.5, 2.0)), ((0.0, math.nan), (1.0, 2.0)),
+                                   ((math.nan, 0.0),), ((0.0, 1.0), (math.nan, 2.0))])
+def test_band_set_refuses_bad_edges_and_nan(bands):
+    with pytest.raises(ValueError):
+        BandSet(bands)
+
+
 def test_band_measure_examples():
     assert st.band_measure(BandSet(((-2.0, 2.0),))) == 4.0
     assert st.band_measure(BandSet(())) == 0.0
