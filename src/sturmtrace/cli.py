@@ -86,10 +86,6 @@ def cmd_subst(args):
     return 0
 
 
-def _bands_rows(bands):
-    return [(bands.level, a, b) for a, b in bands.bands]
-
-
 def cmd_spectrum(args):
     s = parse_substitution(args.substitution)
     params = _params(args)
@@ -100,9 +96,11 @@ def cmd_spectrum(args):
         e_range = (lo if args.e_min is None else args.e_min,
                    hi if args.e_max is None else args.e_max)
     bands = floquet_bands(s, params, args.level, e_range=e_range, tol=args.tol)
+    hull = bands.hull()  # an empty window has no hull: refused before the first write
     out = _out_dir(args)
     csv_path = os.path.join(out, "bands_k%d.csv" % args.level)
-    _write_csv(csv_path, ("level", "band_lo", "band_hi"), _bands_rows(bands))
+    _write_csv(csv_path, ("level", "band_lo", "band_hi"),
+               [(bands.level, a, b) for a, b in bands.bands])
     summary = {
         "substitution": s.text(),
         "p": F17(params.p),
@@ -110,7 +108,7 @@ def cmd_spectrum(args):
         "k": args.level,
         "band_count": bands.band_count,
         "measure": F17(bands.measure()),
-        "hull": [F17(bands.hull()[0]), F17(bands.hull()[1])],
+        "hull": [F17(hull[0]), F17(hull[1])],
         "csv": csv_path,
     }
     _write_json(os.path.join(out, "bands_k%d.json" % args.level), summary)
@@ -124,8 +122,8 @@ def cmd_gaps(args):
     bands = floquet_bands(s, params, args.level, tol=args.tol)
     lo, hi = default_energy_range(params)
     # labels read the IDS at gap midpoints only
-    mids = [0.5 * (g[0] + g[1]) for g in bands.gaps()]
-    table = ids(s, params, args.length, np.unique([lo, hi] + mids))
+    mids = 0.5 * (bands.edges[:-1, 1] + bands.edges[1:, 0])
+    table = ids(s, params, args.length, np.unique(np.concatenate([[lo, hi], mids])))
     alpha = rotation_number(s).alpha
     tol = args.label_tol if args.label_tol is not None else 2.0 / args.length
     labeled = gaps_with_labels(bands, table, alpha, m_max=args.m_max, tol=tol)

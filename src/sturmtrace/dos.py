@@ -21,21 +21,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jacobi import _block_count_below
-from .spectrum import default_energy_range
+from .spectrum import _value_eq, default_energy_range
 from .substitution import _prefix_blocks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdsTable:
-    """Monotone sampled representation of the integrated density of states."""
+    """Monotone sampled IDS, its grids kept as read-only 1-d float64 copies."""
 
-    e_grid: tuple
-    n_values: tuple
+    e_grid: np.ndarray
+    n_values: np.ndarray
     L: int
+    __eq__ = _value_eq
 
     def __post_init__(self):
-        e = np.asarray(self.e_grid)
-        n = np.asarray(self.n_values)
+        e, n = np.array(self.e_grid, dtype=np.float64), np.array(self.n_values, dtype=np.float64)
+        e.flags.writeable = n.flags.writeable = False
+        object.__setattr__(self, "e_grid", e)
+        object.__setattr__(self, "n_values", n)
         if e.ndim != 1 or e.shape != n.shape or e.size < 2:
             raise ValueError("need aligned 1-d grids with >= 2 points")
         # each check fails on a NaN as well
@@ -44,18 +47,22 @@ class IdsTable:
         if not (np.diff(n) >= 0).all():
             raise ValueError("IDS values must be nondecreasing")
 
+    def __repr__(self):
+        return "IdsTable(e_grid=%r, n_values=%r, L=%r)" % (
+            tuple(self.e_grid.tolist()), tuple(self.n_values.tolist()), self.L)
+
     def value_at(self, E):
         """Step lookup: the value at the last grid point <= E, else the first.
         E is a number (a float is returned) or an array (an array of its shape)."""
         i = np.maximum(np.searchsorted(self.e_grid, E, side="right") - 1, 0)
-        v = np.asarray(self.n_values, dtype=float)[i]
+        v = self.n_values[i]
         return v if np.ndim(i) else float(v)
 
     def quantile(self, u):
         """Inverse transform: smallest grid energy with N(E) >= u, else the last
         (the first for a NaN u, as bisect_left); u a number or an array, as E above."""
         i = np.minimum(np.searchsorted(self.n_values, u), len(self.n_values) - 1)
-        v = np.asarray(self.e_grid, dtype=float)[np.where(np.isnan(u), 0, i)]
+        v = self.e_grid[np.where(np.isnan(u), 0, i)]
         return v if np.ndim(i) else float(v)
 
 
@@ -94,7 +101,7 @@ def _table(counter, e_grid):
     if counter.L < 8:
         raise ValueError("need L >= 8")
     e = np.asarray(e_grid, dtype=float)
-    return IdsTable(tuple(e.tolist()), tuple(counter(e).tolist()), counter.L)
+    return IdsTable(e, counter(e), counter.L)
 
 
 def ids(s, params, L, e_grid):
@@ -199,10 +206,10 @@ def dos_dimension_summary(s, params, sample_count, L, seed=0, eps_max=None, n_sc
         raise ValueError("need at least 5 ladder scales")
     if eps_max is not None and not (np.isfinite(eps_max) and eps_max > 0):
         raise ValueError("eps_max must be finite and > 0")
-    lo, hi = default_energy_range(params)
-    counter = ids_counter(s, params, L)
     if L < 8:
         raise ValueError("need L >= 8")
+    lo, hi = default_energy_range(params)
+    counter = ids_counter(s, params, L)
     if eps_max is None:
         eps_max = (hi - lo) / 64.0
     rng = np.random.default_rng(seed)

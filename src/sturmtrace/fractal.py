@@ -50,10 +50,9 @@ class ThicknessEstimate:
 
 def _count_boxes(edges, eps):
     """box_count of (n, 2) band edges at one scale, over all edges at once."""
-    j0 = np.floor(edges[:, 0] / eps)
-    j1 = np.floor(edges[:, 1] / eps)
+    j0 = np.floor(edges[:, 0] / eps).astype(np.int64)
+    j1 = np.floor(edges[:, 1] / eps).astype(np.int64)
     j1 -= (edges[:, 1] == j1 * eps) & (j1 > j0)  # right endpoint on a box boundary
-    j0, j1 = j0.astype(np.int64), j1.astype(np.int64)
     # boxes up to the running max of earlier right indices are counted already
     j0[1:] = np.maximum(j0[1:], np.maximum.accumulate(j1)[:-1] + 1)
     return int(np.maximum(j1 - j0 + 1, 0).sum())
@@ -63,11 +62,15 @@ def box_count(bands, eps):
     """Exact number of eps-boxes [j eps, (j+1) eps) meeting the band union.
 
     ``eps`` is one scale (an int is returned) or an array of scales (an
-    integer array of the same shape).  Box indices are int64, so every
-    |edge| / eps must stay below 2**63.
+    integer array of the same shape).  Box indices are int64: a scale
+    that is not finite and > 0, or one with some |edge| / eps >= 2**62
+    (past which a count can reach 2**63), raises ValueError.
     """
     edges = _edges(bands)
     e = np.asarray(eps, dtype=float)
+    if not ((np.isfinite(e) & (e > 0)).all()
+            and (np.abs(edges).max(initial=0.0) / 2.0 ** 62 < e).all()):
+        raise ValueError("need a finite eps > 0 with every |edge| / eps below 2**62")
     # one scale at a time keeps every temporary the size of the band set
     counts = np.array([_count_boxes(edges, x) for x in e.ravel().tolist()], dtype=np.int64)
     return int(counts[0]) if e.ndim == 0 else counts.reshape(e.shape)

@@ -41,7 +41,7 @@ and read it as one (n, 2) float array of edges.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -67,47 +67,66 @@ class BandCountError(RuntimeError):
     """A band set failed band_count + closed_gaps == q_k, or a bracket failed."""
 
 
-@dataclass(frozen=True)
+def _value_eq(a, b):
+    """== of two objects of one dataclass: every compared field equal by value, arrays too."""
+    return type(a) is type(b) and all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+                                      for f in fields(a) if f.compare)
+
+
+@dataclass(frozen=True, eq=False)
 class BandSet:
     """Sorted disjoint closed intervals approximating a spectrum.
 
-    ``closed_gaps`` counts the closed gaps merged into the listed bands.
+    ``edges`` holds them as a read-only (n, 2) float64 copy, and ``bands``
+    as a tuple of (lo, hi) pairs built on each read.  ``closed_gaps``
+    counts the closed gaps merged into the listed bands.
     """
 
-    bands: tuple
+    edges: np.ndarray
     level: int = -1
     edge_tol: float = 0.0
     closed_gaps: int = 0
+    __eq__ = _value_eq
+    bands = property(lambda self: tuple(map(tuple, self.edges.tolist())))
 
     def __post_init__(self):
+        a = np.array(self.edges, dtype=np.float64)
+        e = a.reshape(-1, 2)
+        if a.size and a.shape != e.shape:
+            raise ValueError("bands must be (lo, hi) pairs")
+        e.flags.writeable = False
+        object.__setattr__(self, "edges", e)
         # each check fails on a NaN as well
-        for (a, b) in self.bands:
-            if not b >= a:
-                raise ValueError("band with negative length: (%r, %r)" % (a, b))
-        for (_, b), (a2, _) in zip(self.bands, self.bands[1:]):
-            if not a2 > b:
-                raise ValueError("bands must be sorted and disjoint")
+        bad = ~(e[:, 1] >= e[:, 0])
+        if bad.any():
+            raise ValueError("band with negative length: (%r, %r)" % tuple(e[bad][0].tolist()))
+        if not (e[1:, 0] > e[:-1, 1]).all():
+            raise ValueError("bands must be sorted and disjoint")
+
+    def __repr__(self):
+        return "BandSet(bands=%r, level=%r, edge_tol=%r, closed_gaps=%r)" % (
+            self.bands, self.level, self.edge_tol, self.closed_gaps)
 
     @property
     def band_count(self):
-        return len(self.bands)
+        return len(self.edges)
 
     def measure(self):
         return band_measure(self)
 
     def hull(self):
-        if not self.bands:
+        if not len(self.edges):
             raise ValueError("empty band set has no hull")
-        return (self.bands[0][0], self.bands[-1][1])
+        return (float(self.edges[0, 0]), float(self.edges[-1, 1]))
 
     def gaps(self):
         """Open gaps between consecutive bands (hull exterior excluded)."""
-        return [(b1, a2) for (_, b1), (a2, _) in zip(self.bands, self.bands[1:])]
+        return list(zip(self.edges[:-1, 1].tolist(), self.edges[1:, 0].tolist()))
 
 
 def _edges(bands):
     """A BandSet, (lo, hi) pairs or an (n, 2) array, as an (n, 2) float array of band edges."""
-    return np.asarray(getattr(bands, "bands", bands), dtype=float).reshape(-1, 2)
+    return np.asarray(getattr(bands, "edges", bands), dtype=float).reshape(-1, 2)
 
 
 def _clip(edges, lo, hi):
@@ -402,8 +421,7 @@ def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=N
     if e_range is not None:
         lo_e, hi_e = _clip(np.stack([lo_e, hi_e], axis=1), lo, hi).T
         closed = closed & (mids >= lo) & (mids <= hi)
-    bands = tuple(zip(lo_e.tolist(), hi_e.tolist()))
-    return BandSet(bands, level=k, edge_tol=tol, closed_gaps=int(closed.sum()))
+    return BandSet(np.stack([lo_e, hi_e], 1), level=k, edge_tol=tol, closed_gaps=int(closed.sum()))
 
 
 def floquet_band_tower(s, params, k_max, tol=None, merge_tol=None):
@@ -497,8 +515,7 @@ def gaps_with_labels(bands, ids_table, alpha, m_max=34, tol=1e-3):
     lam, m = lam[order], m[order]
     first = np.concatenate([[True], lam[1:] != lam[:-1]])
     lam, m = lam[first], m[first]
-    values = ids_table.value_at(np.array([0.5 * (g_lo + g_hi) for g_lo, g_hi in gaps],
-                                         dtype=float))
+    values = ids_table.value_at(0.5 * (bands.edges[:-1, 1] + bands.edges[1:, 0]))
     # the nearest label is a neighbour of the value in sorted order; equal
     # distances go to the smaller |m|, then to the smaller m
     hi = np.minimum(np.searchsorted(lam, values), lam.size - 1)

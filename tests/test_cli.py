@@ -296,6 +296,8 @@ def test_gaps_negative_m_max_is_a_computation_error(tmp_path, capsys):
     (["scan", FIB, "--kind", "large_coupling", "--values", ""], "need at least one V value"),
     (["scan", FIB, "--kind", "p_to_zero", "--values", " , "], "need at least one p value"),
     (["scan", FIB, "--kind", "gap_rate", "--values", ""], "need at least one t value"),
+    (["spectrum", FIB, "--level", "6", "--e-min", "100", "--e-max", "101"],
+     "empty band set has no hull"),
 ])
 def test_refused_dos_and_scan_runs_leave_no_output(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

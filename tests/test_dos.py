@@ -108,6 +108,23 @@ def test_ids_table_validation_and_quantile():
     assert t.value_at(1.5) == 0.25
 
 
+def test_ids_table_keeps_a_read_only_copy_of_its_grids():
+    e, n = np.array([0.0, 1.0, 2.0]), [0.0, 0.25, 1.0]
+    t = IdsTable(e, n, 10)
+    e[1], n[2] = 5.0, -1.0
+    assert t.e_grid.tolist() == [0.0, 1.0, 2.0] and t.n_values.tolist() == [0.0, 0.25, 1.0]
+    assert t.quantile(0.9) == 2.0 and t.value_at(1.5) == 0.25
+    for grid in (t.e_grid, t.n_values):
+        assert grid.dtype == np.float64
+        with pytest.raises(ValueError):
+            grid[0] = 0.5
+    # the repr of the tuple form, as the dataclass of tuples printed it
+    assert repr(t) == "IdsTable(e_grid=(0.0, 1.0, 2.0), n_values=(0.0, 0.25, 1.0), L=10)"
+    assert t == IdsTable((-0.0, 1.0, 2.0), (0.0, 0.25, 1.0), 10)
+    assert t != IdsTable((0.0, 1.0, 2.0), (0.0, 0.25, 1.0), 11)
+    assert t != IdsTable((0.0, 1.0, 2.0), (0.0, 0.5, 1.0), 10)
+
+
 def test_ids_table_lookups_equal_searchsorted():
     rng = np.random.default_rng(3)
     e = np.cumsum(rng.uniform(0.01, 1.0, 200)) - 50.0
@@ -287,7 +304,8 @@ def test_dos_summary_count_budget(monkeypatch, text, L):
 @pytest.mark.parametrize("L, kw, message", [
     (987, {"n_scales": 4}, "5 ladder scales"), (987, {"eps_max": 0.0}, "eps_max"),
     (987, {"eps_max": -0.1}, "eps_max"), (987, {"eps_max": float("nan")}, "eps_max"),
-    (987, {"eps_max": float("inf")}, "eps_max"), (7, {}, "need L >= 8")])
+    (987, {"eps_max": float("inf")}, "eps_max"), (7, {}, "need L >= 8"),
+    (0, {}, "need L >= 8")])
 def test_dos_summary_refuses_before_counting(monkeypatch, L, kw, message):
     sizes = _counting(monkeypatch)
     with pytest.raises(ValueError, match=message):

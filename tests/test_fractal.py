@@ -60,6 +60,24 @@ def assert_counts_match_loop(bands, scales):
     assert got.shape == (len(scales),) and got.tolist() == expected
 
 
+@pytest.mark.parametrize("bands, eps", [(((0.0, 1.0),), 0.0), (((0.0, 1.0),), -0.5),
+                                        (((0.0, 1.0),), math.nan), (((0.0, 1.0),), math.inf),
+                                        (((0.0, 1.0),), [0.5, 0.0]), (((-1.0, 1.0),), 2.0 ** -62),
+                                        (((1e10, 1e10 + 1.0),), 1e-9),
+                                        (((-1.0, 0.0), (0.5, math.inf)), 0.5)])
+def test_box_count_refuses_scales_past_its_int64_boxes(bands, eps):
+    with pytest.raises(ValueError, match="eps"):
+        box_count(BandSet(bands), eps)
+
+
+def test_box_count_below_its_int64_limit():
+    # indices past 2**53 are exact in int64, not in float64
+    assert box_count(BandSet(((0.0, 1.0),)), 2.0 ** -61) == 2 ** 61
+    assert box_count(BandSet(((-1.0, 1.0),)), 2.0 ** -61) == 2 ** 62
+    assert box_count(BandSet(((0.0, 1.0),)), 1e300) == 1
+    assert box_count(BandSet(()), 1e-300) == 0
+
+
 def test_box_count_equals_loop_on_seeded_middle_thirds():
     rng = np.random.default_rng(5)
     for _ in range(12):

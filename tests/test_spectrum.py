@@ -178,6 +178,30 @@ def test_band_set_refuses_bad_edges_and_nan(bands):
         BandSet(bands)
 
 
+@pytest.mark.parametrize("bands", [((0.0, 1.0, 2.0), (3.0, 4.0, 5.0)), (0.0, 1.0),
+                                   (((0.0, 1.0),),)])
+def test_band_set_refuses_what_is_not_pairs(bands):
+    with pytest.raises(ValueError, match="pairs"):
+        BandSet(bands)
+
+
+def test_band_set_keeps_a_read_only_copy_of_its_edges():
+    edges, pairs = np.array([[-0.0, 1.0], [2.0, 3.0]]), [[-0.0, 1.0], [2.0, 3.0]]
+    a, b = BandSet(edges, level=2, edge_tol=1e-12, closed_gaps=1), BandSet(pairs)
+    edges[0, 1], pairs[0][1] = 9.0, 9.0
+    for bands in (a, b):
+        assert bands.bands == ((-0.0, 1.0), (2.0, 3.0)) and bands.gaps() == [(1.0, 2.0)]
+        assert bands.edges.dtype == np.float64 and bands.edges.shape == (2, 2)
+        with pytest.raises(ValueError):
+            bands.edges[0, 1] = 9.0
+    # the repr of the tuple form, as the dataclass of tuples printed it
+    assert repr(a) == "BandSet(bands=((-0.0, 1.0), (2.0, 3.0)), level=2, edge_tol=1e-12, closed_gaps=1)"
+    assert repr(BandSet(())) == "BandSet(bands=(), level=-1, edge_tol=0.0, closed_gaps=0)"
+    assert BandSet(((-0.0, 1.0),)) == BandSet(((0.0, 1.0),))
+    assert b == BandSet(((0.0, 1.0), (2.0, 3.0))) != a
+    assert b != BandSet(((0.0, 1.0),)) and b != BandSet(((0.0, 1.0), (2.0, 3.5)))
+
+
 def test_band_measure_examples():
     assert st.band_measure(BandSet(((-2.0, 2.0),))) == 4.0
     assert st.band_measure(BandSet(())) == 0.0
