@@ -1,7 +1,9 @@
 """Command-line front door: subst, spectrum, gaps, dims, dos, surface, scan.
 
 All configuration is flags-only; every floating value is printed with 17
-significant digits so repeated runs diff cleanly.  Exit codes: 0 on
+significant digits so repeated runs diff cleanly.  Each command computes
+everything it reports first and then hands its files and report to
+:func:`_finish`, so a refused run writes nothing.  Exit codes: 0 on
 success, 2 on usage errors, 1 on computation errors.
 """
 
@@ -45,22 +47,21 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _emit(args, obj):
-    if getattr(args, "json", False):
-        print(json.dumps(obj, indent=2, sort_keys=True))
+def _finish(args, report, *files):
+    """The output step: write each (path, writer, *data), print the report, return 0.
+
+    ``--out-dir`` is created only when there are files to write.
+    """
+    if files:
+        os.makedirs(args.out_dir, exist_ok=True)
+    for path, write, *data in files:
+        write(path, *data)
+    if args.json:
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        for k, v in obj.items():
+        for k, v in report.items():
             print("%s: %s" % (k, v))
-
-
-def _params(args):
-    return JacobiParams(args.p, args.q)
-
-
-def _out_dir(args):
-    out = args.out_dir
-    os.makedirs(out, exist_ok=True)
-    return out
+    return 0
 
 
 def cmd_subst(args):
@@ -82,13 +83,12 @@ def cmd_subst(args):
             report["beta_scan"] = scan_beta(s, n_letters=args.prefix or 50)
     if args.prefix:
         report["prefix"] = fixed_point_prefix(s, args.prefix)
-    _emit(args, report)
-    return 0
+    return _finish(args, report)
 
 
 def cmd_spectrum(args):
     s = parse_substitution(args.substitution)
-    params = _params(args)
+    params = JacobiParams(args.p, args.q)
     e_range = None
     if args.e_min is not None or args.e_max is not None:
         # a lone bound keeps the spectrum hull's other end
@@ -96,11 +96,7 @@ def cmd_spectrum(args):
         e_range = (lo if args.e_min is None else args.e_min,
                    hi if args.e_max is None else args.e_max)
     bands = floquet_bands(s, params, args.level, e_range=e_range, tol=args.tol)
-    hull = bands.hull()  # an empty window has no hull: refused before the first write
-    out = _out_dir(args)
-    csv_path = os.path.join(out, "bands_k%d.csv" % args.level)
-    _write_csv(csv_path, ("level", "band_lo", "band_hi"),
-               [(bands.level, a, b) for a, b in bands.bands])
+    csv_path = os.path.join(args.out_dir, "bands_k%d.csv" % args.level)
     summary = {
         "substitution": s.text(),
         "p": F17(params.p),
@@ -108,17 +104,19 @@ def cmd_spectrum(args):
         "k": args.level,
         "band_count": bands.band_count,
         "measure": F17(bands.measure()),
-        "hull": [F17(hull[0]), F17(hull[1])],
+        "hull": [F17(v) for v in bands.hull()],
         "csv": csv_path,
     }
-    _write_json(os.path.join(out, "bands_k%d.json" % args.level), summary)
-    _emit(args, summary)
-    return 0
+    return _finish(args, summary,
+                   (csv_path, _write_csv, ("level", "band_lo", "band_hi"),
+                    [(bands.level, a, b) for a, b in bands.bands]),
+                   (os.path.join(args.out_dir, "bands_k%d.json" % args.level), _write_json,
+                    summary))
 
 
 def cmd_gaps(args):
     s = parse_substitution(args.substitution)
-    params = _params(args)
+    params = JacobiParams(args.p, args.q)
     bands = floquet_bands(s, params, args.level, tol=args.tol)
     lo, hi = default_energy_range(params)
     # labels read the IDS at gap midpoints only
@@ -127,23 +125,21 @@ def cmd_gaps(args):
     alpha = rotation_number(s).alpha
     tol = args.label_tol if args.label_tol is not None else 2.0 / args.length
     labeled = gaps_with_labels(bands, table, alpha, m_max=args.m_max, tol=tol)
-    out = _out_dir(args)
-    path = os.path.join(out, "gaps_k%d.csv" % args.level)
+    path = os.path.join(args.out_dir, "gaps_k%d.csv" % args.level)
     rows = [(g.lo, g.hi, g.width, g.ids_value,
              "" if g.label_m is None else g.label_m,
              g.label_value if not math.isnan(g.label_value) else "")
             for g in labeled]
-    _write_csv(path, ("gap_lo", "gap_hi", "width", "ids", "label_m", "label_value"),
-               rows)
     matched = sum(1 for g in labeled if g.label_m is not None)
-    _emit(args, {"gaps": len(labeled), "labeled": matched, "alpha": F17(alpha),
-                 "csv": path})
-    return 0
+    return _finish(args, {"gaps": len(labeled), "labeled": matched, "alpha": F17(alpha),
+                          "csv": path},
+                   (path, _write_csv,
+                    ("gap_lo", "gap_hi", "width", "ids", "label_m", "label_value"), rows))
 
 
 def cmd_dims(args):
     s = parse_substitution(args.substitution)
-    params = _params(args)
+    params = JacobiParams(args.p, args.q)
     bands = floquet_bands(s, params, args.level, tol=args.tol)
     est = fractal.box_dimension(bands)
     tau = fractal.thickness(bands)
@@ -153,56 +149,45 @@ def cmd_dims(args):
         "thickness": F17(tau.value), "band_count": bands.band_count,
         "measure": F17(bands.measure()),
     }
-    out = _out_dir(args)
-    rows = []
+    files = [(os.path.join(args.out_dir, "dims_k%d.json" % args.level), _write_json, report)]
     if args.windows > 1:
         profile = fractal.local_dimension_profile(s, params, args.level,
                                                   args.windows, bands=bands)
-        for center, e in profile:
-            rows.append((center, "" if e is None else e.value,
-                         "" if e is None else e.stderr))
-        _write_csv(os.path.join(out, "dim_profile_k%d.csv" % args.level),
-                   ("E_center", "dim", "stderr"), rows)
-        report["profile_csv"] = os.path.join(out, "dim_profile_k%d.csv" % args.level)
-    _write_json(os.path.join(out, "dims_k%d.json" % args.level), report)
-    _emit(args, report)
-    return 0
+        rows = [(center, "" if e is None else e.value, "" if e is None else e.stderr)
+                for center, e in profile]
+        report["profile_csv"] = os.path.join(args.out_dir, "dim_profile_k%d.csv" % args.level)
+        files.append((report["profile_csv"], _write_csv, ("E_center", "dim", "stderr"), rows))
+    return _finish(args, report, *files)
 
 
 def cmd_dos(args):
     s = parse_substitution(args.substitution)
-    params = _params(args)
+    params = JacobiParams(args.p, args.q)
     lo, hi = default_energy_range(params)
     table = ids(s, params, args.length, np.linspace(lo, hi, args.grid))
-    # the summary may refuse the run, so it runs before the first write
-    summary = (dos_dimension_summary(s, params, args.samples, args.length, seed=args.seed)
-               if args.samples else None)
-    out = _out_dir(args)
-    path = os.path.join(out, "ids_L%d.csv" % args.length)
-    _write_csv(path, ("E", "N"), list(zip(table.e_grid, table.n_values)))
+    path = os.path.join(args.out_dir, "ids_L%d.csv" % args.length)
     report = {"L": args.length, "csv": path}
-    if summary is not None:
+    files = [(path, _write_csv, ("E", "N"), list(zip(table.e_grid, table.n_values)))]
+    if args.samples:
+        summary = dos_dimension_summary(s, params, args.samples, args.length, seed=args.seed)
         report.update({
             "d_min": F17(summary.d_min), "d_median": F17(summary.d_median),
             "d_max": F17(summary.d_max), "skipped": summary.skipped,
         })
-        _write_json(os.path.join(out, "dos_exponents.json"), report)
-    _emit(args, report)
-    return 0
+        files.append((os.path.join(args.out_dir, "dos_exponents.json"), _write_json, report))
+    return _finish(args, report, *files)
 
 
 def cmd_surface(args):
     raster = surface_section(args.invariant, args.resolution,
                              max_steps=args.max_steps)
-    out = _out_dir(args)
-    base = os.path.join(out, "surface_V%s" % F17(args.invariant))
-    _write_surface_csv(base + ".csv", raster)
-    _write_ppm(base + ".ppm", raster)
-    _emit(args, {"csv": base + ".csv", "ppm": base + ".ppm",
-                 "bounded_cells": int((raster["steps"] > raster["max_steps"]).sum()),
-                 "escaped_cells": int(((raster["steps"] >= 0)
-                                       & (raster["steps"] <= raster["max_steps"])).sum())})
-    return 0
+    base = os.path.join(args.out_dir, "surface_V%s" % F17(args.invariant))
+    steps, max_steps = raster["steps"], raster["max_steps"]
+    return _finish(args, {"csv": base + ".csv", "ppm": base + ".ppm",
+                          "bounded_cells": int((steps > max_steps).sum()),
+                          "escaped_cells": int(((steps >= 0) & (steps <= max_steps)).sum())},
+                   (base + ".csv", _write_surface_csv, raster),
+                   (base + ".ppm", _write_ppm, raster))
 
 
 def _write_surface_csv(path, raster):
@@ -283,16 +268,14 @@ def cmd_scan(args):
         name, header = "scan_gap_rate.csv", ("t", "width", "ratio")
         rows = list(zip(res.t_values, res.widths, res.ratios))
     else:  # probe: escape classification along an energy grid
-        params = _params(args)
+        params = JacobiParams(args.p, args.q)
         lo, hi = default_energy_range(params)
         energies = np.linspace(lo, hi, n)
         verdicts = dynamical_spectrum_probe(s, params, energies)
         name, header = "scan_probe.csv", ("E", "kind", "steps")
         rows = [(E, v.kind, v.steps_used) for E, v in zip(energies, verdicts)]
-    path = os.path.join(_out_dir(args), name)
-    _write_csv(path, header, rows)
-    _emit(args, {"csv": path})
-    return 0
+    path = os.path.join(args.out_dir, name)
+    return _finish(args, {"csv": path}, (path, _write_csv, header, rows))
 
 
 def _add_common(sp, with_params=True, with_level=False, with_tol=False):

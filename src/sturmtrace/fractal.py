@@ -32,6 +32,7 @@ from .jacobi import JacobiParams, decoupled_block_spectrum
 from .spectrum import _clip, _edges, floquet_bands, gap_index_for_label, hausdorff_distance
 from .spectrum import restrict_bands  # noqa: F401  (re-exported)
 from .substitution import FIBONACCI, fixed_point_prefix
+from .tracemap import recipe_from_substitution
 
 
 @dataclass(frozen=True)
@@ -198,12 +199,16 @@ def local_dimension_profile(s, params, k, window_count, bands=None):
 
 
 def large_coupling_check(V_list, k=12, s=FIBONACCI):
-    """Fibonacci Schrodinger dimensions against the log(1+sqrt2)/log|V| asymptote.
+    """Schrodinger dimensions against the Fibonacci log(1+sqrt2)/log|V| asymptote.
 
-    H(-V) is unitarily -H(V), so the sign of V only mirrors the
-    spectrum.  The asymptote is reported as NaN for |V| <= 1, where it
-    has no meaning; V = 0 (the free case) is skipped.
+    The asymptote (Damanik-Embree-Gorodetski-Tcheremchantsev, CMP 2008)
+    holds for the Fibonacci class, whose trace-map block has every
+    factor 1 (Fibonacci, its letter swap, its powers); for any other
+    substitution, and for |V| <= 1, where it has no meaning, it is
+    reported as NaN.  H(-V) is unitarily -H(V), so the sign of V only
+    mirrors the spectrum.  V = 0 (the free case) is skipped.
     """
+    fibonacci_class = set(recipe_from_substitution(s).period) == {1}
     rows = []
     for V in V_list:
         if V == 0:
@@ -217,7 +222,7 @@ def large_coupling_check(V_list, k=12, s=FIBONACCI):
             "dim": est.value,
             "stderr": est.stderr,
             "asymptote": (math.log(1.0 + math.sqrt(2.0)) / math.log(abs(V))
-                          if abs(V) > 1 else math.nan),
+                          if abs(V) > 1 and fibonacci_class else math.nan),
             "bands": bands.band_count,
         })
     return rows
@@ -283,9 +288,7 @@ def p_to_zero_scan(s, q_fixed, p_list, k=8):
         rows.append({
             "p": p,
             "dim": est.value,
-            "stderr": est.stderr,
             "measure": bands.measure(),
-            "hull": bands.hull(),
             "dist_to_reference": hausdorff_distance(bands, np.stack([reference] * 2, axis=1)),
         })
     return {"reference": tuple(float(v) for v in reference), "rows": rows}

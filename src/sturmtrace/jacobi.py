@@ -126,12 +126,15 @@ class TridiagonalSpec:
     offdiag[i] couples sites i-1 and i; index 0 is the dangling boundary
     bond, kept for serialization but unused by the Dirichlet matrix.
     Zero off-diagonal entries are legal and split the chain into blocks.
+    Both are kept as tuples of floats copied from the caller's data.
     """
 
     diag: tuple
     offdiag: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "diag", tuple(map(float, self.diag)))
+        object.__setattr__(self, "offdiag", tuple(map(float, self.offdiag)))
         if len(self.diag) == 0:
             raise ValueError("empty word")
         if len(self.diag) != len(self.offdiag):

@@ -367,20 +367,22 @@ def _certify(x, count, mu, sign, merge_tol):
 def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=None):
     """Level-k periodic-approximation spectrum as a BandSet.
 
-    Edges are bisected to ``tol`` (default 1e-12 of the energy range);
-    gaps at most ``merge_tol`` wide (default 1e-11 of the range; a
-    negative or NaN one raises ValueError) count as closed.  ``e_range``
-    clips the result to a window; the band count is checked on the
-    whole level first.
+    Edges are bisected to ``tol`` (default 1e-12 of the energy range; a
+    negative, infinite or NaN one raises ValueError); gaps at most
+    ``merge_tol`` wide (default 1e-11 of the range; a negative or NaN one
+    raises ValueError) count as closed.  ``e_range`` clips the result to
+    a window; the band count is checked on the whole level first.
     """
     recipe = recipe or recipe_from_substitution(s)
     hull = default_energy_range(params)
     lo, hi = hull if e_range is None else (float(e_range[0]), float(e_range[1]))
     span = hi - lo
-    if span <= 0:
-        raise ValueError("empty energy range")
+    if not 0 < span < math.inf:
+        raise ValueError("energy range must be finite and nonempty: %r" % ((lo, hi),))
     tol = 1e-12 * span if tol is None else tol
     merge_tol = 1e-11 * span if merge_tol is None else merge_tol
+    if not 0 <= tol < math.inf:
+        raise ValueError("tol must be finite and >= 0: %r" % tol)
     if not merge_tol >= 0:
         raise ValueError("merge_tol must be >= 0: %r" % merge_tol)
     word = _image_word(s, recipe.star, k)

@@ -325,4 +325,4 @@ def surface_section(V, resolution, chart=(-2.0, 2.0, -2.0, 2.0),
                                           escape_norm=escape_norm)[1]
     if not ok.any():
         warnings.warn("surface chart is empty (no real roots); V < -1 sphere gone?")
-    return {"V": V, "x": xs, "y": ys, "steps": steps, "max_steps": max_steps}
+    return {"x": xs, "y": ys, "steps": steps, "max_steps": max_steps}

@@ -298,11 +298,31 @@ def test_gaps_negative_m_max_is_a_computation_error(tmp_path, capsys):
     (["scan", FIB, "--kind", "gap_rate", "--values", ""], "need at least one t value"),
     (["spectrum", FIB, "--level", "6", "--e-min", "100", "--e-max", "101"],
      "empty band set has no hull"),
+    (["spectrum", FIB, "--level", "3", "--tol", "inf"], "tol must be finite and >= 0"),
+    (["spectrum", FIB, "--level", "3", "--e-max", "inf"], "energy range must be finite"),
 ])
 def test_refused_dos_and_scan_runs_leave_no_output(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     assert main(argv + ["--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: " + message)
+    assert not out.exists()
+
+
+def _raise(*args, **kwargs):
+    raise ValueError("patched to fail")
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("sturmtrace.spectrum.BandSet.measure", ["spectrum", FIB, "--level", "5"]),
+    ("sturmtrace.fractal.local_dimension_profile", ["dims", FIB, "--level", "5",
+                                                    "--windows", "3"]),
+])
+def test_run_failing_in_its_last_computation_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                           target, argv):
+    monkeypatch.setattr(target, _raise)
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: patched to fail\n"
     assert not out.exists()
 
 

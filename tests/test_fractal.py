@@ -339,6 +339,18 @@ def test_large_coupling_asymptote_needs_coupling_above_one():
     assert rows[2]["bands"] == rows[3]["bands"]
 
 
+@pytest.mark.parametrize("text, fibonacci_class", [
+    ("0->01;1->0", True), ("0->1;1->10", True), ("0->010;1->01", True), ("0->001;1->0", False),
+])
+def test_large_coupling_asymptote_is_for_the_fibonacci_class(text, fibonacci_class):
+    (row,) = st.large_coupling_check([24.0], k=6, s=st.parse_substitution(text))
+    assert row["bands"] > 1 and 0.0 < row["dim"] < 1.0
+    if fibonacci_class:
+        assert row["asymptote"] == math.log(1 + math.sqrt(2)) / math.log(24.0)
+    else:
+        assert math.isnan(row["asymptote"])
+
+
 def test_gap_opening_rate_rejects_empty_t_list():
     with pytest.raises(ValueError, match="need at least one t value"):
         st.gap_opening_rate(st.FIBONACCI, lambda t: (1.0, t), [], label_m=1, k=6)

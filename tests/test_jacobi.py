@@ -138,6 +138,17 @@ def test_dirichlet_restriction_structures():
         dirichlet_restriction(params, "")
 
 
+def test_tridiagonal_spec_keeps_a_copy_of_its_data():
+    diag, offdiag = [0.0, 0.0, 0.0], np.ones(3)
+    spec = TridiagonalSpec(diag, offdiag)
+    diag.append(0.0)
+    offdiag[1] = 5.0
+    assert spec.diag == (0.0, 0.0, 0.0) and spec.offdiag == (1.0, 1.0, 1.0)
+    assert all(type(v) is float for v in spec.diag + spec.offdiag)
+    assert eigen_count_below_grid(spec, [-10.0]).tolist() == [0]
+    assert eigen_count_below_grid(spec, [10.0]).tolist() == [3]
+
+
 def test_tridiagonal_csv_rows():
     spec = dirichlet_restriction(JacobiParams(2.0, 5.0), "010")
     assert spec.to_csv_rows() == [(0, 0.0, 1.0), (1, 5.0, 2.0), (2, 0.0, 1.0)]

@@ -882,6 +882,20 @@ def test_negative_merge_tol_raises():
     assert (bands.band_count, bands.closed_gaps) == (8, 0)
 
 
+@pytest.mark.parametrize("tol", [-1e-12, np.nan, np.inf, -np.inf])
+def test_bad_tol_raises(tol):
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        st.floquet_bands(st.FIBONACCI, st.JacobiParams(1.0, 0.0), 3, tol=tol)
+
+
+def test_zero_tol_bisects_to_float_resolution():
+    # the free chain's level-3 bands tile [-2, 2]; tol = 0 halves each bracket
+    # until its ends meet or are adjacent floats
+    bands = st.floquet_bands(st.FIBONACCI, st.JacobiParams(1.0, 0.0), 3, tol=0.0)
+    assert bands.edge_tol == 0.0
+    assert np.allclose(bands.hull(), (-2.0, 2.0), rtol=0.0, atol=1e-15)
+
+
 # sha256 of repr((bands, closed_gaps)): a faster search must find every band
 # set float for float
 @pytest.mark.parametrize("text, p, q, k, kw, digest", [
