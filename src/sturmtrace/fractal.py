@@ -6,6 +6,13 @@ log N(eps) against log(1/eps) over a dyadic ladder.  The ladder is kept
 inside [4 * smallest band, hull / 4] whenever the set has gaps: below
 the smallest band every finite band union looks one-dimensional, so
 scales finer than the approximation are excluded rather than reported.
+Counts are exact integers.  A block of scales is counted in one pass over
+a 2-d array, scales as rows and band edges as columns: floor indices of
+the edges, the rule that a right endpoint on a box boundary stays in the
+box to its left, a running max of right indices along each row in place
+of the boxes earlier bands already counted, and one sum per row.
+``BOX_CELLS`` caps the cells of a pass, so a ladder on a few hundred
+bands takes one pass and the temporaries stay small on large sets.
 
 Thickness: gaps are removed in order of decreasing length (equal
 lengths left to right); each removal compares the gap against the two
@@ -34,6 +41,8 @@ from .spectrum import restrict_bands  # noqa: F401  (re-exported)
 from .substitution import FIBONACCI, fixed_point_prefix
 from .tracemap import recipe_from_substitution
 
+BOX_CELLS = 16384  # scale-by-band cells per box-count pass; bounds its temporaries
+
 
 @dataclass(frozen=True)
 class DimensionEstimate:
@@ -50,13 +59,14 @@ class ThicknessEstimate:
 
 
 def _count_boxes(edges, eps):
-    """box_count of (n, 2) band edges at one scale, over all edges at once."""
-    j0 = np.floor(edges[:, 0] / eps).astype(np.int64)
-    j1 = np.floor(edges[:, 1] / eps).astype(np.int64)
-    j1 -= (edges[:, 1] == j1 * eps) & (j1 > j0)  # right endpoint on a box boundary
+    """box_count of (n, 2) band edges at a 1-d array of scales, one row per scale."""
+    e = eps[:, None]
+    j0 = np.floor(edges[:, 0] / e).astype(np.int64)
+    j1 = np.floor(edges[:, 1] / e).astype(np.int64)
+    j1 -= (edges[:, 1] == j1 * e) & (j1 > j0)  # right endpoint on a box boundary
     # boxes up to the running max of earlier right indices are counted already
-    j0[1:] = np.maximum(j0[1:], np.maximum.accumulate(j1)[:-1] + 1)
-    return int(np.maximum(j1 - j0 + 1, 0).sum())
+    j0[:, 1:] = np.maximum(j0[:, 1:], np.maximum.accumulate(j1, axis=1)[:, :-1] + 1)
+    return np.maximum(j1 - j0 + 1, 0).sum(axis=1)
 
 
 def box_count(bands, eps):
@@ -72,8 +82,11 @@ def box_count(bands, eps):
     if not ((np.isfinite(e) & (e > 0)).all()
             and (np.abs(edges).max(initial=0.0) / 2.0 ** 62 < e).all()):
         raise ValueError("need a finite eps > 0 with every |edge| / eps below 2**62")
-    # one scale at a time keeps every temporary the size of the band set
-    counts = np.array([_count_boxes(edges, x) for x in e.ravel().tolist()], dtype=np.int64)
+    flat = e.ravel()
+    counts = np.empty(flat.size, dtype=np.int64)
+    rows = max(1, BOX_CELLS // max(len(edges), 1))
+    for i in range(0, flat.size, rows):
+        counts[i:i + rows] = _count_boxes(edges, flat[i:i + rows])
     return int(counts[0]) if e.ndim == 0 else counts.reshape(e.shape)
 
 

@@ -140,7 +140,12 @@ def _clip(edges, lo, hi):
 
 def merge_intervals(intervals):
     """Union of closed intervals (touching ones are glued); intervals with b < a are dropped."""
-    e = _edges(intervals)
+    m = _merged(_edges(intervals))
+    return tuple(zip(m[:, 0].tolist(), m[:, 1].tolist()))
+
+
+def _merged(e):
+    """:func:`merge_intervals` of (n, 2) edges, as an (m, 2) edge array."""
     e = e[e[:, 1] >= e[:, 0]]
     e = e[np.lexsort((e[:, 1], e[:, 0]))]
     reach = np.maximum.accumulate(e[:, 1])
@@ -148,7 +153,7 @@ def merge_intervals(intervals):
     # its first interval that reaches furthest (the one Python's max() keeps)
     start = np.concatenate([[True], e[1:, 0] > reach[:-1]])[:len(e)]
     end = np.searchsorted(reach, reach[np.roll(start, -1)])
-    return tuple(zip(e[start, 0].tolist(), e[end, 1].tolist()))
+    return np.stack([e[start, 0], e[end, 1]], axis=1)
 
 
 def restrict_bands(band_list, lo, hi):
@@ -164,7 +169,7 @@ def band_measure(bands):
 def band_sum(A, B):
     """Minkowski sum of two band sets (interval arithmetic, merged)."""
     a, b = _edges(A), _edges(B)
-    return BandSet(merge_intervals((a[:, None, :] + b[None, :, :]).reshape(-1, 2)))
+    return BandSet(_merged((a[:, None, :] + b[None, :, :]).reshape(-1, 2)))
 
 
 def _distance_to_bands(x, bands):
@@ -369,9 +374,10 @@ def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=N
 
     Edges are bisected to ``tol`` (default 1e-12 of the energy range; a
     negative, infinite or NaN one raises ValueError); gaps at most
-    ``merge_tol`` wide (default 1e-11 of the range; a negative or NaN one
-    raises ValueError) count as closed.  ``e_range`` clips the result to
-    a window; the band count is checked on the whole level first.
+    ``merge_tol`` wide (default 1e-11 of the range; a negative, infinite
+    or NaN one raises ValueError) count as closed.  ``e_range`` clips
+    the result to a window; the band count is checked on the whole level
+    first.
     """
     recipe = recipe or recipe_from_substitution(s)
     hull = default_energy_range(params)
@@ -383,8 +389,8 @@ def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=N
     merge_tol = 1e-11 * span if merge_tol is None else merge_tol
     if not 0 <= tol < math.inf:
         raise ValueError("tol must be finite and >= 0: %r" % tol)
-    if not merge_tol >= 0:
-        raise ValueError("merge_tol must be >= 0: %r" % merge_tol)
+    if not 0 <= merge_tol < math.inf:
+        raise ValueError("merge_tol must be finite and >= 0: %r" % merge_tol)
     word = _image_word(s, recipe.star, k)
     q = len(word)
     x = lambda E: half_trace_grid(recipe, params, E, k)

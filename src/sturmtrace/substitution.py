@@ -57,7 +57,12 @@ class Substitution:
         return self.image1 if letter in (1, "1") else self.image0
 
     def apply(self, word):
-        return "".join(self.image(c) for c in word)
+        """The image of a word over {0, 1}, letter by letter."""
+        return word.translate(self._images)
+
+    @cached_property
+    def _images(self):
+        return str.maketrans({"0": self.image0, "1": self.image1})
 
     def power(self, k):
         """The substitution s^k (images of the single letters under k-fold s)."""

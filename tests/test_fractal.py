@@ -1,10 +1,13 @@
 import bisect
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sturmtrace as st
+from sturmtrace import fractal
 from sturmtrace.fractal import box_count, box_dimension, restrict_bands, thickness
 from sturmtrace.spectrum import BandSet, combinatorial_gap_label
 
@@ -111,6 +114,64 @@ def test_box_count_equals_loop_on_metal_mean_level_10():
     lo, hi = bands.hull()
     scales = [(hi - lo) * 2.0 ** -i for i in range(2, 47)] + [0.1, 0.01, 1e-3, 1e-4, 1e-5]
     assert_counts_match_loop(bands.bands, scales)
+
+
+def test_box_count_in_blocks_equals_loop(monkeypatch):
+    # the default ladder of an 8119-band set takes several BOX_CELLS passes
+    bands = st.floquet_bands(st.parse_substitution("0->001;1->0"),
+                             st.JacobiParams(1.5, 1.0), 10)
+    ladders = []
+    monkeypatch.setattr(fractal, "box_count", lambda b, eps: ladders.append(eps) or box_count(b, eps))
+    box_dimension(bands)
+    (eps,) = ladders
+    assert bands.band_count * eps.size > 2 * fractal.BOX_CELLS
+    assert box_count(bands, eps).tolist() == [box_count_loop(bands.bands, e) for e in eps.tolist()]
+    # blocks of one row, of a few rows and a last block cut short
+    bands = middle_thirds(5, -0.3, 1.9)
+    for cells in (1, 32, 100):
+        monkeypatch.setattr(fractal, "BOX_CELLS", cells)
+        assert_counts_match_loop(bands, [2.2 * 2.0 ** -i for i in range(1, 12)])
+
+
+def test_box_count_shapes():
+    bands = middle_thirds(3)
+    for eps in (0.1, np.float64(0.1), np.array(0.1)):
+        assert type(box_count(bands, eps)) is int
+    assert box_count(bands, np.full((2, 3), 0.1)).shape == (2, 3)
+    assert box_count(bands, np.array([])).shape == (0,)
+    empty = box_count(BandSet(()), np.array([0.5, 1e-3, 1e-300]))
+    assert empty.dtype == np.int64 and empty.tolist() == [0, 0, 0]
+
+
+def test_box_count_temporaries_stay_small():
+    edges = np.sort(np.random.default_rng(2).uniform(-2.0, 2.0, 2 * 46368)).reshape(-1, 2)
+    eps = 2.0 ** -np.arange(40)
+    tracemalloc.start()
+    try:
+        counts = box_count(edges, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts[0] == 4
+    # a single (40, 46368) int64 array would take 14.8 MB
+    assert peak < 4 * 2 ** 20
+
+
+# sha256 of repr((box_dimension, 6-window local_dimension_profile)) on
+# scan-shallow-like levels: the estimates stay the same float for float
+@pytest.mark.parametrize("text, p, q, k, kw, digest", [
+    ("0->01;1->0", 1.4122, 0.9564, 12, {},
+     "682ed4ca2dc74d0bd2f8c5e1199778ccf8ba86b032f07cba892b2f48a18c8749"),
+    ("0->1;1->10", 0.909, 0.7183, 10, {},
+     "01eeaf9482ed171b9007acb837ae3db44fce25bd5401aa71ecb34ad2d296dc67"),
+    ("0->01;1->0", 1.0, 24.97, 11, dict(tol=3e-14, merge_tol=2e-13),
+     "77e478bdb360178d258685162566f58954be282f83604ad46caf416fd86e8d7d"),
+])
+def test_dimension_estimates_are_pinned(text, p, q, k, kw, digest):
+    s, params = st.parse_substitution(text), st.JacobiParams(p, q)
+    bands = st.floquet_bands(s, params, k, **kw)
+    estimates = (box_dimension(bands), st.local_dimension_profile(s, params, k, 6, bands=bands))
+    assert hashlib.sha256(repr(estimates).encode()).hexdigest() == digest
 
 
 def test_box_dimension_unchanged_on_readme_dims_case():

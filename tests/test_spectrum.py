@@ -218,6 +218,8 @@ def test_band_sum_examples():
     assert st.band_sum(touching, touching).bands == ((0.0, 6.0),)  # sums touch and merge
     cantorish = BandSet(((0.0, 1.0), (3.0, 4.0)))
     assert st.band_sum(cantorish, cantorish).bands == ((0.0, 2.0), (3.0, 5.0), (6.0, 8.0))
+    signed = st.band_sum(BandSet(((-0.0, -0.0),)), BandSet(((-1.0, -0.0), (0.5, 1.0))))
+    assert repr(signed.bands) == "((-1.0, -0.0), (0.5, 1.0))"
 
 
 intervals = st_h.lists(
@@ -276,6 +278,8 @@ def test_band_set_helpers_equal_their_pair_loops():
         if merged:
             assert st.hausdorff_distance(merged, other) == st.hausdorff_distance(
                 BandSet(merged), np.array(other))
+        # band_sum builds its BandSet from the merged edge array, with no tuple step
+        assert st.band_sum(merged, other) == BandSet(merge_intervals(sums))
     # the measure adds band by band; numpy's pairwise sum rounds differently here
     bands = st.floquet_bands(st.FIBONACCI, st.JacobiParams(1.0, 1.0), 10).bands
     widths = np.diff(np.array(bands)).ravel()
@@ -874,12 +878,14 @@ def test_word_length_cap_checked_before_expansion():
 
 
 def test_negative_merge_tol_raises():
-    for merge_tol in (-1e-12, np.nan):
-        with pytest.raises(ValueError, match="merge_tol"):
+    # an infinite merge_tol would merge every gap: 1 band and 7 closed gaps here
+    for merge_tol in (-1e-12, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="merge_tol must be finite and >= 0"):
             st.floquet_bands(st.FIBONACCI, st.JacobiParams(1.0, 2.0), 4, merge_tol=merge_tol)
-    # at merge_tol = 0 only a gap that the x_k test closes is merged
-    bands = st.floquet_bands(st.FIBONACCI, st.JacobiParams(1.0, 2.0), 4, merge_tol=0.0)
-    assert (bands.band_count, bands.closed_gaps) == (8, 0)
+    # finite values solve; at merge_tol = 0 only a gap that the x_k test closes is merged
+    for merge_tol, solved in ((0.0, (8, 0)), (1e-3, (8, 0)), (1.0, (2, 6))):
+        bands = st.floquet_bands(st.FIBONACCI, st.JacobiParams(1.0, 2.0), 4, merge_tol=merge_tol)
+        assert (bands.band_count, bands.closed_gaps) == solved
 
 
 @pytest.mark.parametrize("tol", [-1e-12, np.nan, np.inf, -np.inf])

@@ -105,6 +105,18 @@ BLOCK_CASES = ("0->01;1->0", "0->001;1->0", "0->1;1->10", "0->1;1->01", "0->0001
                "0->100;1->10", "0->00;1->0")
 
 
+@pytest.mark.parametrize("s", [parse_substitution(t) for t in BLOCK_CASES]
+                         + [THUE_MORSE, Substitution("10", "0")])
+def test_apply_equals_the_letter_by_letter_join(s):
+    join = lambda word: "".join(s.image(c) for c in word)
+    rng = np.random.default_rng(3)
+    for n in list(range(6)) + [17, 100, 1000]:
+        word = "".join(rng.choice(["0", "1"], n).tolist())
+        assert s.apply(word) == join(word)
+    s4 = s.power(4)
+    assert s.power(5) == Substitution(join(s4.image0), join(s4.image1))
+
+
 @pytest.mark.parametrize("text", BLOCK_CASES)
 def test_prefix_blocks_spell_the_fixed_point_prefix(text):
     s = parse_substitution(text)
