@@ -25,12 +25,16 @@ spectrum; orbits that leave the unit-cube region escape to infinity in
 all three coordinates, which is the basis of the escape classifier.
 
 Every orbit is computed by one array kernel, ``_iterate``, which applies
-a sequence of t_a factors to aligned (x, y, z) arrays.  Its callers are
-``spectrum.half_trace_grid`` (the only one that clips each U-step),
-:func:`classify_batch` (which holds the escape test), and the one-point
-:func:`apply_period`, :func:`step` and :func:`classify`, which run it on
-one-element arrays.  The scalar maps below are the definitions, and the
-tests check the kernel against them.
+a sequence of t_a factors to aligned (x, y, z) arrays.  Each U-step is
+computed into one fresh array, with the rest of its arithmetic (and the
+optional clip) done in place on that array.  The float operations are
+those of the scalar maps below, in the same order, so every lane is
+bit-identical to the scalar orbit, and the input arrays are never
+written.  Its callers are ``spectrum.half_trace_grid`` (which clips each
+U-step to +-SATURATION), :func:`classify_batch` (which holds the escape
+test), and the one-point :func:`apply_period`, :func:`step` and
+:func:`classify`, which run it on one-element arrays.  The scalar maps
+are the definitions, and the tests check the kernel against them.
 """
 
 import math
@@ -143,19 +147,26 @@ def recipe_from_substitution(s):
 def _iterate(factors, x, y, z, bound=None):
     """The trace-map kernel: apply t_a for each a of ``factors``, in order.
 
-    (x, y, z) are aligned arrays and the image triple is returned.  With
-    ``bound``, every U-step clips 2xz - y to [-bound, bound], in place on
-    the fresh array (so the inputs are never written), which needs the
-    lanes to be arrays of at least one dimension.
+    (x, y, z) are aligned arrays and the image triple is returned.  Each
+    U-step makes one fresh array t = 2x, then forms t*z - y in place on
+    it: the same float operations, in the same order, as ``2.0 * x * z -
+    y`` in :func:`u_map`, so each lane is bit-identical to the scalar
+    orbit.  With ``bound``, t is then clipped to [-bound, bound], also in
+    place, which needs the lanes to be arrays of at least one dimension.
+    Only the fresh arrays are written, never the inputs, so a caller may
+    keep them (and pass the same array as y and z).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for a in factors:
             y, z = z, y
             for _ in range(a):
-                x, y = 2.0 * x * z - y, x
+                t = x * 2.0
+                t *= z
+                t -= y
                 if bound is not None:
-                    np.minimum(x, bound, out=x)
-                    np.maximum(x, -bound, out=x)
+                    np.minimum(t, bound, out=t)
+                    np.maximum(t, -bound, out=t)
+                x, y = t, x
     return x, y, z
 
 
@@ -220,9 +231,9 @@ def classify_batch(recipe, xs, ys, zs, max_steps=MAX_STEPS_BANDS,
     Only live lanes are iterated: once at least half of the working
     arrays are escaped lanes, they shrink to the live ones, and the loop
     ends when no lane is live.  The escape test itself runs only on the
-    live lanes whose max-norm is above escape_norm or not finite.  Each
-    lane's arithmetic is that of a lone lane, so the results are the same
-    lane by lane.
+    live lanes whose max-norm is above escape_norm or not finite.  With no
+    lanes it returns at once, without iterating.  Each lane's arithmetic
+    is that of a lone lane, so the results are the same lane by lane.
     """
     if max_steps < 1:
         raise ValueError("need max_steps >= 1")
@@ -235,6 +246,8 @@ def classify_batch(recipe, xs, ys, zs, max_steps=MAX_STEPS_BANDS,
     escaped_at = np.full(n_pts, max_steps + 1, dtype=np.int64)
     last = np.empty((3, n_pts))
     max_norm = np.empty(n_pts)
+    if n_pts == 0:
+        return escaped_at <= max_steps, escaped_at, last, max_norm
     # the working set: lane indices, their triples, peaks and last three norms
     lanes = np.arange(n_pts)
     live = np.ones(n_pts, dtype=bool)

@@ -569,6 +569,23 @@ def test_half_trace_grid_bitwise_equals_loop(text, k):
     assert saturated > 0 and {"inf", "-inf", "nan"} <= starts
 
 
+@pytest.mark.parametrize("text", ["0->01;1->0", "0->001;1->0", "0->1;1->10", "0->1;1->01"])
+def test_half_trace_grid_overflows_as_the_loop_at_extreme_energies(text):
+    # lanes overflow, saturate and turn NaN step by step as in the loop; full-trace
+    # coordinates (X = 2x, X' = XZ - Y) turn NaN at |E| >= 1e308 where the loop saturates
+    recipe = st.recipe_from_substitution(parse_substitution(text))
+    big = np.array([1e308, 1.7e308, 1.3e154, np.finfo(float).max])
+    E = np.concatenate([-big, big])
+    for p in (0.5, -0.5):
+        params = st.JacobiParams(p, 0.7)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for level in (0, 1, 3, 8):
+                got = half_trace_grid(recipe, params, E, level)
+                assert got.tobytes() == half_trace_loop(recipe, params, E, level).tobytes()
+                if level >= 3:
+                    assert np.all(np.abs(got[[2, 6]]) == SATURATION)  # E = +-1.3e154
+
+
 def test_free_case_closes_every_gap():
     for s, k in ((st.FIBONACCI, 7), (METAL, 5)):
         bands = st.floquet_bands(s, st.JacobiParams(1.0, 0.0), k)

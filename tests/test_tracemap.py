@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st_h
 import sturmtrace as st
 from sturmtrace.jacobi import half_trace, word_transfer
 from sturmtrace.substitution import Substitution, periodic_word
+import sturmtrace.tracemap as tracemap_mod
 from sturmtrace.tracemap import (
     OrbitVerdict,
     TraceMapRecipe,
+    _iterate,
     _verdicts,
     apply_period,
     apply_period_inverse,
@@ -216,6 +218,51 @@ def test_kernel_equals_scalar_factor_composition():
                 step(rec, p, n)
 
 
+def clipped_orbit(factors, point, bound):
+    """t_a factors applied with scalar u_map steps, each clipped as the kernel does."""
+    x, y, z = point
+    for a in factors:
+        y, z = z, y
+        for _ in range(a):
+            v = 2.0 * x * z - y
+            if bound is not None:
+                v = bound if v > bound else -bound if v < -bound else v  # NaN stays NaN
+            x, y = v, x
+    return x, y, z
+
+
+def test_kernel_never_writes_its_inputs_and_equals_the_scalar_maps():
+    rng = np.random.default_rng(34)
+    # 2x overflows where x*z would not: the order of 2.0 * x * z shows at (1e308, 0.1, 0)
+    huge = [(1e200, 1e200, 1e200), (1e160, -1e160, 3.0), (2.0, 1e300, -1e300), (1e308, 0.1, 0.0),
+            (math.inf, 0.5, 0.5), (0.5, -math.inf, 2.0), (math.nan, 0.2, 0.3), (1.0, 1.0, 1.0)]
+    saturated = overflowed = False
+    for _ in range(60):
+        rec = random_recipe(rng)
+        if max(rec.period) < 2:
+            rec = TraceMapRecipe(period=rec.period + (int(rng.integers(2, 4)),),
+                                 swapped_start=rec.swapped_start)
+        factors = rec.period * int(rng.integers(1, 9))
+        points = [tuple(rng.uniform(-3, 3, size=3)) for _ in range(40)] + huge
+        lanes = np.array(points).T
+        for bound in (None, 1e150, 50.0):
+            for same_yz in (False, True):
+                x, y, z = (c.copy() for c in lanes)
+                if same_yz:
+                    z = y
+                before = [c.tobytes() for c in (x, y, z)]
+                got = _iterate(factors, x, y, z, bound=bound)
+                assert [c.tobytes() for c in (x, y, z)] == before
+                want = [clipped_orbit(factors, (a, b, c), bound)
+                        for a, b, c in zip(x.tolist(), y.tolist(), z.tolist())]
+                assert np.stack(got).tobytes() == np.array(want).T.tobytes(), (rec, bound)
+                if bound is None:
+                    overflowed |= bool(np.isinf(got[0]).any())
+                else:
+                    saturated |= bool((np.abs(got[0]) == bound).any())
+    assert saturated and overflowed
+
+
 def classify_loop(recipe, point, max_steps, escape_norm):
     """The scalar escape loop classify ran before it called classify_batch."""
     q = scalar_orbit(recipe, tuple(float(c) for c in point), 0)
@@ -375,6 +422,20 @@ def test_classify_batch_checks_its_settings():
     with pytest.raises(ValueError):
         # an empty chart classifies no pixel, and still checks
         surface_section(-1.5, 8, chart=(-0.9, 0.9, -0.9, 0.9), max_steps=0)
+
+
+def test_no_lanes_return_at_once(monkeypatch):
+    rec = st.recipe_from_substitution(st.FIBONACCI)
+
+    def no_kernel(*args, **kw):
+        raise AssertionError("kernel called with no lanes")
+
+    monkeypatch.setattr(tracemap_mod, "_iterate", no_kernel)
+    escaped, at, last, max_norm = classify_batch(rec, [], [], [], max_steps=200)
+    for got, shape, dtype in ((escaped, (0,), bool), (at, (0,), np.int64),
+                              (last, (3, 0), float), (max_norm, (0,), float)):
+        assert got.shape == shape and got.dtype == dtype
+    assert st.dynamical_spectrum_probe(st.FIBONACCI, st.JacobiParams(1.0, 2.0), []) == []
 
 
 def test_escape_soundness():
