@@ -15,13 +15,14 @@ change of sign * x_k - 1 on its bracket; all 2q edges are bisected at
 once.
 
 For q up to STERF_MAX_Q the points are seeded by the eigenvalues of the
-window w[1:] (LAPACK sterf, O(q^2)).  One is kept when
-sign_j x_k(mu_j) >= 1 and the points increase strictly around it, also
-once the searched points are in place; the sign test alone also passes
-in gaps j+-2, j+-4, ...  Above STERF_MAX_Q nothing is seeded and scipy
-is not imported.  Every lane without a kept point is found by one
-multisection on the Dirichlet count of the window w[:-1], whose probes
-all lanes share.  The count is read in O(k) per energy off the lifted
+window w[1:] (LAPACK dsterf, O(q^2)), called through ctypes in the
+OpenBLAS that numpy's wheel ships; no solve imports scipy.  One is kept
+when sign_j x_k(mu_j) >= 1 and the points increase strictly around it,
+also once the searched points are in place; the sign test alone also
+passes in gaps j+-2, j+-4, ...  Above STERF_MAX_Q, or where numpy ships
+no dsterf, nothing is seeded.  Every lane without a kept point is found
+by one multisection on the Dirichlet count of the window w[:-1], whose
+probes all lanes share.  The count is read in O(k) per energy off the lifted
 pivot maps of the whole period w, the blocks s^k(star) (see jacobi.py),
 so the window needs no blocks of its own.  A probe with count j-1 or j
 and sign_j x_k >= 1 lies in gap j.  Where the counts at the ends of an
@@ -40,7 +41,11 @@ The band-set helpers take a BandSet, (lo, hi) pairs or an (n, 2) array,
 and read it as one (n, 2) float array of edges.
 """
 
+import ctypes
+import functools
+import glob
 import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -53,12 +58,13 @@ from .tracemap import (ESCAPE_NORM_DEFAULT, MAX_STEPS_POINT, _iterate, _verdicts
 SATURATION = 1e150         # |x| cap of one trace-map step; keeps the sign in gaps
 BISECT_ROUNDS = 128        # halvings of a bracket, ample for any tol above 1 ulp
 COUNT_CHUNK = 4096         # energies per lifted-count call of the search
-# sterf seeds the Dirichlet points up to this q; above it the search alone is
-# faster.  Warm solves, medians of 9, 2-CPU x86 machine: at q = 1393
-# (metal-mean k = 8) the search takes 35 ms against sterf's 41 ms at
-# (p, q) = (1.087, 1.854), but 66 against 46 ms at V = 24, whose clustered
-# bands cost the search more probes per lane; at q = 2584 (Fibonacci
-# k = 16) 50 against 114 ms and 92 against 115 ms.
+# dsterf (from numpy's OpenBLAS, see _dsterf) seeds the Dirichlet points up
+# to this q; above it the search alone is faster.  Warm solves, medians of
+# 9, 2-CPU x86 machine: at q = 1393 (metal-mean k = 8) the search takes
+# 35 ms against sterf's 41 ms at (p, q) = (1.087, 1.854), but 66 against
+# 46 ms at V = 24, whose clustered bands cost the search more probes per
+# lane; at q = 2584 (Fibonacci k = 16) 50 against 114 ms and 92 against
+# 115 ms.
 STERF_MAX_Q = 1500
 CLOSED_GAP_EXCESS = 1e-12  # a gap with |x_k(midpoint)| - 1 at most this is closed
 
@@ -209,6 +215,11 @@ def half_trace_grid(recipe, params, E, k):
     half-trace over s^k(star), for k = 0 the single-letter trace.
     Every U-step saturates at +-SATURATION: deep in a gap, where the
     true value would overflow, the result keeps the sign of 2xz - y.
+    The clip does not reach the start x of initial_conditions_grid,
+    which is already inf above |E| of about 1.34e154 min(1, sqrt(2|p|))
+    (E*E or its quotient by 2p overflows); there the result can be inf
+    or NaN.  No energy of the band solver, within 2 + |q| + 2|p| of 0,
+    comes near that bound at any parameters of practical size.
     """
     E = np.asarray(E, dtype=float)
     if E.ndim == 0:   # the kernel clips in place, on arrays
@@ -343,6 +354,47 @@ def _search(x, count, mu, sign, j, merge_tol):
     return point, closed
 
 
+@functools.cache
+def _dsterf():
+    """LAPACK dsterf of the OpenBLAS that numpy's wheel ships, or None.
+
+    The wheel loads that library on ``import numpy`` and exports LAPACK
+    through its ILP64 interface as ``scipy_dsterf_64_`` (64-bit integer
+    arguments); the symbol is a build detail of the wheel, not numpy API.
+    """
+    root = os.path.dirname(np.__file__)
+    for path in sorted(glob.glob(os.path.join(root + ".libs", "libscipy_openblas64_*"))
+                       + glob.glob(os.path.join(root, ".dylibs", "libscipy_openblas64_*"))):
+        try:
+            fn = ctypes.CDLL(path).scipy_dsterf_64_
+        except (OSError, AttributeError):
+            continue
+        vec = np.ctypeslib.ndpointer(np.float64, 1, flags=("C_CONTIGUOUS", "WRITEABLE"))
+        fn.argtypes = [ctypes.POINTER(ctypes.c_int64), vec, vec, ctypes.POINTER(ctypes.c_int64)]
+        fn.restype = None
+        return fn
+    return None
+
+
+def _sterf(d, e):
+    """Ascending eigenvalues of the symmetric tridiagonal matrix (d, e), by LAPACK dsterf.
+
+    All NaN when the library or its symbol is missing or dsterf fails:
+    a NaN seed is never kept, so every lane is then searched.
+    """
+    d = np.array(d, dtype=np.float64)   # dsterf overwrites both
+    e = np.array(e, dtype=np.float64)
+    if d.ndim != 1 or e.shape != (d.size - 1,):
+        raise ValueError("need n diagonal and n-1 off-diagonal entries: %r, %r"
+                         % (d.shape, e.shape))
+    fn, info = _dsterf(), ctypes.c_int64(0)
+    if fn is not None:
+        fn(ctypes.byref(ctypes.c_int64(d.size)), d, e, ctypes.byref(info))
+    if fn is None or info.value != 0:
+        d[:] = np.nan
+    return d
+
+
 def _certify(x, count, mu, sign, merge_tol):
     """Certify one point mu_j in each closed gap j, or raise; returns (mu, closed).
 
@@ -396,11 +448,8 @@ def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=N
     x = lambda E: half_trace_grid(recipe, params, E, k)
     inner = np.full(q - 1, np.nan)   # no seed passes: every lane is searched
     if 1 < q <= STERF_MAX_Q:
-        from scipy.linalg import eigvalsh_tridiagonal  # 0.3 s import, kept off module load
         spec = dirichlet_restriction(params, word[1:])
-        inner = eigvalsh_tridiagonal(np.asarray(spec.diag, dtype=float),
-                                     np.asarray(spec.offdiag[1:], dtype=float),
-                                     lapack_driver="sterf")
+        inner = _sterf(spec.diag, spec.offdiag[1:])
     mu = np.concatenate([[min(lo, hull[0])], inner, [max(hi, hull[1])]])
     # sign of x_k in gap j (above band j): leading coefficient times (-1)^(q-j)
     sign = np.sign(params.p) ** word.count("1") * (-1.0) ** (q - np.arange(q + 1))

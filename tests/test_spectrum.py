@@ -610,22 +610,28 @@ def test_strong_coupling_edges_match_mpmath():
 
 
 def _misplace(monkeypatch, i, j):
-    """Make the Dirichlet eigensolver return mu[i] = mu[j] (0-based, interior points)."""
-    exact = scipy.linalg.eigvalsh_tridiagonal
+    """Make the Dirichlet eigensolver return mu[i] = mu[j] (0-based, interior points).
 
-    def misplaced(d, e, **kw):
-        mu = exact(d, e, **kw)
+    Returns the list of seeds it returned, one per call.
+    """
+    exact, calls = spectrum_mod._sterf, []
+
+    def misplaced(d, e):
+        mu = exact(d, e)
         mu[i] = mu[j]
+        calls.append(mu)
         return mu
 
-    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", misplaced)
+    monkeypatch.setattr(spectrum_mod, "_sterf", misplaced)
+    return calls
 
 
 def test_misplaced_dirichlet_eigenvalue_is_recomputed(monkeypatch):
     params = st.JacobiParams(1.0, 2.0)
     expected = st.floquet_bands(st.FIBONACCI, params, 8)
-    _misplace(monkeypatch, 20, 21)   # into the neighbouring gap, where x_k has the wrong sign
+    calls = _misplace(monkeypatch, 20, 21)   # into the neighbouring gap: x_k has the wrong sign
     got = st.floquet_bands(st.FIBONACCI, params, 8)
+    assert len(calls) == 1 and np.isfinite(calls[0]).all()
     assert got.band_count == 55
     assert np.allclose(got.bands, expected.bands, rtol=0.0, atol=got.edge_tol)
 
@@ -634,8 +640,9 @@ def test_dirichlet_eigenvalue_two_gaps_off_is_recomputed(monkeypatch):
     # two gaps up x_k has the right sign again: only the order and the count see it
     params = st.JacobiParams(1.0, 2.0)
     expected = st.floquet_bands(st.FIBONACCI, params, 8)
-    _misplace(monkeypatch, 20, 22)
+    calls = _misplace(monkeypatch, 20, 22)
     got = st.floquet_bands(st.FIBONACCI, params, 8)
+    assert len(calls) == 1 and np.isfinite(calls[0]).all()
     assert (got.band_count, got.closed_gaps) == (expected.band_count, expected.closed_gaps)
     assert np.allclose(got.bands, expected.bands, rtol=0.0, atol=got.edge_tol)
 
@@ -825,14 +832,17 @@ def test_lane_no_interval_holds_raises():
         spectrum_mod._certify(_three_gap_x, _window_count(-0.9), mu, sign, 1e-12)
 
 
-@pytest.mark.parametrize("text, p, q, k, kw", [
+CROSSOVER_CASES = [
     ("0->01;1->0", 1.1, 0.3, 8, {}),
     ("0->01;1->0", 1.0, 24.0, 12, dict(tol=3e-14, merge_tol=2e-13)),
     ("0->1;1->10", 1.0, 2.0, 14, {}),
     ("0->001;1->0", 1.087, 1.854, 9, {}),
     ("0->100;1->10", 58.8, -8.58, 7, {}),
     ("0->001;1->0", 1.5, 1.0, 10, {}),
-])
+]
+
+
+@pytest.mark.parametrize("text, p, q, k, kw", CROSSOVER_CASES)
 def test_search_agrees_with_sterf_across_the_crossover(monkeypatch, text, p, q, k, kw):
     s, params = parse_substitution(text), st.JacobiParams(p, q)
     search, searched = spectrum_mod._search, []
@@ -857,17 +867,58 @@ def test_search_agrees_with_sterf_across_the_crossover(monkeypatch, text, p, q, 
     assert np.allclose(lifted.bands, sterf.bands, rtol=0.0, atol=sterf.edge_tol)
 
 
-def test_deep_solve_never_imports_scipy():
-    # above the crossover every lane is searched on the lifted count
-    code = ("import sys\n"
+@pytest.mark.parametrize("text, p, q, k, kw", CROSSOVER_CASES)
+def test_solve_without_dsterf_searches_every_lane(monkeypatch, text, p, q, k, kw):
+    s, params = parse_substitution(text), st.JacobiParams(p, q)
+    monkeypatch.setattr(spectrum_mod, "STERF_MAX_Q", 10 ** 9)   # every level is seeded
+    seeded = st.floquet_bands(s, params, k, **kw)
+    loaded = []
+    monkeypatch.setattr(spectrum_mod, "_dsterf", lambda: loaded.append(None))   # no library
+    unseeded = st.floquet_bands(s, params, k, **kw)
+    assert loaded
+    assert (unseeded.band_count, unseeded.closed_gaps) == (seeded.band_count, seeded.closed_gaps)
+    assert np.allclose(unseeded.bands, seeded.bands, rtol=0.0, atol=seeded.edge_tol)
+
+
+@pytest.mark.parametrize("text, p, q, k", [
+    ("0->01;1->0", 1.0, 2.0, 14),            # q = 987
+    ("0->001;1->0", 1.087, 1.854, 8),        # q = 1393
+    ("0->01;1->0", 1.0, 24.0, 12),           # q = 377
+    ("0->01;1->0", 1.0, 24.0, 14),           # q = 987
+    ("0->100;1->10", -0.33, 19.7, 7),        # q = 987
+    ("0->1;1->10", 1.0, 2.0, 14),            # q = 987
+])
+def test_sterf_equals_scipy_sterf(text, p, q, k):
+    assert spectrum_mod._dsterf() is not None, "numpy's OpenBLAS exports no dsterf"
+    word = periodic_word(parse_substitution(text), k)
+    assert 377 <= len(word) <= spectrum_mod.STERF_MAX_Q
+    spec = st.dirichlet_restriction(st.JacobiParams(p, q), word[1:])
+    d, e = np.array(spec.diag), np.array(spec.offdiag[1:])
+    got = spectrum_mod._sterf(d, e)
+    expected = scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
+    assert got.tobytes() == expected.tobytes()
+    assert d.tobytes() == np.array(spec.diag).tobytes()   # the inputs are copied, not overwritten
+
+
+def test_deep_solve_never_imports_scipy(tmp_path):
+    # above the crossover every lane is searched on the lifted count; at or
+    # below it the points are seeded by numpy's own dsterf
+    code = ("import contextlib, io, sys\n"
             "from sturmtrace import FIBONACCI, JacobiParams, floquet_bands, spectrum\n"
+            "from sturmtrace.cli import main\n"
             "bands = floquet_bands(FIBONACCI, JacobiParams(1.0, 2.0), 16)\n"
-            "print(bands.band_count > spectrum.STERF_MAX_Q, 'scipy' in sys.modules)\n")
+            "print(bands.band_count > spectrum.STERF_MAX_Q, 'scipy' in sys.modules)\n"
+            "bands = floquet_bands(FIBONACCI, JacobiParams(1.0, 2.0), 14)\n"
+            "print(bands.band_count <= spectrum.STERF_MAX_Q, 'scipy' in sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = main(['spectrum', '0->01;1->0', '--p', '1', '--q', '2',\n"
+            "                   '--level', '10', '--out-dir', sys.argv[1]])\n"
+            "print(status == 0, 'scipy' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(st.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.split() == ["True", "False"]
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["True", "False"] * 3
 
 
 def test_range_not_enclosing_spectrum_raises(monkeypatch):
