@@ -344,11 +344,61 @@ def _readme_commands():
             if line.strip().startswith("sturmtrace ")]
 
 
+# sha256 of the stdout and of each output file of every README command
+# line, with the --out-dir path written as the README's "out"
+README_SHA256 = {
+    "subst '0->01;1->0' --prefix 50": {
+        "stdout": "0e9d9277022266cdc9be27f77a951a1bfab18319b92a7e0ab74b5d6d3d98efa6",
+    },
+    "spectrum '0->01;1->0' --p 1 --q 2 --level 10 --out-dir out": {
+        "stdout": "eef70ce559e39e4cdf6a3b6d287ec5770c8c555fc8f94523f95ab509b48ffa97",
+        "bands_k10.csv": "a523aa75cc9cab7967b28c27e33d9753f4cade1dd5b13c93eeb63dea95224ac4",
+        "bands_k10.json": "9ea835bbb3af42cea45f3ddf1a060d3da2d1e32be1a6db89874fe2b648a4fb1b",
+    },
+    "gaps '0->01;1->0' --p 1.1 --q 0.3 --level 8 --length 2584 --out-dir out": {
+        "stdout": "10f8f5db17883040217d03ec697cd9c1b1116fcf3ff3a74f8ac003c593d845a3",
+        "gaps_k8.csv": "ce21ec75d30b0e7fa03905a5c984d231e3d9877c9daf5f5f3ecd27d438aaca78",
+    },
+    "dims '0->01;1->0' --p 1 --q 2 --level 10 --windows 6 --out-dir out": {
+        "stdout": "713908d5224a7961e8508837414130b215bde70e8bdf74fc4c84cb106fd3f5d4",
+        "dim_profile_k10.csv": "62f91b1d61d0c6c28e3a3a439c7b970817188cb8527010a2d0fdf394cb7553ea",
+        "dims_k10.json": "e8a0ab1597a2fef16fd424c894fd55a0dbbefb1e3dd4f2939007202d38f04e0f",
+    },
+    "dos '0->01;1->0' --p 1 --q 0.5 --length 4181 --samples 20 --out-dir out": {
+        "stdout": "c2619de42ec925ab65623a3fea049b53d4103a83c3e13e6c753f2484cb4db5a4",
+        "dos_exponents.json": "30af745f7db3ee8447de54e38f68f5668458b7fa9087de6f371a1e2a393a2a00",
+        "ids_L4181.csv": "9622e162a782ebb0bb5ca19521af804a223fd8b0e02dd095e0de681dd46a9e70",
+    },
+    "surface --invariant 0.01 --resolution 256 --out-dir out": {
+        "stdout": "8a777acf8406eedd99ac78a0af9ad3164a01f71ef19931b385384cdd077d6aee",
+        "surface_V0.01.csv": "3c68751e14f2ba2d4a3e41fd4e98df17d79a08769efd823f6714a9f2f61303c9",
+        "surface_V0.01.ppm": "a9b7722b4668fafe6699e47d1ebc7d3267731267128dd6a99b79c5ea5956d8fb",
+    },
+    "scan '0->01;1->0' --kind large_coupling --values 24,32 --out-dir out": {
+        "stdout": "24ba398ec75c8082828f345d3c4a8ad9aa47cea83c965709b4f2d10c7f3d9e39",
+        "scan_large_coupling.csv":
+            "ec213eae20b88c8d1fa02e0e4732e2b4981ba3902d47343833fe809228842e03",
+    },
+}
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
 def test_readme_command_lines_run(tmp_path, capsys):
     commands = _readme_commands()
     assert len(commands) >= 7
+    assert sorted(README_SHA256) == sorted(shlex.join(argv) for argv in commands)
     for i, argv in enumerate(commands):
+        line = shlex.join(argv)
         if "--out-dir" in argv:
             argv = argv[:argv.index("--out-dir")] + argv[argv.index("--out-dir") + 2:]
-        assert main(argv + ["--out-dir", str(tmp_path / str(i))]) == 0, argv
-    capsys.readouterr()
+        out = str(tmp_path / str(i))
+        assert main(argv + ["--out-dir", out]) == 0, line
+        got = {"stdout": _sha256(capsys.readouterr().out.replace(out, "out").encode())}
+        if os.path.isdir(out):
+            for name in sorted(os.listdir(out)):
+                with open(os.path.join(out, name), "rb") as fh:
+                    got[name] = _sha256(fh.read().replace(out.encode(), b"out"))
+        assert got == README_SHA256[line], line
