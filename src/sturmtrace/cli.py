@@ -150,7 +150,7 @@ def cmd_dims(args):
         "measure": F17(bands.measure()),
     }
     files = [(os.path.join(args.out_dir, "dims_k%d.json" % args.level), _write_json, report)]
-    if args.windows > 1:
+    if args.windows != 1:
         profile = fractal.local_dimension_profile(s, params, args.level,
                                                   args.windows, bands=bands)
         rows = [(center, "" if e is None else e.value, "" if e is None else e.stderr)

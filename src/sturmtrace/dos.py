@@ -96,17 +96,16 @@ def ids_counter(s, params, L):
     return counter
 
 
-def _table(counter, e_grid):
-    """IDS table of an :func:`ids_counter` over a grid: one batched count."""
-    if counter.L < 8:
+def ids(s, params, L, e_grid):
+    """IDS table over an energy grid spanning the spectrum hull: one batched count.
+
+    Refuses as :func:`ids_counter` does, then L < 8 with ValueError.
+    """
+    counter = ids_counter(s, params, L)
+    if L < 8:
         raise ValueError("need L >= 8")
     e = np.asarray(e_grid, dtype=float)
-    return IdsTable(e, counter(e), counter.L)
-
-
-def ids(s, params, L, e_grid):
-    """IDS table over an energy grid spanning the spectrum hull."""
-    return _table(ids_counter(s, params, L), e_grid)
+    return IdsTable(e, counter(e), L)
 
 
 def _ladder_slope(eps, vals, floor):

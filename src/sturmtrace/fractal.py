@@ -37,7 +37,6 @@ import numpy as np
 from .dos import _loglog_fit
 from .jacobi import JacobiParams, decoupled_block_spectrum
 from .spectrum import _clip, _edges, floquet_bands, gap_index_for_label, hausdorff_distance
-from .spectrum import restrict_bands  # noqa: F401  (re-exported)
 from .substitution import FIBONACCI, fixed_point_prefix
 from .tracemap import recipe_from_substitution
 

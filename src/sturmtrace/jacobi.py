@@ -123,10 +123,13 @@ def invariant_slope(params):
 class TridiagonalSpec:
     """Symmetric tridiagonal restriction: diag[i] = q(w_i), offdiag[i] = p(w_i).
 
-    offdiag[i] couples sites i-1 and i; index 0 is the dangling boundary
-    bond, kept for serialization but unused by the Dirichlet matrix.
-    Zero off-diagonal entries are legal and split the chain into blocks.
-    Both are kept as tuples of floats copied from the caller's data.
+    offdiag[i] couples sites i-1 and i.  Index 0 is the dangling boundary
+    bond, which the Dirichlet matrix does not use: it keeps offdiag
+    aligned with diag letter by letter, and every consumer (the Sturm
+    loop, :meth:`dense`, the ``dsterf`` seeds, the benchmark's checks)
+    reads offdiag[1:].  Zero off-diagonal entries are legal and split
+    the chain into blocks.  Both are kept as tuples of floats copied from
+    the caller's data.
     """
 
     diag: tuple
@@ -151,9 +154,6 @@ class TridiagonalSpec:
         for i in range(1, L):
             m[i - 1, i] = m[i, i - 1] = self.offdiag[i]
         return m
-
-    def to_csv_rows(self):
-        return [(i, self.diag[i], self.offdiag[i]) for i in range(self.length)]
 
 
 def dirichlet_restriction(params, word):

@@ -494,8 +494,8 @@ def dynamical_spectrum_probe(s, params, E_list, max_steps=MAX_STEPS_POINT,
     """classify() of the curve of initial conditions at each energy, in one batch."""
     if recipe is None:
         recipe = recipe_from_substitution(s)
-    _, at, last, max_norm = classify_batch(recipe, *initial_conditions_grid(params, E_list),
-                                           max_steps=max_steps, escape_norm=escape_norm)
+    at, last, max_norm = classify_batch(recipe, *initial_conditions_grid(params, E_list),
+                                        max_steps=max_steps, escape_norm=escape_norm)
     return _verdicts(at, last, max_norm, max_steps)
 
 
@@ -559,11 +559,13 @@ def gaps_with_labels(bands, ids_table, alpha, m_max=34, tol=1e-3):
     Each interior gap gets the IDS table's step value at its midpoint
     (one IdsTable.value_at lookup for all of them); the nearest label
     frac(m alpha), |m| <= m_max (ties to smaller |m|), is attached when
-    it lies within ``tol``, otherwise label_m stays None.  m_max < 0
-    raises ValueError.
+    it lies within ``tol``, otherwise label_m stays None.  m_max < 0,
+    and a tol that is negative or NaN, raise ValueError.
     """
     if m_max < 0:
         raise ValueError("need m_max >= 0: %r" % m_max)
+    if not tol >= 0:
+        raise ValueError("need tol >= 0: %r" % tol)
     gaps = bands.gaps()
     m = np.arange(-m_max, m_max + 1)
     lam = np.array([math.fmod(k * alpha, 1.0) % 1.0 for k in m.tolist()])

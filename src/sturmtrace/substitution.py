@@ -81,9 +81,6 @@ class Substitution:
             (self.image1.count("0"), self.image1.count("1")),
         )
 
-    def abelianization_array(self):
-        return np.array(self.abelianization, dtype=np.int64)
-
     @cached_property
     def _trace_block(self):
         """(star, factors): the period letter s^k(star) and the trace-map block.
@@ -175,7 +172,7 @@ def check_primitive(s):
     """True iff some power <= 4 of the abelianization is entrywise positive."""
     if not s.image0 or not s.image1:
         raise SubstitutionError("empty image word")
-    m = s.abelianization_array()
+    m = np.array(s.abelianization, dtype=np.int64)
     acc = np.eye(2, dtype=np.int64)
     for _ in range(4):
         acc = acc @ m
@@ -187,8 +184,7 @@ def check_primitive(s):
 # -- free group on two generators ------------------------------------------
 #
 # Group words are lists of nonzero ints: +1/-1 for the generator 0 and its
-# inverse, +2/-2 for the generator 1.  Syllable form (letter, exponent) is
-# exposed for callers that want the freely-reduced run-length view.
+# inverse, +2/-2 for the generator 1.
 
 def word_to_group(word):
     return [1 if c == "0" else 2 for c in word]
@@ -213,19 +209,6 @@ def cyclic_reduce(w):
     while len(w) >= 2 and w[0] == -w[-1]:
         w = w[1:-1]
     return w
-
-
-def syllables(w):
-    """Freely reduced word as (letter, exponent) syllables, letters in {0,1}."""
-    out = []
-    for g in free_reduce(w):
-        letter = abs(g) - 1
-        e = 1 if g > 0 else -1
-        if out and out[-1][0] == letter:
-            out[-1] = (letter, out[-1][1] + e)
-        else:
-            out.append((letter, e))
-    return [(l, e) for l, e in out if e != 0]
 
 
 def check_invertible(s):

@@ -43,8 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .substitution import factor_matrix_product  # noqa: F401 (public name, kept importable)
-
 ESCAPE_NORM_DEFAULT = 1e3
 MAX_STEPS_BANDS = 60
 MAX_STEPS_POINT = 200
@@ -222,11 +220,12 @@ def classify_batch(recipe, xs, ys, zs, max_steps=MAX_STEPS_BANDS,
     increasing max-norm over the last three block applications; float
     overflow counts as escape.
 
-    Returns (escaped, escaped_at, last_point, max_norm).  escaped_at is
-    the block count of escape, max_steps + 1 for lanes still bounded;
-    last_point is the (3, n) array of each lane's last finite point (at
-    escape, or after max_steps blocks); max_norm is the max-norm at
-    escape (inf on overflow), or the largest along a bounded orbit.
+    Returns (escaped_at, last_point, max_norm).  escaped_at is the block
+    count of escape, max_steps + 1 for lanes still bounded, so a lane has
+    escaped iff escaped_at <= max_steps; last_point is the (3, n) array
+    of each lane's last finite point (at escape, or after max_steps
+    blocks); max_norm is the max-norm at escape (inf on overflow), or
+    the largest along a bounded orbit.
 
     Only live lanes are iterated: once at least half of the working
     arrays are escaped lanes, they shrink to the live ones, and the loop
@@ -247,7 +246,7 @@ def classify_batch(recipe, xs, ys, zs, max_steps=MAX_STEPS_BANDS,
     last = np.empty((3, n_pts))
     max_norm = np.empty(n_pts)
     if n_pts == 0:
-        return escaped_at <= max_steps, escaped_at, last, max_norm
+        return escaped_at, last, max_norm
     # the working set: lane indices, their triples, peaks and last three norms
     lanes = np.arange(n_pts)
     live = np.ones(n_pts, dtype=bool)
@@ -293,7 +292,7 @@ def classify_batch(recipe, xs, ys, zs, max_steps=MAX_STEPS_BANDS,
     at = lanes[live]
     last[:, at] = np.stack([x, y, z])[:, live]
     max_norm[at] = peak[live]
-    return escaped_at <= max_steps, escaped_at, last, max_norm
+    return escaped_at, last, max_norm
 
 
 def _verdicts(escaped_at, last, max_norm, max_steps):
@@ -305,8 +304,8 @@ def _verdicts(escaped_at, last, max_norm, max_steps):
 
 def classify(recipe, point, max_steps=MAX_STEPS_POINT, escape_norm=ESCAPE_NORM_DEFAULT):
     """Escape/bounded dichotomy of one point, as in :func:`classify_batch`."""
-    _, at, last, max_norm = classify_batch(recipe, *_lanes(point), max_steps=max_steps,
-                                           escape_norm=escape_norm)
+    at, last, max_norm = classify_batch(recipe, *_lanes(point), max_steps=max_steps,
+                                        escape_norm=escape_norm)
     return _verdicts(at, last, max_norm, max_steps)[0]
 
 
@@ -335,7 +334,7 @@ def surface_section(V, resolution, chart=(-2.0, 2.0, -2.0, 2.0),
     for sheet, sign in enumerate((1.0, -1.0)):
         gz = gx * gy + sign * root
         steps[sheet][ok] = classify_batch(recipe, gx[ok], gy[ok], gz[ok], max_steps=max_steps,
-                                          escape_norm=escape_norm)[1]
+                                          escape_norm=escape_norm)[0]
     if not ok.any():
         warnings.warn("surface chart is empty (no real roots); V < -1 sphere gone?")
     return {"x": xs, "y": ys, "steps": steps, "max_steps": max_steps}

@@ -11,12 +11,13 @@ import sympy
 
 import sturmtrace as st
 from sturmtrace.dos import ids_counter
-from sturmtrace.fractal import box_count, restrict_bands
+from sturmtrace.fractal import box_count
 from sturmtrace.jacobi import half_trace, word_transfer
 from sturmtrace.spectrum import (
     default_energy_range,
     floquet_band_tower,
     gap_index_for_label,
+    restrict_bands,
 )
 from sturmtrace.substitution import Substitution, parse_substitution, periodic_word
 from sturmtrace.tracemap import TraceMapRecipe, apply_period, fricke_vogt

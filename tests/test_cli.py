@@ -142,7 +142,7 @@ def test_dos_refuses_unchecked_hopping_and_linear_growth(tmp_path):
                  "--out-dir", str(tmp_path)]) == 2
 
 
-def test_scan_probe_threads_deterministic(tmp_path):
+def test_scan_probe_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
         assert main(["scan", FIB, "--kind", "probe", "--values", "64",
@@ -300,6 +300,12 @@ def test_gaps_negative_m_max_is_a_computation_error(tmp_path, capsys):
      "empty band set has no hull"),
     (["spectrum", FIB, "--level", "3", "--tol", "inf"], "tol must be finite and >= 0"),
     (["spectrum", FIB, "--level", "3", "--e-max", "inf"], "energy range must be finite"),
+    (["gaps", FIB, "--p", "1.1", "--q", "0.3", "--level", "6", "--length", "987",
+      "--label-tol", "-1"], "need tol >= 0"),
+    (["gaps", FIB, "--p", "1.1", "--q", "0.3", "--level", "6", "--length", "987",
+      "--label-tol", "nan"], "need tol >= 0"),
+    (["dims", FIB, "--level", "6", "--windows", "0"], "need window_count >= 1"),
+    (["dims", FIB, "--level", "6", "--windows", "-2"], "need window_count >= 1"),
 ])
 def test_refused_dos_and_scan_runs_leave_no_output(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

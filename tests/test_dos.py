@@ -313,6 +313,14 @@ def test_dos_summary_refuses_before_counting(monkeypatch, L, kw, message):
     assert sizes == []
 
 
+@pytest.mark.parametrize("s, p, L, message", [
+    (FIBONACCI, 1e10, 4, "checked for"), (Substitution("011", "1"), 1.0, 4, "grows only linearly"),
+    (FIBONACCI, 1.0, 0, "need n >= 1"), (FIBONACCI, 1.0, 7, "need L >= 8")])
+def test_ids_refuses_as_its_counter_first_then_short_lengths(s, p, L, message):
+    with pytest.raises(ValueError, match=message):
+        ids(s, st.JacobiParams(p, 0.5), L, np.linspace(-3.0, 3.0, 5))
+
+
 PINNED = [parse_substitution(t) for t in ("0->01;1->0", "0->001;1->0", "0->1;1->10", "0->1;1->01",
                                           "0->0001;1->0", "0->100;1->10")] + [ALL_ZERO]
 

@@ -8,8 +8,8 @@ import pytest
 
 import sturmtrace as st
 from sturmtrace import fractal
-from sturmtrace.fractal import box_count, box_dimension, restrict_bands, thickness
-from sturmtrace.spectrum import BandSet, combinatorial_gap_label
+from sturmtrace.fractal import box_count, box_dimension, thickness
+from sturmtrace.spectrum import BandSet, combinatorial_gap_label, restrict_bands
 
 
 def middle_thirds(level, lo=0.0, hi=1.0):

@@ -149,11 +149,6 @@ def test_tridiagonal_spec_keeps_a_copy_of_its_data():
     assert eigen_count_below_grid(spec, [10.0]).tolist() == [3]
 
 
-def test_tridiagonal_csv_rows():
-    spec = dirichlet_restriction(JacobiParams(2.0, 5.0), "010")
-    assert spec.to_csv_rows() == [(0, 0.0, 1.0), (1, 5.0, 2.0), (2, 0.0, 1.0)]
-
-
 def test_eigen_count_free_block():
     spec = dirichlet_restriction(JacobiParams(1.0, 0.0), "000")
     # eigenvalues -sqrt2, 0, sqrt2

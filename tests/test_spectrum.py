@@ -294,6 +294,16 @@ def test_gaps_with_labels_refuses_negative_m_max():
     assert len(st.gaps_with_labels(two, table, 0.618, m_max=0)) == 1
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
+def test_gaps_with_labels_refuses_negative_or_nan_tol(tol):
+    table = IdsTable((0.0, 1.0), (0.5, 0.5), 10)
+    two = BandSet(((0.0, 1.0), (2.0, 3.0)), level=1)
+    with pytest.raises(ValueError, match="need tol >= 0"):
+        st.gaps_with_labels(two, table, 0.618, tol=tol)
+    for ok in (0.0, math.inf):
+        assert len(st.gaps_with_labels(two, table, 0.618, tol=ok)) == 1
+
+
 def test_combinatorial_labels_roundtrip():
     params = st.JacobiParams(1.0, 2.0)
     b8 = st.floquet_bands(st.FIBONACCI, params, 8)

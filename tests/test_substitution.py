@@ -22,7 +22,6 @@ from sturmtrace.substitution import (
     periodic_word,
     periodic_word_length,
     star_letter,
-    syllables,
     word_to_group,
 )
 
@@ -65,7 +64,7 @@ def test_invertibility_implies_unimodular_abelianization():
         s = Substitution(w0, w1)
         checked += 1
         if check_invertible(s):
-            assert abs(int(np.linalg.det(s.abelianization_array()))) == 1
+            assert abs(int(np.linalg.det(np.array(s.abelianization)))) == 1
 
 
 def test_free_reduction_basics():
@@ -73,7 +72,6 @@ def test_free_reduction_basics():
     assert cyclic_reduce(w) == []
     assert cyclic_reduce([1, -1]) == []
     assert cyclic_reduce([1, 2, -1]) == [2]
-    assert syllables([1, 1, 2, -2, 1]) == [(0, 3)]
 
 
 @given(st_h.lists(st_h.sampled_from([1, -1, 2, -2]), max_size=40))
@@ -149,7 +147,7 @@ def test_image_prefix_blocks_spell_image_prefixes(text):
 
 def _image_length_by_matrix_power(s, letter, k):
     """|s^k(letter)| from a power of the abelianization, in exact integers."""
-    m = s.abelianization_array().astype(object)
+    m = np.array(s.abelianization, dtype=object)
     row = np.array([1, 0] if letter == "0" else [0, 1], dtype=object)
     return int((row @ np.linalg.matrix_power(m, k)).sum()) if k else 1
 
