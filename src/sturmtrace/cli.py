@@ -161,6 +161,8 @@ def cmd_dims(args):
 
 
 def cmd_dos(args):
+    if args.grid < 2:
+        raise UsageError("--grid takes at least 2 points, not %d" % args.grid)
     s = parse_substitution(args.substitution)
     params = JacobiParams(args.p, args.q)
     lo, hi = default_energy_range(params)
@@ -329,7 +331,7 @@ def build_parser():
     p.add_argument("substitution")
     p.add_argument("--length", type=int, default=987)
     p.add_argument("--samples", type=int, default=0)
-    p.add_argument("--grid", type=int, default=4096, help="IDS table grid points")
+    p.add_argument("--grid", type=int, default=4096, help="IDS table grid points (at least 2)")
     p.add_argument("--seed", type=int, default=0, help="seed of the DOS sample energies")
     _add_common(p)
     p.set_defaults(fn=cmd_dos)

@@ -79,12 +79,14 @@ def ids_counter(s, params, L):
     The counts are those of :func:`~sturmtrace.jacobi.eigen_count_below_grid`
     on ``dirichlet_restriction(params, fixed_point_prefix(s, L))``, up to
     energies within a few times 1e-13 * max(1, |p|) of an eigenvalue; the
-    word is never built.  Raises ValueError for |p| > 1e9, and
-    UnsupportedSubstitutionError when the fixed letter grows only
-    linearly (see substitution._prefix_blocks).
+    word is never built.  Raises ValueError for |p| > 1e9, then for
+    L < 1, and UnsupportedSubstitutionError when the fixed letter grows
+    only linearly (see substitution._prefix_blocks).
     """
     if not abs(params.p) <= _MAX_HOPPING:
         raise ValueError("IDS counts are checked for |p| <= %g only" % _MAX_HOPPING)
+    if L < 1:
+        raise ValueError("need L >= 1, got L = %r" % L)
     sp, blocks = _prefix_blocks(s, L)
 
     def counter(E):

@@ -235,6 +235,13 @@ def eigen_count_below_grid(spec, E):
 # does not: once its singular values part by more than 1/eps it has lost
 # the contracted direction, and the counts it composes go wrong near the
 # eigenvalue clusters of strong coupling.
+#
+# Every angle that a compose or a count turns into a sine or cosine lies
+# in [-pi/2, pi/2), where cos > 0, so one tan carries both: S_x is an
+# arctan of tan t, and a compose takes cos r and sin r from T = tan r.
+# numpy runs tan and arctan as SIMD loops but sin and cos of float64
+# element by element in libm, and the compose is the inner loop of every
+# lifted count.
 
 _HALF_PI = 0.5 * np.pi
 
@@ -244,15 +251,22 @@ def _wrap(t, k):
 
     Works in place: t and k must be arrays the caller owns.
     """
-    m = (t >= _HALF_PI).astype(np.int64) - (t < -_HALF_PI)
+    # the half-turns as int8 (bool views): -1, 0 or 1, the same t and k
+    m = (t >= _HALF_PI).view(np.int8) - (t < -_HALF_PI).view(np.int8)
     t -= np.pi * m
     k += m
     return t, k
 
 
 def _stretch(x, t):
-    """S_x(t): lift of diag(e^x, e^-x) at angles t in [-pi/2, pi/2)."""
-    return np.arctan2(np.sin(t) * np.exp(-2.0 * x), np.cos(t))
+    """S_x(t): lift of diag(e^x, e^-x) at angles t in [-pi/2, pi/2).
+
+    That is atan2(sin t e^-2x, cos t), written as arctan(tan t e^-2x):
+    cos t > 0 on the whole range (the double nearest pi/2 lies below
+    pi/2), so both forms give the same angle in (-pi/2, pi/2) up to
+    rounding.
+    """
+    return np.arctan(np.tan(t) * np.exp(-2.0 * x))
 
 
 def _lift_site(a, b, E):
@@ -278,16 +292,22 @@ def _lift_compose(A, B):
     decomposition, written in terms of cosh and sinh of u = xA + xB and
     v = xB - xA, both scaled by 1 / cosh(u) so nothing overflows.  With
     r in [-pi/2, pi/2) the angles are continuous in r and vanish at
-    r = 0, which keeps the lift.
+    r = 0, which keeps the lift.  There cos r > 0, so one tan T = tan r
+    gives both: cos r = 1 / sqrt(1 + T^2) and sin r = T cos r.
     """
     kA, t1A, xA, t2A = A
     kB, t1B, xB, t2B = B
     # Each step reuses a buffer whose value is no longer needed, so about
-    # ten energy arrays are alive at once; every value is the same double
-    # as in the plain expression noted beside it.
+    # ten energy arrays are alive at once.  c and s round differently from
+    # cos r and sin r; from there on every value is the same double as in
+    # the plain expression noted beside it.
     r, k = _wrap(t2A + t1B, kA + kB)
-    c = np.cos(r)
-    s = np.sin(r, out=r)
+    s = np.tan(r, out=r)                          # T, |T| < 2e16: T T is finite
+    c = s * s
+    c += 1.0
+    np.sqrt(c, out=c)
+    np.divide(1.0, c, out=c)                      # c = 1 / sqrt(1 + T T)
+    s *= c                                        # s = T c
     u = xA + xB
     v = xB - xA
     ratio = np.abs(v)
@@ -299,9 +319,8 @@ def _lift_compose(A, B):
     ch = np.exp(w)
     ch += 1.0
     ch *= s * ratio                               # s cosh v / cosh u
-    sh = np.expm1(w, out=w)
-    np.negative(sh, out=sh)
-    sh *= ratio
+    sh = np.expm1(w, out=w)                       # e^{-2|v|} - 1 <= 0; copysign
+    sh *= ratio                                   # sets the sign, so it is not negated
     np.copysign(sh, v, out=sh)
     sh *= s                                       # s sinh v / cosh u
     del s, v, ratio

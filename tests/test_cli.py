@@ -306,11 +306,21 @@ def test_gaps_negative_m_max_is_a_computation_error(tmp_path, capsys):
       "--label-tol", "nan"], "need tol >= 0"),
     (["dims", FIB, "--level", "6", "--windows", "0"], "need window_count >= 1"),
     (["dims", FIB, "--level", "6", "--windows", "-2"], "need window_count >= 1"),
+    (["dos", FIB, "--length", "0"], "need L >= 1, got L = 0\n"),
+    (["gaps", FIB, "--level", "5", "--length", "0"], "need L >= 1, got L = 0\n"),
 ])
 def test_refused_dos_and_scan_runs_leave_no_output(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     assert main(argv + ["--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: " + message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["-3", "0", "1"])
+def test_dos_grid_below_two_points_is_a_usage_error(tmp_path, capsys, grid):
+    out = tmp_path / "out"
+    assert main(["dos", FIB, "--grid", grid, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "usage error: --grid takes at least 2 points, not %s\n" % grid
     assert not out.exists()
 
 

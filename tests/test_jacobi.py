@@ -20,8 +20,8 @@ from sturmtrace.jacobi import (
     transfer_unimodular,
     word_transfer,
 )
-from sturmtrace.jacobi import (_block_count_below, _lift_compose, _lift_count,
-                               _lift_site, _window_count_below)
+from sturmtrace.jacobi import (_HALF_PI, _block_count_below, _lift_compose, _lift_count,
+                               _lift_site, _window_count_below, _wrap)
 from sturmtrace.spectrum import default_energy_range
 from sturmtrace.substitution import (FIBONACCI, _image_prefix_blocks, _prefix_blocks,
                                      fixed_point_prefix, parse_substitution, periodic_word)
@@ -305,6 +305,94 @@ def _lifted_word(params, word, E, cuts):
     while blocks:  # right to left: out = out o (previous piece)
         out = _lift_compose(out, blocks.pop())
     return out
+
+
+def _block_matrix(block):
+    """The matrices (-1)^k R(t1) diag(e^x, e^-x) R(t2) of a block, one per energy."""
+    k, t1, x, t2 = np.broadcast_arrays(*block)
+
+    def rot(t):
+        return np.stack([np.stack([np.cos(t), -np.sin(t)], -1),
+                         np.stack([np.sin(t), np.cos(t)], -1)], -2)
+
+    stretch = np.zeros(x.shape + (2, 2))
+    stretch[..., 0, 0], stretch[..., 1, 1] = np.exp(x), np.exp(-x)
+    return np.where(k % 2, -1.0, 1.0)[..., None, None] * (rot(t1) @ stretch @ rot(t2))
+
+
+def _site_matrix(a, b, E):
+    """F / b = [[a - E, -b^2], [1, 0]] / b at each energy."""
+    m = np.zeros(E.shape + (2, 2))
+    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0] = a - E, -b * b, 1.0
+    return m / b
+
+
+def _norm(m):
+    return np.linalg.norm(m, axis=(-2, -1))
+
+
+@pytest.mark.parametrize("p, q", [(1.0, 1.0), (-0.5, 24.0)])
+def test_lift_blocks_equal_their_matrix_products(p, q):
+    # the lift is an angle form of the transfer product: a site's block is
+    # F / b, and a composed block is the product of its parts' matrices
+    params = JacobiParams(p, q)
+    rng = np.random.default_rng(13)
+    hull = 1.0 + abs(q) + 2 * max(1.0, abs(p))
+    # E = 0 and E = q (with b = 1 at p = 1) make blocks with x = 0
+    E = np.concatenate([rng.uniform(-hull, hull, 200), [0.0, q, -hull, hull]])
+    sites = {c: (params.potential(c), abs(params.hopping(c))) for c in "01"}
+    for c, (a, b) in sites.items():
+        want = _site_matrix(a, b, E)
+        assert (_norm(_block_matrix(_lift_site(a, b, E)) - want) / _norm(want)).max() < 1e-13
+    assert (_lift_site(0.0, 1.0, np.array([0.0]))[2] == 0.0).all()
+    for _ in range(30):
+        word = "".join(rng.choice(["0", "1"], int(rng.integers(1, 9))))
+        want, scale = np.broadcast_to(np.eye(2), E.shape + (2, 2)), 1.0
+        for c in word:  # the first site acts first
+            m = _site_matrix(*sites[c], E)
+            want, scale = m @ want, scale * _norm(m)
+        # near an eigenvalue the product cancels: its double value is good
+        # to eps times the product of its factors' norms
+        cuts = sorted(set(rng.integers(1, len(word), size=3).tolist())) if len(word) > 1 else []
+        got = _block_matrix(_lifted_word(params, word, E, cuts))
+        assert (_norm(got - want) / scale).max() < 1e-13
+
+
+def test_lift_compose_equals_the_matrix_product_at_the_wrap_edges():
+    # hand-made blocks whose middle angle r = t2A + t1B is exactly -pi/2
+    # after the wrap (from -pi/2 and from +pi/2), with x = 0 among them.
+    # At |r| = pi/2 B's stretched direction goes onto A's contracted one,
+    # so M_A M_B is far smaller than |M_A| |M_B|, and the product in double
+    # is only good to eps |M_A| |M_B|: errors are measured on that scale.
+    rng = np.random.default_rng(14)
+    n = 400
+    A = [rng.integers(-3, 4, n), rng.uniform(-_HALF_PI, _HALF_PI, n), rng.uniform(0.0, 6.0, n),
+         rng.uniform(-_HALF_PI, _HALF_PI, n)]
+    B = [rng.integers(-3, 4, n), rng.uniform(-_HALF_PI, _HALF_PI, n), rng.uniform(0.0, 6.0, n),
+         rng.uniform(-_HALF_PI, _HALF_PI, n)]
+    edges = [(-_HALF_PI, 0.0), (0.0, -_HALF_PI), (-0.5 * _HALF_PI, -0.5 * _HALF_PI),
+             (0.5 * _HALF_PI, 0.5 * _HALF_PI), (_HALF_PI - 0.25, 0.25)]
+    for i, (t2A, t1B) in enumerate(edges):
+        lanes = slice(40 * i, 40 * (i + 1))
+        A[3][lanes], B[1][lanes] = t2A, t1B
+        A[2][lanes][::2], B[2][lanes][::4] = 0.0, 0.0
+    r, _ = _wrap(A[3][:200] + B[1][:200], np.zeros(200, dtype=np.int64))
+    assert (r == -_HALF_PI).sum() >= 160
+    got = _block_matrix(_lift_compose(tuple(A), tuple(B)))
+    MA, MB = _block_matrix(A), _block_matrix(B)
+    assert (_norm(got - MA @ MB) / (_norm(MA) * _norm(MB))).max() < 1e-13
+
+
+def test_wrap_moves_half_turns_as_the_int64_formula():
+    below = np.nextafter(1.5 * np.pi, 0.0)
+    t = np.array([_HALF_PI, -_HALF_PI, below, -below, -0.0, 0.0, np.nan, 1.0, -2.0, 2.0])
+    k = np.arange(t.size, dtype=np.int64) - 4
+    m = (t >= _HALF_PI).astype(np.int64) - (t < -_HALF_PI)
+    want_t, want_k = t - np.pi * m, k + m
+    got_t, got_k = _wrap(t.copy(), k.copy())
+    assert got_k.dtype == np.int64 and got_k.tolist() == want_k.tolist()
+    assert got_t.tobytes() == want_t.tobytes()
+    assert got_t[0] == got_t[1] == -_HALF_PI and np.signbit(got_t[4])
 
 
 def test_lifted_blocks_count_like_sturm_in_any_grouping():

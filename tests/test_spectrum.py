@@ -990,7 +990,7 @@ def test_zero_tol_bisects_to_float_resolution():
     ("0->01;1->0", 1.0, 24.0, 16, dict(tol=3e-14, merge_tol=2e-13),
      "d11eae254d520400041393aa7551ce5f0d036a745a016d9397ce1656d5be406b"),
     ("0->100;1->10", -0.33, 19.7, 9, {},
-     "73403bc6f2ebd0c8bb1a58dcc265beb644c0e6b6e26967a17b4442e3f2b74e42"),
+     "8945a28d980724052e0ef20b3633d38ab721bf65ef1fa6fb5f1b22d92e28735c"),
     ("0->1;1->10", 1.0, 2.1, 16, {},
      "36fb049cae4888f1df98eb8572d8a8812cb244fa0f0c50d4ec3728e7182e4f29"),
 ])
