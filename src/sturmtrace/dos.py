@@ -80,8 +80,9 @@ def ids_counter(s, params, L):
     on ``dirichlet_restriction(params, fixed_point_prefix(s, L))``, up to
     energies within a few times 1e-13 * max(1, |p|) of an eigenvalue; the
     word is never built.  Raises ValueError for |p| > 1e9, then for
-    L < 1, and UnsupportedSubstitutionError when the fixed letter grows
-    only linearly (see substitution._prefix_blocks).
+    L < 1 or an L that is not a whole number, and
+    UnsupportedSubstitutionError when the fixed letter grows only
+    linearly (see substitution._prefix_blocks).
     """
     if not abs(params.p) <= _MAX_HOPPING:
         raise ValueError("IDS counts are checked for |p| <= %g only" % _MAX_HOPPING)

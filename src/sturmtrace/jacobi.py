@@ -228,22 +228,25 @@ def eigen_count_below_grid(spec, E):
 #
 #     theta -> k pi + t1 + S_x(t2 + theta),
 #
-# the lift of R(t1) diag(e^x, e^-x) R(t2) (R a rotation, k an integer,
-# t1 and t2 in [-pi/2, pi/2), x >= 0) whose stretch S_x fixes the
-# multiples of pi/2.  These angles and the log-stretch x stay accurate
-# however long and contracting the word is.  A normalized F-product
-# does not: once its singular values part by more than 1/eps it has lost
-# the contracted direction, and the counts it composes go wrong near the
-# eigenvalue clusters of strong coupling.
+# the lift of R(t1) diag(e^x, e^-x) R(t2) (R a rotation, x >= 0) whose
+# stretch S_x fixes the multiples of pi/2.  These angles and the
+# log-stretch x stay accurate however long and contracting the word is.
+# A normalized F-product does not: once its singular values part by more
+# than 1/eps it has lost the contracted direction, and the counts it
+# composes go wrong near the eigenvalue clusters of strong coupling.
 #
-# Every angle that a compose or a count turns into a sine or cosine lies
-# in [-pi/2, pi/2), where cos > 0, so one tan carries both: S_x is an
-# arctan of tan t, and a compose takes cos r and sin r from T = tan r.
-# numpy runs tan and arctan as SIMD loops but sin and cos of float64
-# element by element in libm, and the compose is the inner loop of every
-# lifted count.
+# k is a whole number held as a float64.  t1 and t2 are not reduced: a
+# compose adds its new angles to A's t1 and B's t2 as they are (they stay
+# within a few pi at the deepest levels solved).  Only the angles turned
+# into a tan are reduced by whole half-turns into [-pi/2, pi/2), where
+# cos > 0: a compose's middle angle r = t2A + t1B, and a count's t2.
+# There S_x is an arctan of tan t, and a compose needs only T = tan r,
+# no sine or cosine.  numpy runs tan and arctan as SIMD loops but sin and
+# cos of float64 element by element in libm, and the compose is the inner
+# loop of every lifted count.
 
 _HALF_PI = 0.5 * np.pi
+_LOG_2 = np.log(2.0)
 
 
 def _wrap(t, k):
@@ -256,6 +259,22 @@ def _wrap(t, k):
     t -= np.pi * m
     k += m
     return t, k
+
+
+def _reduce(t, k):
+    """Angles t reduced into [-pi/2, pi/2) by whole half-turns, added to the float k.
+
+    floor(t / pi + 1/2) takes the half-turns; its rounding can leave an
+    angle a step outside, at pi/2 itself for one, and :func:`_wrap`'s
+    exact comparisons move it in.  Works in place, like :func:`_wrap`.
+    """
+    m = t / np.pi
+    m += 0.5
+    np.floor(m, out=m)
+    k += m
+    m *= np.pi
+    t -= m
+    return _wrap(t, k)
 
 
 def _stretch(x, t):
@@ -277,79 +296,74 @@ def _lift_site(a, b, E):
     h, g = 0.5 * (1.0 / b + b), 0.5 * (1.0 / b - b)
     plus, minus = np.arctan2(h, e), np.arctan2(g, e)
     x = np.log(np.hypot(e, h) + np.hypot(e, g))
-    t1, k = _wrap(0.5 * (plus + minus), np.zeros(E.shape, dtype=np.int64))
+    t1, k = _wrap(0.5 * (plus + minus), np.zeros(E.shape))
     t2, k = _wrap(0.5 * (plus - minus), k)
     # fix the half-turns: the lift of F sends 0 to arg(a - E, 1) in (0, pi)
     off = np.arctan2(1.0, a - E) - (np.pi * k + t1 + _stretch(x, t2))
-    return k + np.rint(off / np.pi).astype(np.int64), t1, x, t2
+    return k + np.rint(off / np.pi), t1, x, t2
 
 
 def _lift_compose(A, B):
     """Block of the word read as B then A.
 
-    The middle factor S_xA R(r) S_xB (r = t2A + t1B) is decomposed
-    again as R(alpha) S_x R(beta) by the closed-form 2x2 singular value
-    decomposition, written in terms of cosh and sinh of u = xA + xB and
-    v = xB - xA, both scaled by 1 / cosh(u) so nothing overflows.  With
-    r in [-pi/2, pi/2) the angles are continuous in r and vanish at
-    r = 0, which keeps the lift.  There cos r > 0, so one tan T = tan r
-    gives both: cos r = 1 / sqrt(1 + T^2) and sin r = T cos r.
+    The middle factor S_xA R(r) S_xB (r = t2A + t1B, reduced into
+    [-pi/2, pi/2)) is decomposed again as R(alpha) S_x R(beta) by the
+    closed-form 2x2 singular value decomposition, with u = xA + xB and
+    v = xB - xA:
+    alpha + beta = arctan(T cosh v / cosh u),
+    alpha - beta = arctan(T sinh v / sinh u) (0 at u = 0) and
+    x = u - log 2 + log(((2 + eu) sqrt(1 + P^2) - eu sqrt(1 + S^2)) / sqrt(1 + T^2)),
+    where T = tan r, P and S are the two arctan arguments and
+    eu = expm1(-2u).  Both ratios are built from expm1(-2u), expm1(-2|v|)
+    and exp(|v| - u) <= 1, so nothing overflows, and the sum inside the
+    log has no cancellation (eu <= 0).  The angles are continuous in r and
+    vanish at r = 0, which keeps the lift.
     """
     kA, t1A, xA, t2A = A
     kB, t1B, xB, t2B = B
-    # Each step reuses a buffer whose value is no longer needed, so about
-    # ten energy arrays are alive at once.  c and s round differently from
-    # cos r and sin r; from there on every value is the same double as in
-    # the plain expression noted beside it.
-    r, k = _wrap(t2A + t1B, kA + kB)
-    s = np.tan(r, out=r)                          # T, |T| < 2e16: T T is finite
-    c = s * s
-    c += 1.0
-    np.sqrt(c, out=c)
-    np.divide(1.0, c, out=c)                      # c = 1 / sqrt(1 + T T)
-    s *= c                                        # s = T c
+    # Each step reuses a buffer whose value is no longer needed.
+    T, k = _reduce(t2A + t1B, kA + kB)
+    np.tan(T, out=T)                              # |T| < 2e16: T T is finite
     u = xA + xB
     v = xB - xA
-    ratio = np.abs(v)
-    w = ratio * -2.0                              # -2 |v|
-    eu = np.exp(u * -2.0)                         # e^{-2u}
-    ratio -= u
-    np.exp(ratio, out=ratio)
-    ratio /= 1.0 + eu                             # e^{|v|} / (2 cosh u)
-    ch = np.exp(w)
-    ch += 1.0
-    ch *= s * ratio                               # s cosh v / cosh u
-    sh = np.expm1(w, out=w)                       # e^{-2|v|} - 1 <= 0; copysign
-    sh *= ratio                                   # sets the sign, so it is not negated
-    np.copysign(sh, v, out=sh)
-    sh *= s                                       # s sinh v / cosh u
-    del s, v, ratio
-    ct = np.tanh(u)
-    ct *= c                                       # c sinh u / cosh u
-    plus, minus = np.arctan2(ch, c), np.arctan2(sh, ct)
-    # the singular value over cosh(u); no term exceeds 1, so squaring is safe:
-    # sigma = sqrt(c c + ch ch) + sqrt(ct ct + sh sh)
-    c *= c
-    ch *= ch
-    c += ch
-    sigma = np.sqrt(c, out=c)
-    ct *= ct
-    sh *= sh
-    ct += sh
-    sigma += np.sqrt(ct, out=ct)
-    del ch, sh, ct
-    x = np.log(sigma, out=sigma)                  # log(sigma) + u + log1p(eu) - log 2,
-    x += u                                        # that is + log cosh(u)
-    x += np.log1p(eu, out=eu)
-    x -= np.log(2.0)
+    ev = np.abs(v)
+    P = ev - u
+    np.exp(P, out=P)                              # e^{|v| - u} <= 1
+    ev *= -2.0
+    np.expm1(ev, out=ev)                          # e^{-2|v|} - 1, in [eu, 0]
+    eu = np.expm1(u * -2.0)                       # e^{-2u} - 1 <= 0
+    S = ev / np.minimum(eu, -1e-300)              # 0 at u = 0, where ev = 0 too
+    S *= P
+    np.copysign(S, v, out=S)
+    S *= T                                        # T sinh v / sinh u
+    ev += 2.0                                     # 1 + e^{-2|v|}
+    P *= ev
+    P *= T
+    cu = eu + 2.0                                 # 1 + e^{-2u}
+    P /= cu                                       # T cosh v / cosh u
+    plus, minus = np.arctan(P), np.arctan(S)
+    P *= P
+    P += 1.0
+    np.sqrt(P, out=P)
+    P *= cu                                       # (2 + eu) sqrt(1 + P P)
+    S *= S
+    S += 1.0
+    np.sqrt(S, out=S)
+    S *= eu
+    P -= S                                        # - eu sqrt(1 + S S)
+    T *= T
+    T += 1.0
+    np.sqrt(T, out=T)
+    P /= T
+    x = np.log(P, out=P)
+    x += u
+    x -= _LOG_2
     t1 = plus + minus
     t1 *= 0.5
     t1 += t1A                                     # t1A + (plus + minus) / 2
     t2 = np.subtract(plus, minus, out=plus)
     t2 *= 0.5
     t2 += t2B                                     # (plus - minus) / 2 + t2B
-    t1, k = _wrap(t1, k)
-    t2, k = _wrap(t2, k)
     return k, t1, x, t2
 
 
@@ -428,8 +442,9 @@ def _lift_count(block, shift=0.5):
     shift 0 those along all its sites but the last.
     """
     k, t1, x, t2 = block
+    t2, k = _reduce(t2.copy(), k.copy())
     phi = t1 + _stretch(x, t2) + _TIE_ANGLE
-    return k + np.floor(phi / np.pi + shift).astype(np.int64)
+    return (k + np.floor(phi / np.pi + shift)).astype(np.int64)
 
 
 def _chain(level_blocks, word):

@@ -30,9 +30,13 @@ interval are j-1 and j, the interval lies between the window's
 eigenvalues in gaps j-1 and j+1, in which x_k has sign -sign_j; there
 sign_j x_k >= 1 alone certifies a probe, and the probes inside are not
 counted.  A lane whose count interval shrinks to merge_tol is a closed
-gap, its point refined on the count to double resolution.  Points
-still out of order after the search raise BandCountError; they are
-never sorted into shape.  A gap is also closed when |x_k| - 1 <= 1e-12
+gap, its point refined on the count to double resolution.  Where points
+are still out of order after the search, the lanes on both sides of
+each misordered pair are searched again on the window's Sturm loop
+(jacobi.eigen_count_below_grid, O(q) per energy), which rounds
+differently from the lift; an ordered level never runs it.  Points out
+of order after that raise BandCountError; they are never sorted into
+shape.  A gap is also closed when |x_k| - 1 <= 1e-12
 at its midpoint or it is at most merge_tol wide; closed gaps are merged
 and counted, so band_count + closed_gaps == q, and edges too far out of
 order to merge into bands raise BandCountError.
@@ -50,7 +54,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .jacobi import _window_count_below, dirichlet_restriction, initial_conditions_grid
+from .jacobi import (_window_count_below, dirichlet_restriction, eigen_count_below_grid,
+                     initial_conditions_grid)
 from .substitution import _image_length, _image_word
 from .tracemap import (ESCAPE_NORM_DEFAULT, MAX_STEPS_POINT, _iterate, _verdicts, classify_batch,
                        recipe_from_substitution)
@@ -395,7 +400,7 @@ def _sterf(d, e):
     return d
 
 
-def _certify(x, count, mu, sign, merge_tol):
+def _certify(x, count, mu, sign, merge_tol, recount=None):
     """Certify one point mu_j in each closed gap j, or raise; returns (mu, closed).
 
     A seeded (sterf) point is kept when sign_j x_k(mu_j) >= 1 and mu
@@ -403,7 +408,10 @@ def _certify(x, count, mu, sign, merge_tol):
     place; a NaN seed is never kept.  The sign test alone also passes in
     gaps j+-2, j+-4, ..., so every other lane is found by :func:`_search`
     on the count of the window w[:-1].  ``closed`` marks the lanes it
-    closed; points still out of order after the search raise.
+    closed.  Where points are still out of order after the search, the
+    lanes on both sides of each misordered pair are searched again on
+    ``recount``, a count of the same window that rounds differently;
+    points out of order after that, or with no ``recount``, raise.
     """
     v = sign * x(mu)
     if not (v[0] >= 1.0 and v[-1] >= 1.0):
@@ -416,8 +424,13 @@ def _certify(x, count, mu, sign, merge_tol):
         # kept points now out of order with searched ones are searched too
         j = 1 + np.flatnonzero(keep & ~((mu[:-2] < mu[1:-1]) & (mu[1:-1] < mu[2:])))
         keep[j - 1] = False
-    if np.any(mu[1:] < mu[:-1]):
-        raise BandCountError("%d Dirichlet points out of order" % np.sum(mu[1:] < mu[:-1]))
+    bad = np.flatnonzero(mu[1:] < mu[:-1])
+    if bad.size and recount is not None:
+        j = np.intersect1d(np.union1d(bad, bad + 1), np.arange(1, mu.size - 1))
+        mu[j], closed[j - 1] = _search(x, recount, mu, sign, j, merge_tol)
+        bad = np.flatnonzero(mu[1:] < mu[:-1])
+    if bad.size:
+        raise BandCountError("%d Dirichlet points out of order" % bad.size)
     return mu, closed
 
 
@@ -455,7 +468,9 @@ def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=N
     sign = np.sign(params.p) ** word.count("1") * (-1.0) ** (q - np.arange(q + 1))
     # Dirichlet counts of the window w[:-1], another q-1 sites of the period
     count = lambda E: _window_count_below(params, s, recipe.star, k, q - 1, E)
-    mu, shut = _certify(x, count, mu, sign, merge_tol)   # shut: gaps the search closed
+    # the window's Sturm loop, O(q) per energy: only misordered lanes reach it
+    recount = lambda E: eigen_count_below_grid(dirichlet_restriction(params, word[:-1]), E)
+    mu, shut = _certify(x, count, mu, sign, merge_tol, recount)   # shut: gaps the search closed
     # left edges: sign[j-1] x_k - 1 leaves >= 0; right edges: sign[j] x_k - 1 reaches it
     lane_sign = np.concatenate([sign[:-1], sign[1:]])
     out, inn = _bisect(lambda E: lane_sign * x(E) >= 1.0,

@@ -249,10 +249,12 @@ def star_letter(s):
 def _prefix_power(s, n):
     """(star, sp) for an n-letter fixed-point prefix: sp is s or s^2, fixing star.
 
-    Checks n against 1 and the cap.  A prefix longer than one letter
-    needs sp(star) = star w with w nonempty, which makes every
-    sp^j(star) a proper prefix of the next.
+    Checks that n is a whole number, then n against 1 and the cap.  A
+    prefix longer than one letter needs sp(star) = star w with w
+    nonempty, which makes every sp^j(star) a proper prefix of the next.
     """
+    if n % 1 != 0:   # NaN and inf too
+        raise ValueError("need a whole number of letters, got length %r" % (n,))
     if n < 1:
         raise ValueError("need n >= 1")
     if n > WORD_LENGTH_CAP:

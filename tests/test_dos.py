@@ -321,6 +321,16 @@ def test_ids_refuses_as_its_counter_first_then_short_lengths(s, p, L, message):
         ids(s, st.JacobiParams(p, 0.5), L, np.linspace(-3.0, 3.0, 5))
 
 
+@pytest.mark.parametrize("L", [10.5, float("nan"), float("inf")])
+def test_non_integral_length_is_refused_before_the_prefix_plan(L):
+    # 10.5 raised IndexError from the block plan, and fixed_point_prefix a
+    # TypeError on a slice
+    for call in (lambda: ids_counter(FIBONACCI, st.JacobiParams(1.0, 1.0), L),
+                 lambda: fixed_point_prefix(FIBONACCI, L)):
+        with pytest.raises(ValueError, match="whole number of letters, got length %r" % L):
+            call()
+
+
 PINNED = [parse_substitution(t) for t in ("0->01;1->0", "0->001;1->0", "0->1;1->10", "0->1;1->01",
                                           "0->0001;1->0", "0->100;1->10")] + [ALL_ZERO]
 

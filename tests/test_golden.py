@@ -146,6 +146,20 @@ def test_scans_are_golden(text, p, q, k, tol, merge_tol, digest):
     assert _digest(result) == digest
 
 
+def _no_sturm_loop(spec, E):
+    raise AssertionError("a golden band level reached the Sturm loop")
+
+
+@pytest.mark.parametrize("golden, case", [
+    pytest.param(test_band_sets_are_golden, c, id="bands " + _case_id(*c[:4])) for c in BANDS]
+    + [pytest.param(test_scans_are_golden, c, id="scans " + _case_id(*c[:4])) for c in SCANS])
+def test_golden_levels_never_reach_the_sturm_loop(monkeypatch, golden, case):
+    # every golden level has its Dirichlet points in order after the search,
+    # so the Sturm loop that decides misordered lanes again cannot move a digest
+    monkeypatch.setattr(spectrum, "eigen_count_below_grid", _no_sturm_loop)
+    golden(*case)
+
+
 # (substitution, p, q, grid half-width, L, draw seed, summary digest, table digest):
 # a 21-sample DOS exponent summary, and the IDS over a 4097-point grid
 # spanning [-half-width, half-width]

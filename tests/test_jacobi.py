@@ -21,7 +21,7 @@ from sturmtrace.jacobi import (
     word_transfer,
 )
 from sturmtrace.jacobi import (_HALF_PI, _block_count_below, _lift_compose, _lift_count,
-                               _lift_site, _window_count_below, _wrap)
+                               _lift_site, _reduce, _window_count_below, _wrap)
 from sturmtrace.spectrum import default_energy_range
 from sturmtrace.substitution import (FIBONACCI, _image_prefix_blocks, _prefix_blocks,
                                      fixed_point_prefix, parse_substitution, periodic_word)
@@ -364,19 +364,24 @@ def test_lift_compose_equals_the_matrix_product_at_the_wrap_edges():
     # At |r| = pi/2 B's stretched direction goes onto A's contracted one,
     # so M_A M_B is far smaller than |M_A| |M_B|, and the product in double
     # is only good to eps |M_A| |M_B|: errors are measured on that scale.
+    # A block's k is a float and its outer angles t1A and t2B are not reduced:
+    # they carry whole half-turns here, and the other lanes' r does too.
     rng = np.random.default_rng(14)
     n = 400
-    A = [rng.integers(-3, 4, n), rng.uniform(-_HALF_PI, _HALF_PI, n), rng.uniform(0.0, 6.0, n),
-         rng.uniform(-_HALF_PI, _HALF_PI, n)]
-    B = [rng.integers(-3, 4, n), rng.uniform(-_HALF_PI, _HALF_PI, n), rng.uniform(0.0, 6.0, n),
-         rng.uniform(-_HALF_PI, _HALF_PI, n)]
+    A = [rng.integers(-3, 4, n).astype(float), rng.uniform(-_HALF_PI, _HALF_PI, n),
+         rng.uniform(0.0, 6.0, n), rng.uniform(-_HALF_PI, _HALF_PI, n)]
+    B = [rng.integers(-3, 4, n).astype(float), rng.uniform(-_HALF_PI, _HALF_PI, n),
+         rng.uniform(0.0, 6.0, n), rng.uniform(-_HALF_PI, _HALF_PI, n)]
     edges = [(-_HALF_PI, 0.0), (0.0, -_HALF_PI), (-0.5 * _HALF_PI, -0.5 * _HALF_PI),
              (0.5 * _HALF_PI, 0.5 * _HALF_PI), (_HALF_PI - 0.25, 0.25)]
     for i, (t2A, t1B) in enumerate(edges):
         lanes = slice(40 * i, 40 * (i + 1))
         A[3][lanes], B[1][lanes] = t2A, t1B
         A[2][lanes][::2], B[2][lanes][::4] = 0.0, 0.0
-    r, _ = _wrap(A[3][:200] + B[1][:200], np.zeros(200, dtype=np.int64))
+    A[1] += np.pi * rng.integers(-3, 4, n)
+    B[3] += np.pi * rng.integers(-3, 4, n)
+    A[3][200:] += np.pi * rng.integers(-3, 4, 200)
+    r, _ = _reduce(A[3][:200] + B[1][:200], np.zeros(200))
     assert (r == -_HALF_PI).sum() >= 160
     got = _block_matrix(_lift_compose(tuple(A), tuple(B)))
     MA, MB = _block_matrix(A), _block_matrix(B)
@@ -393,6 +398,20 @@ def test_wrap_moves_half_turns_as_the_int64_formula():
     assert got_k.dtype == np.int64 and got_k.tolist() == want_k.tolist()
     assert got_t.tobytes() == want_t.tobytes()
     assert got_t[0] == got_t[1] == -_HALF_PI and np.signbit(got_t[4])
+
+
+def test_reduce_moves_whole_half_turns_to_the_float_k():
+    # exact hits of (m + 1/2) pi go to -pi/2, as the comparisons of _wrap put them
+    below = np.nextafter(1.5 * np.pi, 0.0)
+    t = np.array([_HALF_PI, -_HALF_PI, 3 * _HALF_PI, -3 * _HALF_PI, below, -below, -0.0, 0.0,
+                  1.0, -2.0, 2.0, 100.0, -100.0, 7 * np.pi, 1e3 + 0.5])
+    k = np.arange(t.size) - 4.0
+    got_t, got_k = _reduce(t.copy(), k.copy())
+    assert got_k.dtype == np.float64 and np.array_equal(got_k, np.round(got_k))
+    assert np.all((got_t >= -_HALF_PI) & (got_t < _HALF_PI))
+    assert np.abs(got_t + np.pi * (got_k - k) - t).max() <= 1e-12
+    assert got_t[0] == got_t[1] == got_t[2] == got_t[3] == -_HALF_PI
+    assert (got_k - k)[:4].tolist() == [1, 0, 2, -1] and np.signbit(got_t[6])
 
 
 def test_lifted_blocks_count_like_sturm_in_any_grouping():
