@@ -18,8 +18,8 @@ Thickness: gaps are removed in order of decreasing length (equal
 lengths left to right); each removal compares the gap against the two
 bridges flanking it at removal time, and the thickness is the worst
 bridge/gap ratio.  A gap's bridges end at the nearest larger gaps on
-either side, so two monotone-stack passes over the gaps in band order
-find them in linear time: the left bridge ends at the upper end of the
+either side, which binary lifting over a table of range maxima finds in
+O(n log n) array operations: the left bridge ends at the upper end of the
 nearest gap to the left at least as long, the right bridge at the lower
 end of the nearest gap to the right strictly longer, and the hull ends
 where there is none.  Gaps of length <= 0 (touching bands) are ignored.
@@ -146,22 +146,26 @@ def _box_dimension(edges, edge_tol, scales=None):
     return DimensionEstimate(value, stderr, float(eps[0]), float(eps[-1]), int(eps.size))
 
 
-def _nearest_at_least(widths, order, strict):
-    """Per gap, the index of the nearest gap before it in ``order`` that is
-    at least as long (strictly longer if ``strict``), or -1; gaps of
-    length <= 0 are neither looked up nor found."""
-    out = [-1] * len(widths)
-    stack = []  # candidate indices, lengths decreasing from bottom to top
-    for i in order:
-        w = widths[i]
-        if w <= 0:
-            continue
-        while stack and (widths[stack[-1]] <= w if strict else widths[stack[-1]] < w):
-            stack.pop()
-        if stack:
-            out[i] = stack[-1]
-        stack.append(i)
-    return out
+def _nearest_at_least(width, strict):
+    """Per gap, the index of the nearest earlier gap at least as long
+    (strictly longer if ``strict``), or -1; a gap of length > 0 finds
+    only gaps of length > 0.
+
+    Binary lifting: longest[j][i] is the longest of width[i : i + 2**j],
+    and each gap's start moves left by 2**j, for j from the largest
+    down, while the gaps it passes are all shorter."""
+    n = len(width)
+    longest = [width]
+    while 2 ** len(longest) < n:
+        h = 2 ** (len(longest) - 1)
+        longest.append(np.maximum(longest[-1][:-h], longest[-1][h:]))
+    start = np.arange(n)   # every gap in [start, i) is shorter than gap i
+    for j in reversed(range(len(longest))):
+        prev = start - 2 ** j
+        top = longest[j][np.maximum(prev, 0)]
+        move = (prev >= 0) & ((top <= width) if strict else (top < width))
+        start[move] = prev[move]
+    return start - 1
 
 
 def thickness(bands):
@@ -174,12 +178,11 @@ def thickness(bands):
     positive = width > 0
     if not positive.any():
         return ThicknessEstimate(math.inf)
-    widths = width.tolist()
-    n = len(widths)
-    # index -1 reads the hull end appended after the gaps
-    left_cut = np.append(hi, edges[0, 0])[_nearest_at_least(widths, range(n), strict=False)]
-    right_cut = np.append(lo, edges[-1, 1])[_nearest_at_least(widths, range(n - 1, -1, -1),
-                                                              strict=True)]
+    n = len(width)
+    # index -1 (left) and n (right) read the hull end appended after the gaps
+    left_cut = np.append(hi, edges[0, 0])[_nearest_at_least(width, strict=False)]
+    right = n - 1 - _nearest_at_least(width[::-1], strict=True)[::-1]
+    right_cut = np.append(lo, edges[-1, 1])[right]
     bridge = np.minimum(lo - left_cut, right_cut - hi)
     return ThicknessEstimate(float((bridge[positive] / width[positive]).min()))
 

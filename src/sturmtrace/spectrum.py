@@ -220,6 +220,9 @@ def half_trace_grid(recipe, params, E, k):
     half-trace over s^k(star), for k = 0 the single-letter trace.
     Every U-step saturates at +-SATURATION: deep in a gap, where the
     true value would overflow, the result keeps the sign of 2xz - y.
+    The kernel runs the clip only at steps whose bound on the lanes can
+    pass SATURATION (bounds from max |E| to begin with), with the same
+    bits as a clip at every step.
     The clip does not reach the start x of initial_conditions_grid,
     which is already inf above |E| of about 1.34e154 min(1, sqrt(2|p|))
     (E*E or its quotient by 2p overflows); there the result can be inf
@@ -230,9 +233,15 @@ def half_trace_grid(recipe, params, E, k):
     if E.ndim == 0:   # the kernel clips in place, on arrays
         return half_trace_grid(recipe, params, E[None], k)[0]
     x, y, z = initial_conditions_grid(params, E)
+    # bounds on the start: initial_conditions_grid's float operations at
+    # |E| <= e, with every term added, bound each lane (rounding is monotone)
+    e = max(float(E.max(initial=0.0)), -float(E.min(initial=0.0)))   # NaN if any E is
+    p, q = abs(float(params.p)), abs(float(params.q))
+    start = [(e * e + q * e + p * p + 1.0) / (2.0 * p), (e + q) / (2.0 * p), e / 2.0]
     if recipe.swapped_start:
         y, z = z, y
-    return _iterate(recipe.period * k, x, y, z, bound=SATURATION)[1]
+        start[1:] = start[2], start[1]
+    return _iterate(recipe.period * k, x, y, z, bound=SATURATION, start_bounds=start)[1]
 
 
 def default_energy_range(params):

@@ -247,11 +247,12 @@ def star_letter(s):
 
 
 def _prefix_power(s, n):
-    """(star, sp) for an n-letter fixed-point prefix: sp is s or s^2, fixing star.
+    """(star, sp, n) for an n-letter fixed-point prefix: sp is s or s^2, fixing star.
 
-    Checks that n is a whole number, then n against 1 and the cap.  A
-    prefix longer than one letter needs sp(star) = star w with w
-    nonempty, which makes every sp^j(star) a proper prefix of the next.
+    Checks that n is a whole number, then n against 1 and the cap, and
+    hands n back as an int, so 10.0 plans as 10.  A prefix longer than
+    one letter needs sp(star) = star w with w nonempty, which makes
+    every sp^j(star) a proper prefix of the next.
     """
     if n % 1 != 0:   # NaN and inf too
         raise ValueError("need a whole number of letters, got length %r" % (n,))
@@ -263,12 +264,12 @@ def _prefix_power(s, n):
     sp = s if power == 1 else s.power(power)
     if n > 1 and sp.image(star) == star:
         raise UnsupportedSubstitutionError("substitution does not expand its fixed letter")
-    return star, sp
+    return star, sp, int(n)
 
 
 def fixed_point_prefix(s, n):
     """First n letters of the fixed point of s (or of s^2 when needed)."""
-    star, sp = _prefix_power(s, n)
+    star, sp, n = _prefix_power(s, n)
     word = star
     while len(word) < n:
         word = sp.apply(word)[:n]
@@ -356,7 +357,7 @@ def _prefix_blocks(s, n):
     :class:`UnsupportedSubstitutionError` rather than planned with one
     level per letter.
     """
-    star, sp = _prefix_power(s, n)
+    star, sp, n = _prefix_power(s, n)
     other = "1" if star == "0" else "0"
     if n > 1 and sp.image(other) == other and sp.image(star).count(star) == 1:
         raise UnsupportedSubstitutionError("fixed letter grows only linearly; "

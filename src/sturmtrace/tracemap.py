@@ -33,8 +33,11 @@ bit-identical to the scalar orbit, and the input arrays are never
 written.  Its callers are ``spectrum.half_trace_grid`` (which clips each
 U-step to +-SATURATION), :func:`classify_batch` (which holds the escape
 test), and the one-point :func:`apply_period`, :func:`step` and
-:func:`classify`, which run it on one-element arrays.  The scalar maps
-are the definitions, and the tests check the kernel against them.
+:func:`classify`, which run it on one-element arrays.  The clip runs
+only from the first step with a lane beyond its bound, found mostly from
+scalar bounds on the lanes, so a clip it skips would have changed no
+bit.  The scalar maps are the definitions, and the tests check the
+kernel against them.
 """
 
 import math
@@ -142,28 +145,47 @@ def recipe_from_substitution(s):
 
 # -- orbit iteration -----------------------------------------------------------
 
-def _iterate(factors, x, y, z, bound=None):
+def _iterate(factors, x, y, z, bound=None, start_bounds=(math.inf,) * 3):
     """The trace-map kernel: apply t_a for each a of ``factors``, in order.
 
     (x, y, z) are aligned arrays and the image triple is returned.  Each
     U-step makes one fresh array t = 2x, then forms t*z - y in place on
     it: the same float operations, in the same order, as ``2.0 * x * z -
     y`` in :func:`u_map`, so each lane is bit-identical to the scalar
-    orbit.  With ``bound``, t is then clipped to [-bound, bound], also in
-    place, which needs the lanes to be arrays of at least one dimension.
-    Only the fresh arrays are written, never the inputs, so a caller may
-    keep them (and pass the same array as y and z).
+    orbit.  Only the fresh arrays are written, never the inputs, so a
+    caller may keep them (and pass the same array as y and z).
+
+    With ``bound``, t is clipped to [-bound, bound] in place, which needs
+    the lanes to be arrays of at least one dimension, but only from the
+    first step at which some lane of t lies beyond bound or is NaN.  The
+    kernel carries upper bounds bx, by, bz on |x|, |y| and |z|, starting
+    from ``start_bounds`` (inf where none is known).  Rounding is
+    monotone, so 2*bx*bz + by, formed with the same float operations,
+    bounds every lane of t.  Only at a step where that bound is not
+    <= bound does the kernel read t's max and min, which give bx.  A clip
+    it skips would have been an identity (-0.0 keeps its sign), so the
+    lanes are bit-identical to a clip at every step.
     """
+    bx, by, bz = start_bounds
+    clip = False
     with np.errstate(over="ignore", invalid="ignore"):
         for a in factors:
             y, z = z, y
+            by, bz = bz, by
             for _ in range(a):
                 t = x * 2.0
                 t *= z
                 t -= y
                 if bound is not None:
-                    np.minimum(t, bound, out=t)
-                    np.maximum(t, -bound, out=t)
+                    bt = 2.0 * bx * bz + by
+                    if not (clip or bt <= bound):   # inf and NaN fail <= too
+                        # NaN in t makes both NaN, and then clip for good
+                        bt = max(float(t.max(initial=0.0)), -float(t.min(initial=0.0)))
+                        clip = not bt <= bound
+                    if clip:
+                        np.minimum(t, bound, out=t)
+                        np.maximum(t, -bound, out=t)
+                    bx, by = bt, bx
                 x, y = t, x
     return x, y, z
 

@@ -331,6 +331,16 @@ def test_non_integral_length_is_refused_before_the_prefix_plan(L):
             call()
 
 
+def test_whole_number_float_length_reads_as_the_int():
+    # fixed_point_prefix raised TypeError on the slice at 10.0, which ids_counter took
+    params = st.JacobiParams(1.0, 1.0)
+    E = np.linspace(-3.0, 3.0, 41)
+    for L in (10.0, np.float64(10.0)):
+        assert fixed_point_prefix(FIBONACCI, L) == fixed_point_prefix(FIBONACCI, 10)
+        assert ids_counter(FIBONACCI, params, L)(E).tolist() == \
+            ids_counter(FIBONACCI, params, 10)(E).tolist()
+
+
 PINNED = [parse_substitution(t) for t in ("0->01;1->0", "0->001;1->0", "0->1;1->10", "0->1;1->01",
                                           "0->0001;1->0", "0->100;1->10")] + [ALL_ZERO]
 

@@ -8,7 +8,7 @@ import pytest
 
 import sturmtrace as st
 from sturmtrace import fractal
-from sturmtrace.fractal import box_count, box_dimension, thickness
+from sturmtrace.fractal import _nearest_at_least, box_count, box_dimension, thickness
 from sturmtrace.spectrum import BandSet, combinatorial_gap_label, restrict_bands
 
 
@@ -246,10 +246,10 @@ def thickness_by_insort(bands):
     return float(tau)
 
 
-def random_band_set(rng):
+def random_band_set(rng, n_max=80):
     """Sorted bands of integer lengths, with tied gap lengths, zero-length
     gaps and point bands a == b; half of them moved off the integers."""
-    n = int(rng.integers(1, 80))
+    n = int(rng.integers(1, n_max))
     lengths = rng.choice([1, 2, 3], size=n).tolist()
     if rng.random() < 0.3:
         lengths[int(rng.integers(n))] = 0  # one point band
@@ -262,6 +262,21 @@ def random_band_set(rng):
     return tuple((float(scale * a + shift), float(scale * b + shift)) for a, b in bands)
 
 
+def test_nearest_at_least_equals_the_scan():
+    # ascending widths make the last gap reach back over all the others
+    rng = np.random.default_rng(14)
+    for n in list(range(1, 18)) + [31, 32, 33, 63, 64, 65, 255, 256, 257]:
+        random = rng.choice([-1.0, 0.0, 1.0, 2.0, 3.0, 5.0], size=n)
+        for width in (random, np.sort(random)):
+            for strict in (False, True):
+                got = _nearest_at_least(width, strict).tolist()
+                for i, w in enumerate(width.tolist()):
+                    if w > 0:
+                        found = [j for j in range(i)
+                                 if width[j] > w or (width[j] == w and not strict)]
+                        assert got[i] == max(found, default=-1), (n, strict, i)
+
+
 def test_thickness_equals_insort_on_seeded_band_sets():
     rng = np.random.default_rng(13)
     values = []
@@ -272,6 +287,9 @@ def test_thickness_equals_insort_on_seeded_band_sets():
     # the sets reach every branch: no gaps, touching bands, zero and finite thickness
     assert math.inf in values and 0.0 in values
     assert sum(0.0 < v < math.inf for v in values) >= 50
+    for _ in range(30):   # up to 12 levels of the nearest-larger-gap lifting
+        bands = random_band_set(rng, n_max=3000)
+        assert thickness(bands).value == thickness_by_insort(bands)
 
 
 @pytest.mark.parametrize("text, p, q, k", [("0->01;1->0", 1.0, 0.2, 10),

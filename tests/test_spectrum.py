@@ -652,6 +652,33 @@ def test_half_trace_grid_overflows_as_the_loop_at_extreme_energies(text):
                     assert np.all(np.abs(got[[2, 6]]) == SATURATION)  # E = +-1.3e154
 
 
+def test_half_trace_grid_start_bounds_bound_the_start(monkeypatch):
+    # the kernel skips a clip on these bounds, so a bound below a lane could lose a clip
+    starts = []
+
+    def kernel(factors, x, y, z, bound=None, start_bounds=None):
+        starts.append(((x, y, z), start_bounds))
+        return tracemap_iterate(factors, x, y, z, bound=bound, start_bounds=start_bounds)
+
+    tracemap_iterate = spectrum_mod._iterate
+    monkeypatch.setattr(spectrum_mod, "_iterate", kernel)
+    rng = np.random.default_rng(57)
+    for p, q in ((1, 2), (-1.3, 0.7), (1e-3, -40.0), (7.5, 1e3), (-2e-8, 3.0), (0.5, 0.0)):
+        params = st.JacobiParams(p, q)
+        for text in ("0->01;1->0", "0->1;1->10"):
+            recipe = st.recipe_from_substitution(parse_substitution(text))
+            for scale in (0.0, 1e-3, 1.0, 3.0, 1e3, 1e60, 1e160):
+                E = np.concatenate([rng.uniform(-scale, scale, 300), [scale, -scale, 0.0]])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    half_trace_grid(recipe, params, E, 2)
+                for lane, bound in zip(*starts[-1]):   # in the kernel's order
+                    assert np.all(np.abs(lane) <= bound), (p, q, text, scale)
+    # no energies: no reduction of a size-0 array raises
+    for k in (0, 3):
+        got = half_trace_grid(recipe, params, np.array([]), k)
+        assert got.shape == (0,) and got.dtype == float
+
+
 def test_free_case_closes_every_gap():
     for s, k in ((st.FIBONACCI, 7), (METAL, 5)):
         bands = st.floquet_bands(s, st.JacobiParams(1.0, 0.0), k)

@@ -244,13 +244,15 @@ def test_kernel_never_writes_its_inputs_and_equals_the_scalar_maps():
         factors = rec.period * int(rng.integers(1, 9))
         points = [tuple(rng.uniform(-3, 3, size=3)) for _ in range(40)] + huge
         lanes = np.array(points).T
-        for bound in (None, 1e150, 50.0):
+        for bound, tight in ((None, False), (1e150, False), (50.0, False), (50.0, True)):
             for same_yz in (False, True):
                 x, y, z = (c.copy() for c in lanes)
                 if same_yz:
                     z = y
                 before = [c.tobytes() for c in (x, y, z)]
-                got = _iterate(factors, x, y, z, bound=bound)
+                # the tightest start bounds the kernel may be given
+                kw = {"start_bounds": [float(np.abs(c).max()) for c in (x, y, z)]} if tight else {}
+                got = _iterate(factors, x, y, z, bound=bound, **kw)
                 assert [c.tobytes() for c in (x, y, z)] == before
                 want = [clipped_orbit(factors, (a, b, c), bound)
                         for a, b, c in zip(x.tolist(), y.tolist(), z.tolist())]
@@ -260,6 +262,75 @@ def test_kernel_never_writes_its_inputs_and_equals_the_scalar_maps():
                 else:
                     saturated |= bool((np.abs(got[0]) == bound).any())
     assert saturated and overflowed
+
+
+class _ClipCounter:
+    """numpy for the kernel, counting its clip passes (calls of np.minimum)."""
+
+    def __init__(self):
+        self.clips = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def minimum(self, *args, **kw):
+        self.clips += 1
+        return np.minimum(*args, **kw)
+
+
+def _clips_of_kernel(monkeypatch, factors, lanes, bound, **kw):
+    """Clip passes of one kernel call, whose lanes must equal clipped_orbit bit for bit."""
+    counter = _ClipCounter()
+    with monkeypatch.context() as m:
+        m.setattr(tracemap_mod, "np", counter)
+        got = _iterate(factors, *lanes, bound=bound, **kw)
+    want = [clipped_orbit(factors, p, bound) for p in zip(*(c.tolist() for c in lanes))]
+    assert np.stack(got).tobytes() == np.array(want).T.tobytes()
+    return counter.clips, got
+
+
+def test_kernel_clips_only_where_a_lane_can_pass_the_bound(monkeypatch):
+    rng = np.random.default_rng(35)
+    # moderate lanes, -0.0 among them, never clip: with and without start bounds
+    lanes = rng.uniform(-3.0, 3.0, size=(3, 500))
+    lanes[:, :4] = np.array([(-0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (0.0, -0.0, 0.0),
+                             (-0.0, -0.0, 0.0)]).T
+    for factors in ((1, 1, 1), (1, 2, 1, 3)):
+        for kw in ({}, {"start_bounds": (3.0, 3.0, 3.0)}):
+            clips, got = _clips_of_kernel(monkeypatch, factors, lanes, 1e150, **kw)
+            zeros = np.stack(got)[:, :4]
+            assert clips == 0 and np.signbit(zeros[zeros == 0.0]).any()
+    # one lane of 10^4 passes the bound at the last U-step only: one clip pass
+    special = (3.0, 3.0, 3.0)
+    m = next(n for n in range(1, 60) if abs(clipped_orbit((1,) * n, special, None)[0]) > 1e150)
+    lanes = np.array([torus_point(*rng.uniform(0.0, 1.0, size=2)) for _ in range(10 ** 4)]).T
+    lanes[:, 5000] = special
+    for kw in ({}, {"start_bounds": (3.0, 3.0, 3.0)}):
+        clips, got = _clips_of_kernel(monkeypatch, (1,) * m, lanes, 1e150, **kw)
+        assert clips == 1 and abs(got[0][5000]) == 1e150
+    # the scalar bound passes the clip bound while no value does: read, no clip
+    lanes = np.array([[1e100, 1e-100, 0.0], [1e-100, 1e100, 0.0]]).T
+    clips, got = _clips_of_kernel(monkeypatch, (1, 1), lanes, 1e150,
+                                  start_bounds=(1e100, 1e100, 0.0))
+    assert clips == 0 and np.abs(np.stack(got)).max() <= 1e150
+    # bound 50: clips from the first lane past it on, every later step
+    lanes = rng.uniform(-3.0, 3.0, size=(3, 200))
+    clips, _ = _clips_of_kernel(monkeypatch, (1,) * 8, lanes, 50.0,
+                                start_bounds=(3.0, 3.0, 3.0))
+    assert 0 < clips < 8
+    # the y term alone takes t = 2xz - y past 50 (y is z before the swap)
+    lanes = np.array([(1.0, 1.0, -49.5), (0.5, 0.5, 0.5)]).T
+    clips, got = _clips_of_kernel(monkeypatch, (1,), lanes, 50.0,
+                                  start_bounds=(1.0, 1.0, 49.5))
+    assert clips == 1 and got[0][0] == 50.0
+    # inf and NaN starts clip at every step, the lanes beside them still equal
+    for bad in ((math.inf, 0.5, 0.5), (0.5, -math.inf, 2.0), (math.nan, 0.2, 0.3)):
+        lanes = np.array([bad, (0.1, 0.2, -0.0), (-0.0, 0.3, 0.4)]).T
+        clips, _ = _clips_of_kernel(monkeypatch, (1, 2), lanes, 1e150)
+        assert clips == 3
+    # no lanes: nothing to read or clip
+    clips, got = _clips_of_kernel(monkeypatch, (1, 2), np.empty((3, 0)), 1e150)
+    assert clips == 0 and all(c.shape == (0,) for c in got)
 
 
 def classify_loop(recipe, point, max_steps, escape_norm):
