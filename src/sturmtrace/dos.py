@@ -89,6 +89,7 @@ def ids_counter(s, params, L):
     if L < 1:
         raise ValueError("need L >= 1, got L = %r" % L)
     sp, blocks = _prefix_blocks(s, L)
+    blocks = blocks + [(0, "0")]   # the count reads one letter past its L sites, any letter
 
     def counter(E):
         E_arr = np.atleast_1d(np.asarray(E, dtype=float))

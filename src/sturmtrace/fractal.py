@@ -89,17 +89,16 @@ def box_count(bands, eps):
     return int(counts[0]) if e.ndim == 0 else counts.reshape(e.shape)
 
 
-def box_dimension(bands, scales=None):
+def box_dimension(bands):
     """Box-counting dimension estimate of a band union.
 
-    With explicit ``scales``, values outside the validity window are
-    rejected.  The default ladder halves from hull/4 down to the
-    validity floor (at least five scales).
+    The ladder halves from hull/4 down to the validity floor (at least
+    five scales).
     """
-    return _box_dimension(_edges(bands), getattr(bands, "edge_tol", 0.0), scales)
+    return _box_dimension(_edges(bands), getattr(bands, "edge_tol", 0.0))
 
 
-def _box_dimension(edges, edge_tol, scales=None):
+def _box_dimension(edges, edge_tol):
     """:func:`box_dimension` of sorted (n, 2) band edges."""
     if not len(edges):
         raise ValueError("empty band set")
@@ -112,30 +111,20 @@ def _box_dimension(edges, edge_tol, scales=None):
     else:
         floor = max(4.0 * smallest, 100.0 * edge_tol, hull * 2 ** -46)
     ceil = hull / 4.0
-    default_ladder = scales is None
-    if scales is None:
-        scales = []
-        e = ceil
-        while e >= floor and len(scales) < 40:
-            scales.append(e)
-            e /= 2.0
-        if len(scales) < 5:
-            # narrow validity window: geometric ladder inside [floor, ceil]
-            if floor >= ceil:
-                floor = ceil / 8.0
-            ratio = (floor / ceil) ** (1.0 / 7)
-            scales = [ceil * ratio ** i for i in range(8)]
-    else:
-        scales = [e for e in scales]
-        bad = [e for e in scales if e < floor or e > ceil]
-        if bad:
-            raise ValueError("scales outside validity window [%g, %g]: %r"
-                             % (floor, ceil, bad))
+    scales = []
+    e = ceil
+    while e >= floor and len(scales) < 40:
+        scales.append(e)
+        e /= 2.0
     if len(scales) < 5:
-        raise ValueError("need at least 5 scales")
+        # narrow validity window: geometric ladder inside [floor, ceil]
+        if floor >= ceil:
+            floor = ceil / 8.0
+        ratio = (floor / ceil) ** (1.0 / 7)
+        scales = [ceil * ratio ** i for i in range(8)]
     eps = np.array(sorted(scales))
     counts = box_count(edges, eps).astype(float)
-    if default_ladder and len(edges) > 1:
+    if len(edges) > 1:
         # fit the resolved mid-regime: enough boxes to see structure, but
         # not so many that the finite-level approximation is exhausted
         mask = (counts >= 12) & (counts <= 0.7 * len(edges))

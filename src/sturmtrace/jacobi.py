@@ -216,14 +216,15 @@ def eigen_count_below_grid(spec, E):
 # Site i's Sturm pivot map d -> (a_i - E) - b_i^2 / d is the Moebius map
 # of F = [[a_i - E, -b_i^2], [1, 0]] acting on d = x / y.  F preserves
 # orientation and maps the angles ((m - 1/2) pi, (m + 1/2) pi] of (x, y)
-# onto (m pi, (m + 1) pi], so along the lifted angle theta of the pivot
-# vector, started at d = +inf (theta = 0), floor(theta / pi + 1/2) grows
-# by one exactly at each pivot <= 0.  Read one site later, the same map
-# counts all sites but the last: with theta_n the angle after n sites,
-# site n sends theta_(n-1) in ((m - 1/2) pi, (m + 1/2) pi] to theta_n in
-# (m pi, (m + 1) pi], so floor(theta_n / pi) = floor(theta_(n-1) / pi + 1/2)
-# is the count of the first n - 1 sites.  The lift of a whole period
-# word w thus also counts the window w[:-1].  A word's lift is kept as a block
+# onto (m pi, (m + 1) pi].  With theta_n the lifted angle of the pivot
+# vector after n sites, started at d = +inf (theta_0 = 0), site n sends
+# theta_(n-1) in ((m - 1/2) pi, (m + 1/2) pi] to theta_n in
+# (m pi, (m + 1) pi], and floor(theta_n / pi + 1/2) grows by one exactly
+# at each pivot <= 0.  So floor(theta_n / pi) = floor(theta_(n-1) / pi + 1/2)
+# counts the first n - 1 sites, whatever site n is.  That is the one
+# readout: L sites are counted by floor(theta / pi) after L + 1.  The lift
+# of a period word w counts the window w[:-1], and a prefix of L letters
+# is counted by the lift of L + 1.  A word's lift is kept as a block
 # (k, t1, x, t2), the map
 #
 #     theta -> k pi + t1 + S_x(t2 + theta),
@@ -372,35 +373,25 @@ _TIE_ANGLE = 1e-12
 
 
 def _block_count_below(params, sp, blocks, L, E):
-    """Dirichlet eigenvalues <= E of the length-L word spelled by lifted blocks.
+    """Dirichlet eigenvalues <= E of the first L sites of the word spelled by lifted blocks.
 
     blocks holds pairs (j, c) in reading order, the words sp^j(c) of
     substitution.py's _prefix_blocks; levels never increase along it.
-    The count is composed from the blocks sp^j(0) and sp^j(1), lowest
-    level first, so only one level of blocks and the accumulated tail
-    are alive at a time and the cost is O(levels * |sp|) per energy,
-    whatever the word length.  Counts agree with
-    :func:`eigen_count_below_grid`: a last pivot of 0 counts (the "<="
-    side; so does a lifted angle within _TIE_ANGLE of the boundary, to
-    absorb the rounding of exact hits), E = -inf counts 0, and E = +inf
-    or NaN counts every site.
+    They spell L + 1 letters, and the count is floor(theta / pi) of
+    their lift (see "lifted pivot maps"): the last letter is read but
+    not counted, so any letter will do there.  The band search passes
+    the period [(k, star)] with L = q - 1, and the DOS its prefix plan
+    with one level-0 block appended.  The lift is composed from the
+    blocks sp^j(0) and sp^j(1), lowest level first, so only one level of
+    blocks and the accumulated tail are alive at a time and the cost is
+    O(levels * |sp|) per energy, whatever the word length.  Counts agree
+    with :func:`eigen_count_below_grid`: a last pivot of 0 counts (the
+    "<=" side; so does a lifted angle within _TIE_ANGLE of the boundary,
+    to absorb the rounding of exact hits), no count exceeds L, E = -inf
+    counts 0, and E = +inf or NaN counts every site.
     """
     E = np.asarray(E, dtype=float)
     return _finite_count(_lift_count(_blocks_lift(params, sp, blocks, E)), L, E)
-
-
-def _window_count_below(params, sp, letter, k, L, E):
-    """Dirichlet eigenvalues <= E of the window w[:-1], L = |w| - 1 sites, of w = sp^k(letter).
-
-    The count is floor(theta / pi) of the lift of the whole word (see
-    "lifted pivot maps"): the blocks of k levels and no tail, where
-    spelling the window itself takes a tail of about one block per
-    level (8 to 18 at Fibonacci k = 16, metal-mean k = 10 and
-    0->100;1->10 k = 9).  Ties, infinities and NaN count as in
-    :func:`_block_count_below`.
-    """
-    E = np.asarray(E, dtype=float)
-    return _finite_count(_lift_count(_blocks_lift(params, sp, [(k, letter)], E), 0.0), L, E)
 
 
 def _blocks_lift(params, sp, blocks, E):
@@ -429,22 +420,27 @@ def _blocks_lift(params, sp, blocks, E):
 
 
 def _finite_count(count, L, E):
-    """count with E = -inf set to 0 and E = +inf or NaN to every one of the L sites."""
+    """count clamped to L, with E = -inf set to 0 and E = +inf or NaN to every one of the L sites.
+
+    The clamp takes back the one site that _TIE_ANGLE adds at E of about
+    1e12 max(1, |p|) and above, where every pivot is <= 0 and the angle
+    after the uncounted last site lies within it below (L + 1) pi.
+    """
     finite = np.isfinite(E)
     count[~finite] = np.where(E[~finite] < 0.0, 0, L)
+    count[count > L] = L
     return count
 
 
-def _lift_count(block, shift=0.5):
-    """floor(theta / pi + shift) of a block entered at d = +inf (theta rounded up by _TIE_ANGLE).
+def _lift_count(block):
+    """floor(theta / pi) of a block entered at d = +inf (theta rounded up by _TIE_ANGLE).
 
-    With shift 1/2 this counts the pivots <= 0 along the block, with
-    shift 0 those along all its sites but the last.
+    This counts the pivots <= 0 along all the block's sites but the last.
     """
     k, t1, x, t2 = block
     t2, k = _reduce(t2.copy(), k.copy())
     phi = t1 + _stretch(x, t2) + _TIE_ANGLE
-    return (k + np.floor(phi / np.pi + shift)).astype(np.int64)
+    return (k + np.floor(phi / np.pi)).astype(np.int64)
 
 
 def _chain(level_blocks, word):

@@ -52,35 +52,6 @@ class QuadraticSurd:
     def value(self):
         return (self.p + self.q * math.sqrt(self.d)) / self.r
 
-    def _cmp_int(self, n):
-        """Sign of self - n, exactly."""
-        # self - n = (p - n r + q sqrt(d)) / r, r > 0 after normalization
-        a = self.p - n * self.r
-        q = self.q
-        if q == 0:
-            return (a > 0) - (a < 0)
-        if q > 0:
-            if a >= 0:
-                return 1
-            # q sqrt(d) vs -a, both positive
-            lhs, rhs = q * q * self.d, a * a
-            return (lhs > rhs) - (lhs < rhs)
-        if a <= 0:
-            return -1
-        lhs, rhs = a * a, q * q * self.d
-        return (lhs > rhs) - (lhs < rhs)
-
-    def floor(self):
-        n = math.floor(self.value())
-        while self._cmp_int(n) < 0:
-            n -= 1
-        while self._cmp_int(n + 1) >= 0:
-            n += 1
-        return n
-
-    def minus_int(self, n):
-        return QuadraticSurd(self.p - n * self.r, self.q, self.d, self.r)
-
     def reciprocal(self):
         # r / (p + q sqrt(d)) = r (p - q sqrt(d)) / (p^2 - q^2 d)
         den = self.p * self.p - self.q * self.q * self.d
@@ -88,41 +59,38 @@ class QuadraticSurd:
             raise ZeroDivisionError("reciprocal of zero surd")
         return QuadraticSurd(self.r * self.p, -self.r * self.q, self.d, den)
 
-    def is_rational(self):
-        return self.q == 0 or _is_square(self.d)
-
 
 def _is_square(n):
-    if n < 0:
-        return False
-    s = math.isqrt(n)
-    return s * s == n
+    return n >= 0 and math.isqrt(n) ** 2 == n
 
 
 def continued_fraction(surd):
     """CF digits of a surd in (0,1): returns (preperiod, period) tuples.
 
-    Gauss map with exact state (p, q, r); eventual periodicity of the CF
-    of a quadratic irrational guarantees a repeat, looked for within
-    10000 terms.
+    With the surd as (P + sqrt D) / Q, Q dividing D - P^2, the complete
+    quotients follow P <- a Q - P, Q <- (D - P^2) / Q (first with a = 0,
+    the reciprocal), and each digit a = floor((P + sqrt D) / Q) is
+    (P + isqrt D) // Q, the numerator rounded up when Q < 0.  All of it
+    is integer arithmetic; the period starts at the first repeated
+    (P, Q), looked for within 10000 terms.
     """
-    if surd.is_rational():
+    sign = 1 if surd.q >= 0 else -1
+    P, D, Q = sign * surd.p, surd.q * surd.q * surd.d, sign * surd.r
+    if _is_square(D):
         raise ValueError("continued_fraction needs a quadratic irrational")
-    x = surd
-    seen = {}
-    digits = []
+    if (D - P * P) % Q:
+        P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
+    root, seen, digits, a = math.isqrt(D), {}, [], 0
     for i in range(10000):
-        state = (x.p, x.q, x.r)
-        if state in seen:
-            j = seen[state]
-            return tuple(digits[:j]), tuple(digits[j:])
-        seen[state] = i
-        inv = x.reciprocal()
-        a = inv.floor()
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        if (P, Q) in seen:
+            return tuple(digits[:seen[P, Q]]), tuple(digits[seen[P, Q]:])
+        seen[P, Q] = i
+        a = (P + root + (Q < 0)) // Q
         if a < 1:
             raise ValueError("CF digit < 1; surd not in (0,1)?")
         digits.append(a)
-        x = inv.minus_int(a)
     raise RuntimeError("no CF period found within 10000 terms")
 
 
@@ -202,7 +170,9 @@ def rotation_number(s):
     if _is_square(disc):
         raise UnsupportedSubstitutionError("rational Perron slope; not in the Sturmian class")
     slope = QuadraticSurd(t11 - t00, 1, disc, 2 * t01)
-    if slope._cmp_int(1) > 0:
+    # slope > 1 iff sqrt(disc) > m = 2 t01 - (t11 - t00), t01 > 0 (primitive)
+    m = 2 * t01 - (t11 - t00)
+    if m < 0 or disc > m * m:
         slope = slope.reciprocal()
     pre, per = continued_fraction(slope)
     return RotationParams(cf_preperiod=pre, cf_period=per, surd=slope)

@@ -22,10 +22,14 @@ also once the searched points are in place; the sign test alone also
 passes in gaps j+-2, j+-4, ...  Above STERF_MAX_Q, or where numpy ships
 no dsterf, nothing is seeded.  Every lane without a kept point is found
 by one multisection on the Dirichlet count of the window w[:-1], whose
-probes all lanes share.  The count is read in O(k) per energy off the lifted
-pivot maps of the whole period w, the blocks s^k(star) (see jacobi.py),
-so the window needs no blocks of its own.  A probe with count j-1 or j
-and sign_j x_k >= 1 lies in gap j.  Where the counts at the ends of an
+probes all lanes share.  The count is read in O(k) per energy off the
+lifted pivot maps of the whole period w, the blocks s^k(star), by the
+one readout of jacobi._block_count_below that the DOS uses too:
+floor(theta / pi) after q sites counts the first q - 1, clamped at
+q - 1 (the tie rounding would count one more at E of about
+1e12 max(1, |p|) and above).  So the window needs no blocks of its
+own.  A probe with count j-1 or j and sign_j x_k >= 1 lies in gap j.
+Where the counts at the ends of an
 interval are j-1 and j, the interval lies between the window's
 eigenvalues in gaps j-1 and j+1, in which x_k has sign -sign_j; there
 sign_j x_k >= 1 alone certifies a probe, and the probes inside are not
@@ -54,11 +58,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .jacobi import (_window_count_below, dirichlet_restriction, eigen_count_below_grid,
+from .jacobi import (_block_count_below, dirichlet_restriction, eigen_count_below_grid,
                      initial_conditions_grid)
 from .substitution import _image_length, _image_word
-from .tracemap import (ESCAPE_NORM_DEFAULT, MAX_STEPS_POINT, _iterate, _verdicts, classify_batch,
-                       recipe_from_substitution)
+from .tracemap import MAX_STEPS_POINT, _iterate, _verdicts, classify_batch, recipe_from_substitution
 
 SATURATION = 1e150         # |x| cap of one trace-map step; keeps the sign in gaps
 BISECT_ROUNDS = 128        # halvings of a bracket, ample for any tol above 1 ulp
@@ -476,7 +479,7 @@ def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=N
     # sign of x_k in gap j (above band j): leading coefficient times (-1)^(q-j)
     sign = np.sign(params.p) ** word.count("1") * (-1.0) ** (q - np.arange(q + 1))
     # Dirichlet counts of the window w[:-1], another q-1 sites of the period
-    count = lambda E: _window_count_below(params, s, recipe.star, k, q - 1, E)
+    count = lambda E: _block_count_below(params, s, [(k, recipe.star)], q - 1, E)
     # the window's Sturm loop, O(q) per energy: only misordered lanes reach it
     recount = lambda E: eigen_count_below_grid(dirichlet_restriction(params, word[:-1]), E)
     mu, shut = _certify(x, count, mu, sign, merge_tol, recount)   # shut: gaps the search closed
@@ -513,13 +516,12 @@ def floquet_band_tower(s, params, k_max, tol=None, merge_tol=None):
 
 # -- dynamical spectrum, gaps, labels --------------------------------------------
 
-def dynamical_spectrum_probe(s, params, E_list, max_steps=MAX_STEPS_POINT,
-                             escape_norm=ESCAPE_NORM_DEFAULT, recipe=None):
+def dynamical_spectrum_probe(s, params, E_list, max_steps=MAX_STEPS_POINT, recipe=None):
     """classify() of the curve of initial conditions at each energy, in one batch."""
     if recipe is None:
         recipe = recipe_from_substitution(s)
     at, last, max_norm = classify_batch(recipe, *initial_conditions_grid(params, E_list),
-                                        max_steps=max_steps, escape_norm=escape_norm)
+                                        max_steps=max_steps)
     return _verdicts(at, last, max_norm, max_steps)
 
 

@@ -331,8 +331,7 @@ def classify(recipe, point, max_steps=MAX_STEPS_POINT, escape_norm=ESCAPE_NORM_D
     return _verdicts(at, last, max_norm, max_steps)[0]
 
 
-def surface_section(V, resolution, chart=(-2.0, 2.0, -2.0, 2.0),
-                    max_steps=MAX_STEPS_BANDS, escape_norm=ESCAPE_NORM_DEFAULT):
+def surface_section(V, resolution, chart=(-2.0, 2.0, -2.0, 2.0), max_steps=MAX_STEPS_BANDS):
     """Escape-time raster of a chart of the invariant surface S_V.
 
     The quadric I(x,y,z) = V is solved for z over an (x, y) grid
@@ -355,8 +354,7 @@ def surface_section(V, resolution, chart=(-2.0, 2.0, -2.0, 2.0),
     steps = np.full((2, resolution, resolution), -1, dtype=np.int64)
     for sheet, sign in enumerate((1.0, -1.0)):
         gz = gx * gy + sign * root
-        steps[sheet][ok] = classify_batch(recipe, gx[ok], gy[ok], gz[ok], max_steps=max_steps,
-                                          escape_norm=escape_norm)[0]
+        steps[sheet][ok] = classify_batch(recipe, gx[ok], gy[ok], gz[ok], max_steps=max_steps)[0]
     if not ok.any():
         warnings.warn("surface chart is empty (no real roots); V < -1 sphere gone?")
     return {"x": xs, "y": ys, "steps": steps, "max_steps": max_steps}

@@ -202,11 +202,6 @@ def test_box_dimension_middle_thirds():
 def test_box_dimension_errors():
     with pytest.raises(ValueError):
         box_dimension(())
-    bands = middle_thirds(6)
-    smallest = min(b - a for a, b in bands)
-    with pytest.raises(ValueError):
-        # scales below the validity floor are rejected outright
-        box_dimension(bands, scales=[smallest / 4.0] * 6)
 
 
 def test_box_counts_below_smallest_band_look_one_dimensional():

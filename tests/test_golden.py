@@ -9,17 +9,20 @@ Floats repr to 17 significant digits, so a digest moves with any bit of
 any result.  A change that means to move a result updates its digest
 and says why; a digest is never updated to hide a defect.  Digests are
 of float reprs on x86-64 Linux with numpy's bundled OpenBLAS, as the
-other pins are.
+other pins are.  A digest says only that a result did not move, so
+every band level is also checked against the trace map run in mpmath.
 """
 
 import hashlib
 
+import mpmath
 import numpy as np
 import pytest
 
 from sturmtrace import dos, fractal, spectrum
 from sturmtrace.jacobi import JacobiParams
 from sturmtrace.substitution import parse_substitution
+from sturmtrace.tracemap import recipe_from_substitution
 
 FIB, METAL_MEAN, SWAPPED = "0->01;1->0", "0->001;1->0", "0->1;1->10"
 GOLDEN_RATIO_ALPHA = 0.6180339887498949
@@ -199,3 +202,37 @@ def test_ids_tables_are_golden(text, p, q, half_width, L, digest):
     grid = np.linspace(-half_width, half_width, 4097)
     result = dos.ids(parse_substitution(text), JacobiParams(p, q), L, grid)
     assert _digest(result) == digest
+
+
+def _half_trace_mp(recipe, params, E, k):
+    """x_k(E) by the trace map in mpmath, in the working precision."""
+    E, p, q = mpmath.mpf(E), mpmath.mpf(params.p), mpmath.mpf(params.q)
+    x, y, z = (E * E - q * E - p * p - 1) / (2 * p), (E - q) / (2 * p), E / 2
+    if recipe.swapped_start:
+        y, z = z, y
+    for a in recipe.period * k:
+        y, z = z, y
+        for _ in range(a):
+            x, y = 2 * x * z - y, x
+    return y
+
+
+@pytest.mark.parametrize("text, p, q, k, tol, merge_tol", [
+    pytest.param(*c[:5], None, id="bands " + _case_id(*c[:4])) for c in BANDS]
+    + [pytest.param(*c[:6], id="scans " + _case_id(*c[:4])) for c in SCANS])
+def test_golden_band_edges_cross_at_60_digits(text, p, q, k, tol, merge_tol):
+    # the digests say a result did not move, this that it is right: on 40
+    # evenly spaced bands, |x_k| <= 1 at edge_tol inside both edges and
+    # |x_k| > 1 at edge_tol outside them, with x_k run at 60 digits
+    s, params = parse_substitution(text), JacobiParams(p, q)
+    bands = spectrum.floquet_bands(s, params, k, tol=tol, merge_tol=merge_tol)
+    recipe = recipe_from_substitution(s)
+    tol = bands.edge_tol
+    picks = np.unique(np.linspace(0, bands.band_count - 1, 40).round().astype(int))
+    assert picks.size == 40
+    with mpmath.workdps(60):
+        for a, b in bands.edges[picks].tolist():
+            mid = 0.5 * (a + b)
+            for inside, outside in ((min(a + tol, mid), a - tol), (max(b - tol, mid), b + tol)):
+                assert abs(_half_trace_mp(recipe, params, inside, k)) <= 1
+                assert abs(_half_trace_mp(recipe, params, outside, k)) > 1

@@ -21,7 +21,7 @@ from sturmtrace.jacobi import (
     word_transfer,
 )
 from sturmtrace.jacobi import (_HALF_PI, _block_count_below, _lift_compose, _lift_count,
-                               _lift_site, _reduce, _window_count_below, _wrap)
+                               _lift_site, _reduce, _wrap)
 from sturmtrace.spectrum import default_energy_range
 from sturmtrace.substitution import (FIBONACCI, _image_prefix_blocks, _prefix_blocks,
                                      fixed_point_prefix, parse_substitution, periodic_word)
@@ -416,7 +416,7 @@ def test_reduce_moves_whole_half_turns_to_the_float_k():
 
 def test_lifted_blocks_count_like_sturm_in_any_grouping():
     rng = np.random.default_rng(29)
-    for _ in range(40):
+    for i in range(40):
         L = int(rng.integers(1, 120))
         word = "".join(rng.choice(["0", "1"], L))
         params = JacobiParams(rng.uniform(0.05, 3.0) * rng.choice([-1, 1]), rng.uniform(-30, 30))
@@ -424,7 +424,9 @@ def test_lifted_blocks_count_like_sturm_in_any_grouping():
         E = np.concatenate([rng.uniform(-hull, hull, 200), [0.0, params.q]])
         want = eigen_count_below_grid(dirichlet_restriction(params, word), E)
         cuts = sorted(set(rng.integers(1, L, size=min(L - 1, 6)).tolist())) if L > 1 else []
-        assert np.array_equal(_lift_count(_lifted_word(params, word, E, cuts)), want)
+        # the readout counts all sites but the last: one more letter is lifted
+        extra = "01"[i % 2]
+        assert np.array_equal(_lift_count(_lifted_word(params, word + extra, E, cuts)), want)
 
 
 def test_lifted_count_resolves_strong_coupling_clusters():
@@ -439,17 +441,17 @@ def test_lifted_count_resolves_strong_coupling_clusters():
     E = np.concatenate([eig + 10.0 ** rng.uniform(-10.5, -8, eig.size),
                         eig - 10.0 ** rng.uniform(-10.5, -8, eig.size)])
     sp, blocks = _prefix_blocks(s, L)
-    got = _block_count_below(params, sp, blocks, L, E)
+    got = _block_count_below(params, sp, blocks + [(0, "0")], L, E)
     assert np.array_equal(got, eigen_count_below_grid(spec, E))
     assert np.array_equal(got, np.searchsorted(eig, E, side="right"))
 
 
 def _window_counts(params, s, k, E):
-    """The window count of w = s^k(star) read off w's lift, and composed from w[:-1]'s blocks."""
+    """The window count of w = s^k(star) read off w's lift, and off the lift of w[:-1] + "0"."""
     star = st.recipe_from_substitution(s).star
     L = len(periodic_word(s, k)) - 1
-    return (_window_count_below(params, s, star, k, L, E),
-            _block_count_below(params, s, _image_prefix_blocks(s, star, k, L), L, E))
+    return (_block_count_below(params, s, [(k, star)], L, E),
+            _block_count_below(params, s, _image_prefix_blocks(s, star, k, L) + [(0, "0")], L, E))
 
 
 @pytest.mark.parametrize("text, p, q, k", [
@@ -495,3 +497,36 @@ def test_window_count_puts_free_chain_hits_on_the_le_side():
         # its eigenvalue, which the loop then counts strictly
         assert eigen_count_below_grid(dirichlet_restriction(params, word[:-1]),
                                       E[:3]).tolist() == want[:3]
+
+
+EXTREME_E = np.array([1e10, -1e10, 1e20, -1e20, 1e100, -1e100, 1e300, -1e300,
+                      np.inf, -np.inf, np.nan])
+
+
+@pytest.mark.parametrize("text", ["0->01;1->0", "0->001;1->0", "0->1;1->10"])
+@pytest.mark.parametrize("p, q", [(1.0, 2.0), (-0.4, 1.3), (3.0, -24.0)])
+def test_lifted_counts_at_extreme_energies(text, p, q):
+    # above E of about 1e12 max(1, |p|) every pivot is negative, and the angle
+    # after the one site read but not counted lies within _TIE_ANGLE below
+    # (L + 1) pi: without the clamp at L the count took that site too
+    s, params = parse_substitution(text), JacobiParams(p, q)
+    star = st.recipe_from_substitution(s).star
+    for k in range(1, 6):
+        word = periodic_word(s, k)
+        L = len(word) - 1
+        window = _block_count_below(params, s, [(k, star)], L, EXTREME_E)  # the band search's
+        want = eigen_count_below_grid(dirichlet_restriction(params, word[:-1]), EXTREME_E)
+        assert window.tolist() == want.tolist()
+        for n in (L, L + 1):
+            want = eigen_count_below_grid(dirichlet_restriction(params, fixed_point_prefix(s, n)),
+                                          EXTREME_E)
+            assert st.ids_counter(s, params, n)(EXTREME_E).tolist() == (want / n).tolist()
+
+
+def test_decoupled_blocks_without_a_letter_one_or_with_one_cut():
+    # no letter 1: free sites only, the one value 0
+    assert decoupled_block_spectrum("0000", 2.0).tolist() == [0.0]
+    # one cut: the trailing block "100" is the only pattern
+    want = np.linalg.eigvalsh(np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+    assert np.allclose(decoupled_block_spectrum("00100", 2.0), want, rtol=0, atol=1e-14)
+    assert decoupled_block_spectrum("1", 2.0).tolist() == [2.0]

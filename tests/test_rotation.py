@@ -16,22 +16,21 @@ from sturmtrace.substitution import FIBONACCI, Substitution, fixed_point_prefix
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def test_surd_floor_and_reciprocal():
+def test_surd_value_and_reciprocal():
     x = QuadraticSurd(-1, 1, 5, 2)  # (sqrt5 - 1)/2
     assert abs(x.value() - GOLDEN) < 1e-15
-    assert x.floor() == 0
     inv = x.reciprocal()
     assert abs(inv.value() - 1.0 / GOLDEN) < 1e-12
-    assert inv.floor() == 1
 
 
-def test_surd_exact_floor_near_integers():
-    # 2 + sqrt(4) would be rational; use sqrt(2) shifted close to an integer
-    x = QuadraticSurd(14142135623730951, 0, 2, 10 ** 16)  # rational approx stored exactly
-    assert x.floor() == 1
-    y = QuadraticSurd(0, 1, 2, 1)  # sqrt(2)
-    assert y.floor() == 1
-    assert y.minus_int(1).floor() == 0
+def test_continued_fraction_exact_near_integers():
+    # both surds are about 5e-17, which reads as 0.0 in double: every digit
+    # comes from integer arithmetic.  sqrt(n^2 + 1) - n = [0; 2n, 2n, ...]
+    # (denominator > 0); m - sqrt(m^2 - 1) = [0; 2m - 1, 1, 2m - 2, 1, 2m - 2, ...]
+    # (negative sqrt coefficient, the digits taken with Q < 0)
+    n = 10 ** 16
+    assert continued_fraction(QuadraticSurd(-n, 1, n * n + 1, 1)) == ((), (2 * n,))
+    assert continued_fraction(QuadraticSurd(n, -1, n * n - 1, 1)) == ((2 * n - 1,), (1, 2 * n - 2))
 
 
 def test_continued_fraction_golden_and_metallic():

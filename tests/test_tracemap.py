@@ -119,6 +119,17 @@ def test_factor_matrix_product():
     assert factor_matrix_product([[0, 1], [1, 1]]) is None
 
 
+def test_factor_matrix_product_refusals():
+    assert factor_matrix_product([[1, 0], [0, 1]]) is None     # the empty product
+    assert factor_matrix_product([[1, 1], [0, 0]]) is None     # no nonzero divisor
+    assert factor_matrix_product([[1, -1], [1, 0]]) is None    # a negative remainder
+    # M_1^n peels one factor M_1 a round, and the identity is seen a round
+    # later: 64 rounds factor M_1^63 and end one short at M_1^64
+    fib = np.array([[1, 1], [1, 0]], dtype=object)
+    assert factor_matrix_product(np.linalg.matrix_power(fib, 63).tolist()) == (1,) * 63
+    assert factor_matrix_product(np.linalg.matrix_power(fib, 64).tolist()) is None
+
+
 def test_step_fixes_singularity_and_identity():
     recipe = st.recipe_from_substitution(st.FIBONACCI)
     assert step(recipe, (1.0, 1.0, 1.0), 7) == (1.0, 1.0, 1.0)
@@ -484,6 +495,7 @@ def test_classify_batch_checks_its_settings():
     for kw in ({"max_steps": 0}, {"max_steps": -3}, {"escape_norm": 1.0}):
         with pytest.raises(ValueError):
             classify_batch(rec, *lanes, **kw)
+    for kw in ({"max_steps": 0}, {"max_steps": -3}):
         with pytest.raises(ValueError):
             surface_section(0.01, 8, **kw)
         with pytest.raises(ValueError):
