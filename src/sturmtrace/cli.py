@@ -65,6 +65,8 @@ def _finish(args, report, *files):
 
 
 def cmd_subst(args):
+    if args.prefix < 0:
+        raise UsageError("--prefix takes a letter count >= 0 (0 for none), not %d" % args.prefix)
     s = parse_substitution(args.substitution)
     report = {
         "substitution": s.text(),
@@ -163,6 +165,8 @@ def cmd_dims(args):
 def cmd_dos(args):
     if args.grid < 2:
         raise UsageError("--grid takes at least 2 points, not %d" % args.grid)
+    if args.samples < 0:
+        raise UsageError("--samples takes a count >= 0 (0 for none), not %d" % args.samples)
     s = parse_substitution(args.substitution)
     params = JacobiParams(args.p, args.q)
     lo, hi = default_energy_range(params)

@@ -18,11 +18,7 @@ point luck.
 import math
 from dataclasses import dataclass, field
 
-from .substitution import (
-    SubstitutionError,
-    UnsupportedSubstitutionError,
-    fixed_point_prefix,
-)
+from .substitution import SubstitutionError, fixed_point_prefix
 
 
 # -- exact quadratic surds ---------------------------------------------------
@@ -164,11 +160,10 @@ def rotation_number(s):
         raise SubstitutionError("rotation_number needs an invertible substitution")
     (a00, a01), (a10, a11) = s.abelianization
     # transposed abelianization T = [[a00, a10], [a01, a11]]; slope t of the
-    # Perron eigenvector (1, t) solves T01 t^2 + (T00 - T11) t - T10 = 0
+    # Perron eigenvector (1, t) solves T01 t^2 + (T00 - T11) t - T10 = 0; its
+    # discriminant tr^2 - 4 det (det = +-1) is a square for no primitive T
     t01, t00, t11, t10 = a10, a00, a11, a01
     disc = (t00 - t11) ** 2 + 4 * t01 * t10
-    if _is_square(disc):
-        raise UnsupportedSubstitutionError("rational Perron slope; not in the Sturmian class")
     slope = QuadraticSurd(t11 - t00, 1, disc, 2 * t01)
     # slope > 1 iff sqrt(disc) > m = 2 t01 - (t11 - t00), t01 > 0 (primitive)
     m = 2 * t01 - (t11 - t00)

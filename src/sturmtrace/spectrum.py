@@ -520,9 +520,9 @@ def dynamical_spectrum_probe(s, params, E_list, max_steps=MAX_STEPS_POINT, recip
     """classify() of the curve of initial conditions at each energy, in one batch."""
     if recipe is None:
         recipe = recipe_from_substitution(s)
-    at, last, max_norm = classify_batch(recipe, *initial_conditions_grid(params, E_list),
-                                        max_steps=max_steps)
-    return _verdicts(at, last, max_norm, max_steps)
+    at, max_norm = classify_batch(recipe, *initial_conditions_grid(params, E_list),
+                                  max_steps=max_steps)
+    return _verdicts(at, max_norm, max_steps)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ Every map here preserves the Fricke-Vogt invariant
 
 and hence the surfaces S_V = {I = V}.  Bounded orbits characterize the
 spectrum; orbits that leave the unit-cube region escape to infinity in
-all three coordinates, which is the basis of the escape classifier.
+all three coordinates, which is the basis of the escape classifier: it
+needs only whether and when the forward orbit escapes.
 
 Every orbit is computed by one array kernel, ``_iterate``, which applies
 a sequence of t_a factors to aligned (x, y, z) arrays.  Each U-step is
@@ -61,11 +62,6 @@ def u_map(point):
     return (2.0 * x * z - y, x, z)
 
 
-def u_inverse(point):
-    x, y, z = point
-    return (y, 2.0 * y * z - x, z)
-
-
 def p_swap(point):
     x, y, z = point
     return (x, z, y)
@@ -79,23 +75,10 @@ def t_factor(a, point):
     return point
 
 
-def t_factor_inverse(a, point):
-    for _ in range(a):
-        point = u_inverse(point)
-    return p_swap(point)
-
-
 def fibonacci_map(point):
     """f(x,y,z) = (2xy - z, x, y); identical to t_1."""
     x, y, z = point
     return (2.0 * x * y - z, x, y)
-
-
-def fibonacci_map_inverse(point):
-    # Note: (y, z, 2yz - x).  The form (z, y, 2yz - x) sometimes quoted
-    # composes with f to the swap P, not to the identity.
-    x, y, z = point
-    return (y, z, 2.0 * y * z - x)
 
 
 # -- recipes -------------------------------------------------------------------
@@ -199,12 +182,6 @@ def apply_period(recipe, point):
     return tuple(float(c[0]) for c in _iterate(recipe.period, *_lanes(point)))
 
 
-def apply_period_inverse(recipe, point):
-    for a in reversed(recipe.period):
-        point = t_factor_inverse(a, point)
-    return point
-
-
 def step(recipe, point, n):
     """Orbit point after n periodic blocks.
 
@@ -229,7 +206,6 @@ def step(recipe, point, n):
 class OrbitVerdict:
     kind: str  # "bounded-so-far" | "escaped"
     steps_used: int
-    last_point: tuple
     max_norm: float
 
 
@@ -242,12 +218,10 @@ def classify_batch(recipe, xs, ys, zs, max_steps=MAX_STEPS_BANDS,
     increasing max-norm over the last three block applications; float
     overflow counts as escape.
 
-    Returns (escaped_at, last_point, max_norm).  escaped_at is the block
-    count of escape, max_steps + 1 for lanes still bounded, so a lane has
-    escaped iff escaped_at <= max_steps; last_point is the (3, n) array
-    of each lane's last finite point (at escape, or after max_steps
-    blocks); max_norm is the max-norm at escape (inf on overflow), or
-    the largest along a bounded orbit.
+    Returns (escaped_at, max_norm).  escaped_at is the block count of
+    escape, max_steps + 1 for lanes still bounded, so a lane has escaped
+    iff escaped_at <= max_steps; max_norm is the max-norm at escape (inf
+    on overflow), or the largest along a bounded orbit.
 
     Only live lanes are iterated: once at least half of the working
     arrays are escaped lanes, they shrink to the live ones, and the loop
@@ -265,10 +239,9 @@ def classify_batch(recipe, xs, ys, zs, max_steps=MAX_STEPS_BANDS,
         y, z = z, y
     n_pts = x.size
     escaped_at = np.full(n_pts, max_steps + 1, dtype=np.int64)
-    last = np.empty((3, n_pts))
     max_norm = np.empty(n_pts)
     if n_pts == 0:
-        return escaped_at, last, max_norm
+        return escaped_at, max_norm
     # the working set: lane indices, their triples, peaks and last three norms
     lanes = np.arange(n_pts)
     live = np.ones(n_pts, dtype=bool)
@@ -277,7 +250,6 @@ def classify_batch(recipe, xs, ys, zs, max_steps=MAX_STEPS_BANDS,
     h3 = peak.copy()
     n_live = n_pts
     for n in range(1, max_steps + 1):
-        prev = (x, y, z)
         x, y, z = _iterate(recipe.period, x, y, z)
         norm = np.abs(x)
         np.maximum(norm, np.abs(y), out=norm)
@@ -299,8 +271,6 @@ def classify_batch(recipe, xs, ys, zs, max_steps=MAX_STEPS_BANDS,
             at = lanes[c]
             escaped_at[at] = n
             max_norm[at] = np.where(over, np.inf, norm[c])
-            for row, old, new in zip(last, prev, (x, y, z)):
-                row[at] = np.where(over, old[c], new[c])
             live[c] = False
             n_live -= c.size
             if n_live == 0:
@@ -311,43 +281,41 @@ def classify_batch(recipe, xs, ys, zs, max_steps=MAX_STEPS_BANDS,
                     a[keep] for a in (lanes, x, y, z, peak, h2, h3, norm))
                 live = np.ones(n_live, dtype=bool)
         h1, h2, h3 = h2, h3, norm
-    at = lanes[live]
-    last[:, at] = np.stack([x, y, z])[:, live]
-    max_norm[at] = peak[live]
-    return escaped_at, last, max_norm
+    max_norm[lanes[live]] = peak[live]
+    return escaped_at, max_norm
 
 
-def _verdicts(escaped_at, last, max_norm, max_steps):
-    """OrbitVerdicts of classify_batch lanes, in Python floats."""
+def _verdicts(escaped_at, max_norm, max_steps):
+    """OrbitVerdicts of classify_batch's (escaped_at, max_norm), in Python numbers."""
     return [OrbitVerdict("escaped" if at <= max_steps else "bounded-so-far",
-                         min(at, max_steps), tuple(pt), m)
-            for at, pt, m in zip(escaped_at.tolist(), last.T.tolist(), max_norm.tolist())]
+                         min(at, max_steps), m)
+            for at, m in zip(escaped_at.tolist(), max_norm.tolist())]
 
 
 def classify(recipe, point, max_steps=MAX_STEPS_POINT, escape_norm=ESCAPE_NORM_DEFAULT):
     """Escape/bounded dichotomy of one point, as in :func:`classify_batch`."""
-    at, last, max_norm = classify_batch(recipe, *_lanes(point), max_steps=max_steps,
-                                        escape_norm=escape_norm)
-    return _verdicts(at, last, max_norm, max_steps)[0]
+    at, max_norm = classify_batch(recipe, *_lanes(point), max_steps=max_steps,
+                                  escape_norm=escape_norm)
+    return _verdicts(at, max_norm, max_steps)[0]
 
 
-def surface_section(V, resolution, chart=(-2.0, 2.0, -2.0, 2.0), max_steps=MAX_STEPS_BANDS):
-    """Escape-time raster of a chart of the invariant surface S_V.
+def surface_section(V, resolution, max_steps=MAX_STEPS_BANDS):
+    """Escape-time raster of the invariant surface S_V over [-2, 2]^2.
 
-    The quadric I(x,y,z) = V is solved for z over an (x, y) grid
-    (z = xy +- sqrt((x^2-1)(y^2-1) + V)); both sheets are classified
-    pixel by pixel under the Fibonacci block t_1.  Pixels with no real root carry step count -1; bounded
-    pixels carry max_steps + 1.
+    The quadric I(x,y,z) = V is solved for z on a resolution^2 grid
+    (z = xy +- sqrt((x^2-1)(y^2-1) + V)); both sheets are classified pixel
+    by pixel under the Fibonacci block t_1, each pixel's step count being
+    its escaped_at of :func:`classify_batch`.  Pixels with no real root
+    carry -1 (all of them, with a warning, when V < -9); bounded pixels
+    carry max_steps + 1.
     """
     if resolution < 2:
         raise ValueError("need resolution >= 2")
     if not math.isfinite(V):
         raise ValueError("the invariant V must be finite: %r" % (V,))
     recipe = TraceMapRecipe(period=(1,))
-    x_lo, x_hi, y_lo, y_hi = chart
-    xs = np.linspace(x_lo, x_hi, resolution)
-    ys = np.linspace(y_lo, y_hi, resolution)
-    gx, gy = np.meshgrid(xs, ys)
+    xs = np.linspace(-2.0, 2.0, resolution)
+    gx, gy = np.meshgrid(xs, xs)
     disc = (gx * gx - 1.0) * (gy * gy - 1.0) + V
     ok = disc >= 0
     root = np.sqrt(np.where(ok, disc, 0.0))
@@ -356,5 +324,5 @@ def surface_section(V, resolution, chart=(-2.0, 2.0, -2.0, 2.0), max_steps=MAX_S
         gz = gx * gy + sign * root
         steps[sheet][ok] = classify_batch(recipe, gx[ok], gy[ok], gz[ok], max_steps=max_steps)[0]
     if not ok.any():
-        warnings.warn("surface chart is empty (no real roots); V < -1 sphere gone?")
-    return {"x": xs, "y": ys, "steps": steps, "max_steps": max_steps}
+        warnings.warn("surface raster is empty: no pixel has a real root when V < -9")
+    return {"x": xs, "y": xs.copy(), "steps": steps, "max_steps": max_steps}

@@ -291,7 +291,7 @@ def test_gaps_negative_m_max_is_a_computation_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["dos", FIB, "--samples", "-1"], "need sample_count >= 1"),
+    (["dos", FIB, "--p", "2e9", "--length", "89"], "IDS counts are checked for |p| <= 1e+09"),
     (["dos", FIB, "--samples", "3", "--length", "9"], "all samples below resolution"),
     (["scan", FIB, "--kind", "large_coupling", "--values", ""], "need at least one V value"),
     (["scan", FIB, "--kind", "p_to_zero", "--values", " , "], "need at least one p value"),
@@ -321,6 +321,31 @@ def test_dos_grid_below_two_points_is_a_usage_error(tmp_path, capsys, grid):
     out = tmp_path / "out"
     assert main(["dos", FIB, "--grid", grid, "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == "usage error: --grid takes at least 2 points, not %s\n" % grid
+    assert not out.exists()
+
+
+def _not_reached(*args, **kwargs):
+    raise AssertionError("computed before the usage check")
+
+
+PREFIX_MESSAGE = "--prefix takes a letter count >= 0 (0 for none), not -5"
+NEGATIVE_COUNTS = [
+    (["subst", FIB, "--prefix", "-5"], PREFIX_MESSAGE),
+    (["subst", FIB, "--prefix", "-5", "--scan-beta"], PREFIX_MESSAGE),
+    (["dos", FIB, "--samples", "-3"], "--samples takes a count >= 0 (0 for none), not -3"),
+    (["dos", FIB, "--samples", "-1"], "--samples takes a count >= 0 (0 for none), not -1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(argv, message, id=" ".join([argv[0]] + argv[2:]))
+    for argv, message in NEGATIVE_COUNTS])
+def test_negative_counts_are_usage_errors(tmp_path, capsys, monkeypatch, argv, message):
+    # 0 means "off" on these flags; a negative count is refused before anything is computed
+    monkeypatch.setattr("sturmtrace.cli.parse_substitution", _not_reached)
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "usage error: %s\n" % message
     assert not out.exists()
 
 

@@ -23,14 +23,30 @@ def test_five_demos_found():
     assert sorted(STDOUT_SHA256) == [os.path.basename(p) for p in DEMOS]
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
-def test_demo_runs(path, tmp_path):
-    # a temporary cwd keeps demo_output/ out of the checkout
+def _run(path, cwd):
+    """Run a script in a subprocess, in cwd, with the checkout's src on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, path], cwd=tmp_path, env=env,
+    return subprocess.run([sys.executable, path], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_runs(path, tmp_path):
+    # a temporary cwd keeps demo_output/ out of the checkout
+    proc = _run(path, tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
     assert digest == STDOUT_SHA256[os.path.basename(path)], proc.stdout
+
+
+def test_readme_quick_start_runs(tmp_path):
+    # the README's one ```python block, the library quick start, as a script
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        blocks = fh.read().split("```python\n")
+    assert len(blocks) == 2
+    script = tmp_path / "quick_start.py"
+    script.write_text(blocks[1].split("```", 1)[0])
+    proc = _run(str(script), tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -98,6 +98,10 @@ def test_ids_table_validation_and_quantile():
         IdsTable((0.0, 1.0), (0.5, 0.4), 10)
     with pytest.raises(ValueError):
         IdsTable((0.0, 0.0), (0.0, 1.0), 10)
+    for e, n in (((0.0, 1.0, 2.0), (0.0, 1.0)), (((0.0, 1.0), (1.0, 2.0)),) * 2,
+                 ((0.0,), (0.0,))):
+        with pytest.raises(ValueError, match="aligned 1-d grids with >= 2 points"):
+            IdsTable(e, n, 10)
     nan = float("nan")
     for e, n in (((0.0, nan, 2.0), (0.0, 0.5, 1.0)), ((0.0, 1.0, 2.0), (0.0, nan, 1.0)),
                  ((0.0, 1.0, 2.0), (nan, 0.5, 1.0)), ((0.0, 1.0, 2.0), (0.0, 0.5, nan))):
@@ -310,6 +314,14 @@ def test_dos_summary_refuses_before_counting(monkeypatch, L, kw, message):
     sizes = _counting(monkeypatch)
     with pytest.raises(ValueError, match=message):
         st.dos_dimension_summary(FIBONACCI, st.JacobiParams(1.0, 0.5), 5, L, **kw)
+    assert sizes == []
+
+
+def test_dos_summary_refuses_no_samples_before_counting(monkeypatch):
+    sizes = _counting(monkeypatch)
+    for sample_count in (0, -3):
+        with pytest.raises(ValueError, match="need sample_count >= 1"):
+            st.dos_dimension_summary(FIBONACCI, st.JacobiParams(1.0, 0.5), sample_count, 987)
     assert sizes == []
 
 

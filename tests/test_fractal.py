@@ -202,6 +202,8 @@ def test_box_dimension_middle_thirds():
 def test_box_dimension_errors():
     with pytest.raises(ValueError):
         box_dimension(())
+    with pytest.raises(ValueError, match="degenerate hull"):
+        box_dimension([(1.0, 1.0)])
 
 
 def test_box_counts_below_smallest_band_look_one_dimensional():
@@ -219,6 +221,9 @@ def test_thickness_examples():
     assert thickness(((0.0, 1.0),)).value == math.inf
     assert thickness(((0.0, 1.0), (2.0, 3.0))).value == 1.0
     assert thickness(integer_middle_thirds(8)).value == 1.0  # exact
+    for empty in ([], BandSet(())):
+        with pytest.raises(ValueError, match="empty band set"):
+            thickness(empty)
 
 
 def thickness_by_insort(bands):

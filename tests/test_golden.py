@@ -1,10 +1,12 @@
 """Golden digests: results pinned to the bit, one sha256 per case.
 
 Each case runs a fixed library computation and compares the sha256 of
-``repr`` of its result with a recorded digest.  The cases are the band
-solves, scans and DOS computations of the benchmark's bands-deep,
-scan-shallow and dos-sturm workloads at seed 72, with their inputs
-copied here, so the benchmark can change without moving these pins.
+``repr`` of its result (of the raw array bytes, for the surface rasters)
+with a recorded digest.  The cases are the band solves, scans and DOS
+computations of the benchmark's bands-deep, scan-shallow and dos-sturm
+workloads at seed 72, with their inputs copied here, so the benchmark
+can change without moving these pins, and the escape classifier's probe
+verdicts and surface rasters at the CLI's sizes.
 Floats repr to 17 significant digits, so a digest moves with any bit of
 any result.  A change that means to move a result updates its digest
 and says why; a digest is never updated to hide a defect.  Digests are
@@ -14,6 +16,7 @@ every band level is also checked against the trace map run in mpmath.
 """
 
 import hashlib
+import warnings
 
 import mpmath
 import numpy as np
@@ -22,7 +25,7 @@ import pytest
 from sturmtrace import dos, fractal, spectrum
 from sturmtrace.jacobi import JacobiParams
 from sturmtrace.substitution import parse_substitution
-from sturmtrace.tracemap import recipe_from_substitution
+from sturmtrace.tracemap import recipe_from_substitution, surface_section
 
 FIB, METAL_MEAN, SWAPPED = "0->01;1->0", "0->001;1->0", "0->1;1->10"
 GOLDEN_RATIO_ALPHA = 0.6180339887498949
@@ -202,6 +205,41 @@ def test_ids_tables_are_golden(text, p, q, half_width, L, digest):
     grid = np.linspace(-half_width, half_width, 4097)
     result = dos.ids(parse_substitution(text), JacobiParams(p, q), L, grid)
     assert _digest(result) == digest
+
+
+# (substitution, p, q, energy count, digest): the escape verdicts of
+# dynamical_spectrum_probe on an energy grid over the default range, as
+# `sturmtrace scan --kind probe` runs it, hashed as plain values
+PROBES = [
+    (FIB, 1.0, 2.0, 512, "ad7e6fad85be3a536440b4ed15b765e89f75a2053e121062a5dd278a6289cdf3"),
+    (FIB, 1.0, 24.0, 512, "112c4d3fec40e5be46642a18741cf75f3f0d72b0fc45a6fa01bbe6aec918040d"),
+]
+
+
+@pytest.mark.parametrize("text, p, q, n, digest", [
+    pytest.param(*c, id="%s p=%r q=%r n=%d" % c[:4]) for c in PROBES])
+def test_probe_verdicts_are_golden(text, p, q, n, digest):
+    params = JacobiParams(p, q)
+    energies = np.linspace(*spectrum.default_energy_range(params), n)
+    verdicts = spectrum.dynamical_spectrum_probe(parse_substitution(text), params, energies)
+    assert _digest([(v.kind, v.steps_used, v.max_norm) for v in verdicts]) == digest
+
+
+# (V, resolution, digest): the sha256 of the x, y and steps bytes of the
+# escape-time raster; V = -10 leaves no pixel with a real root
+SURFACES = [
+    (0.01, 128, "a470f1d54b0e6df9fc508ea0f375cf669bff0b61a904a8da99d04a896add863a"),
+    (-10.0, 128, "fb6551ff88c314e965735216dabaf97e2a1652ada4e3009e5df5d29596fde841"),
+]
+
+
+@pytest.mark.parametrize("V, resolution, digest", SURFACES)
+def test_surface_sections_are_golden(V, resolution, digest):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # the empty raster warns
+        r = surface_section(V, resolution)
+    raw = r["x"].tobytes() + r["y"].tobytes() + r["steps"].tobytes()
+    assert hashlib.sha256(raw).hexdigest() == digest
 
 
 def _half_trace_mp(recipe, params, E, k):

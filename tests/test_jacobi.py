@@ -114,13 +114,13 @@ def test_invariant_slope_symbolic():
 
 
 def test_schrodinger_specialization_after_inverse_map():
-    # one corrected inverse-Fibonacci application sends l(E) to the classic
-    # Schrodinger line ((E - q)/2, E/2, 1) when p = 1
-    from sturmtrace.tracemap import fibonacci_map_inverse
+    # when p = 1, l(E) is one Fibonacci step past the classic Schrodinger
+    # line ((E - q)/2, E/2, 1): its inverse image under f
+    from sturmtrace.tracemap import fibonacci_map
     q = 0.8
     for E in (-1.5, 0.0, 2.4):
-        pt = fibonacci_map_inverse(initial_conditions_grid(JacobiParams(1.0, q), E))
-        assert np.allclose(pt, ((E - q) / 2.0, E / 2.0, 1.0), atol=1e-12)
+        pt = fibonacci_map(((E - q) / 2.0, E / 2.0, 1.0))
+        assert np.allclose(pt, initial_conditions_grid(JacobiParams(1.0, q), E), atol=1e-12)
 
 
 def test_dirichlet_restriction_structures():
@@ -530,3 +530,12 @@ def test_decoupled_blocks_without_a_letter_one_or_with_one_cut():
     want = np.linalg.eigvalsh(np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
     assert np.allclose(decoupled_block_spectrum("00100", 2.0), want, rtol=0, atol=1e-14)
     assert decoupled_block_spectrum("1", 2.0).tolist() == [2.0]
+
+
+def test_empty_and_misaligned_words_are_refused():
+    with pytest.raises(ValueError, match="nonempty word"):
+        word_transfer(JacobiParams(1.0, 1.0), "", 0.3)
+    with pytest.raises(ValueError, match="empty word"):
+        TridiagonalSpec((), ())
+    with pytest.raises(ValueError, match="must align"):
+        TridiagonalSpec((1.0, 2.0), (1.0,))

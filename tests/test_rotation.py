@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from sturmtrace.rotation import (
@@ -11,7 +13,7 @@ from sturmtrace.rotation import (
     rotation_sample,
     scan_beta,
 )
-from sturmtrace.substitution import FIBONACCI, Substitution, fixed_point_prefix
+from sturmtrace.substitution import FIBONACCI, Substitution, SubstitutionError, fixed_point_prefix
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -21,6 +23,10 @@ def test_surd_value_and_reciprocal():
     assert abs(x.value() - GOLDEN) < 1e-15
     inv = x.reciprocal()
     assert abs(inv.value() - 1.0 / GOLDEN) < 1e-12
+    with pytest.raises(ZeroDivisionError):
+        QuadraticSurd(1, 1, 5, 0)
+    with pytest.raises(ZeroDivisionError):
+        QuadraticSurd(0, 0, 5, 1).reciprocal()
 
 
 def test_continued_fraction_exact_near_integers():
@@ -77,6 +83,8 @@ def test_rotation_number_swapped_letters_stays_in_unit_interval():
 def test_rotation_number_rejects_degenerate():
     with pytest.raises(Exception):
         rotation_number(Substitution("0", "1"))  # not primitive
+    with pytest.raises(SubstitutionError, match="invertible"):
+        rotation_number(Substitution("01", "10"))  # Thue-Morse: primitive, not invertible
 
 
 def test_rotation_sample_trivials():
@@ -107,3 +115,38 @@ def test_beta_scan_recovers_fibonacci_prefix():
     if best["swap_letters"]:
         word = word.translate(str.maketrans("01", "10"))
     assert word == fixed_point_prefix(FIBONACCI, 20)
+
+
+def test_continued_fraction_when_q_does_not_divide():
+    # (1 + sqrt3)/3: Q = 3 does not divide D - P^2 = 2, so the surd is scaled first
+    x = QuadraticSurd(1, 1, 3, 3)
+    pre, per = continued_fraction(x)
+    assert (pre, per) == ((1,), (10, 5))
+    v, digits = x.value(), []
+    for _ in range(6):
+        v = 1.0 / v
+        digits.append(int(v))
+        v -= int(v)
+    assert digits == [1, 10, 5, 10, 5, 10]
+    assert abs(cf_value(pre, per) - x.value()) < 1e-15
+
+
+def test_continued_fraction_refusals():
+    with pytest.raises(ValueError, match="not in \\(0,1\\)"):
+        continued_fraction(QuadraticSurd(1, 1, 5, 3))   # (1 + sqrt5)/3 > 1
+    for rational in (QuadraticSurd(1, 1, 4, 5), QuadraticSurd(1, 0, 5, 3)):
+        with pytest.raises(ValueError, match="quadratic irrational"):
+            continued_fraction(rational)
+
+
+def test_perron_discriminant_of_primitive_unimodular_matrices_is_not_a_square():
+    # the slope of rotation_number is irrational: tr^2 - 4 det, det = +-1, is a
+    # square only for [[0, 1], [1, 0]] and triangular trace-2 matrices
+    squares = []
+    for a, b, c, d in itertools.product(range(8), repeat=4):
+        m = np.array([[a, b], [c, d]])
+        disc = (a + d) ** 2 - 4 * (a * d - b * c)
+        if abs(a * d - b * c) == 1 and math.isqrt(disc) ** 2 == disc:
+            squares.append((a, b, c, d))
+            assert not (m @ m > 0).all()   # a 2x2 matrix is primitive iff its square is positive
+    assert (0, 1, 1, 0) in squares and (1, 5, 0, 1) in squares

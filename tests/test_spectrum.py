@@ -1097,3 +1097,48 @@ def test_zero_tol_bisects_to_float_resolution():
 def test_deep_band_sets_are_pinned(text, p, q, k, kw, digest):
     bands = st.floquet_bands(parse_substitution(text), st.JacobiParams(p, q), k, **kw)
     assert hashlib.sha256(repr((bands.bands, bands.closed_gaps)).encode()).hexdigest() == digest
+
+
+# (substitution, p, q, top level, tol, merge_tol): recipes of one t_a factor
+NESTING = [
+    ("0->01;1->0", 1.0, 2.0, 12, None, None),
+    ("0->01;1->0", 1.4, 1.6, 12, None, None),
+    ("0->01;1->0", 0.5, 3.0, 12, None, None),
+    ("0->01;1->0", 1.0, 0.1, 12, None, None),
+    ("0->01;1->0", 2.0, 0.0, 12, None, None),
+    ("0->01;1->0", 1.0, 24.0, 12, 3e-14, 2e-13),
+    ("0->1;1->10", 1.3, 0.6, 12, None, None),
+    ("0->1;1->10", 0.8, 1.9, 12, None, None),
+    ("0->001;1->0", 1.5, 1.0, 7, None, None),
+    ("0->001;1->0", 1.0, 0.5287, 7, None, None),
+    ("0->001;1->0", 0.7, 1.0, 7, None, None),
+]
+
+
+@pytest.mark.parametrize("text, p, q, k_max, tol, merge_tol", NESTING)
+def test_one_factor_levels_nest(text, p, q, k_max, tol, merge_tol):
+    # sigma_{k+1} lies in sigma_k | sigma_{k-1} (Suto; Yessen for the tridiagonal
+    # Fibonacci map).  It fails for two-factor recipes, so only one factor here.
+    s = parse_substitution(text)
+    assert len(st.recipe_from_substitution(s).period) == 1
+    tower = floquet_band_tower(s, st.JacobiParams(p, q), k_max, tol=tol, merge_tol=merge_tol)
+    for k in range(2, k_max):
+        padded = [tower[j].edges + 10.0 * tower[j].edge_tol * np.array([-1.0, 1.0])
+                  for j in (k - 1, k)]
+        union = np.array(merge_intervals(np.concatenate(padded)))
+        lo, hi = tower[k + 1].edges.T
+        i = np.searchsorted(union[:, 0], lo, side="right") - 1
+        assert (i >= 0).all() and (hi <= union[i, 1]).all(), k + 1
+
+
+def test_gap_labels_and_sterf_refuse_bad_input():
+    params = st.JacobiParams(1.0, 2.0)
+    with pytest.raises(ValueError, match="level >= 1"):
+        combinatorial_gap_label(st.FIBONACCI, st.floquet_bands(st.FIBONACCI, params, 0), 1)
+    bands = st.floquet_bands(st.FIBONACCI, params, 4)   # 8 bands, gaps 1..7
+    for j in (0, 8):
+        with pytest.raises(ValueError, match="gap index out of range"):
+            combinatorial_gap_label(st.FIBONACCI, bands, j)
+    for d, e in (([1.0, 2.0], [1.0, 2.0]), ([[1.0]], [])):
+        with pytest.raises(ValueError, match="n diagonal and n-1 off-diagonal"):
+            spectrum_mod._sterf(d, e)

@@ -234,9 +234,20 @@ def test_parse_and_text_roundtrip():
         parse_substitution("0->01;1->2")
     with pytest.raises(SubstitutionError):
         parse_substitution("0->01;0->0;1->0")
+    with pytest.raises(SubstitutionError, match="malformed"):
+        parse_substitution("0->01;1-0")
 
 
 def test_abelianization_counts():
     assert FIBONACCI.abelianization == ((1, 1), (1, 0))
     assert METAL.abelianization == ((2, 1), (1, 0))
     assert FIBONACCI.power(2).abelianization == ((2, 1), (1, 1))
+
+
+def test_refusals_of_degenerate_inputs():
+    with pytest.raises(ValueError, match="k >= 1"):
+        FIBONACCI.power(0)
+    for s in (Substitution("", "1"), Substitution("01", "")):
+        with pytest.raises(SubstitutionError, match="empty image"):
+            star_letter(s)
+    assert distinct_factors("0101", 5) == 0

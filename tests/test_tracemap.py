@@ -16,19 +16,15 @@ from sturmtrace.tracemap import (
     _iterate,
     _verdicts,
     apply_period,
-    apply_period_inverse,
     classify,
     classify_batch,
     fibonacci_map,
-    fibonacci_map_inverse,
     fricke_vogt,
     p_swap,
     recipe_from_substitution,
     step,
     surface_section,
     t_factor,
-    u_inverse,
-    u_map,
 )
 
 METAL = Substitution("001", "0")
@@ -52,11 +48,9 @@ coords = st_h.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 @given(coords, coords, coords)
 @settings(max_examples=200)
 def test_elementary_inverses(x, y, z):
+    # the swap P is its own inverse
     p = (x, y, z)
-    for fwd, back in ((u_map, u_inverse), (p_swap, p_swap),
-                      (fibonacci_map, fibonacci_map_inverse)):
-        q = back(fwd(p))
-        assert max(abs(a - b) for a, b in zip(p, q)) < 1e-9
+    assert p_swap(p_swap(p)) == p
 
 
 def test_fibonacci_map_equals_t1():
@@ -348,14 +342,12 @@ def classify_loop(recipe, point, max_steps, escape_norm):
     """The scalar escape loop classify ran before it called classify_batch."""
     q = scalar_orbit(recipe, tuple(float(c) for c in point), 0)
     history = [max(abs(c) for c in q)]
-    last_finite = q
     for n in range(1, max_steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             for a in recipe.period:
                 q = t_factor(a, q)
         if not all(math.isfinite(c) for c in q):
-            return OrbitVerdict("escaped", n, last_finite, math.inf)
-        last_finite = q
+            return OrbitVerdict("escaped", n, math.inf)
         norm = max(abs(c) for c in q)
         history.append(norm)
         if (
@@ -364,8 +356,8 @@ def classify_loop(recipe, point, max_steps, escape_norm):
             and len(history) >= 4
             and history[-1] > history[-2] > history[-3] > history[-4]
         ):
-            return OrbitVerdict("escaped", n, q, norm)
-    return OrbitVerdict("bounded-so-far", max_steps, q, max(history))
+            return OrbitVerdict("escaped", n, norm)
+    return OrbitVerdict("bounded-so-far", max_steps, max(history))
 
 
 def test_classify_equals_scalar_loop():
@@ -404,16 +396,14 @@ def test_mixed_batch_equals_scalar_loop():
     escape_steps = set()
     for rec in recipes:
         for max_steps in (1, 2, 3, 5, 40):
-            at, last, max_norm = classify_batch(rec, *lanes, max_steps=max_steps)
+            at, max_norm = classify_batch(rec, *lanes, max_steps=max_steps)
             want = [classify_loop(rec, p, max_steps, 1e3) for p in points]
-            got = _verdicts(at, last, max_norm, max_steps)
+            got = _verdicts(at, max_norm, max_steps)
             for g, w, p in zip(got, want, points):
                 assert repr(g) == repr(w), (rec, max_steps, p)  # repr: exact, NaN-safe
             want_at = np.array([w.steps_used if w.kind == "escaped" else max_steps + 1
                                 for w in want])
             assert np.array_equal(at, want_at)
-            assert np.array_equal(last, np.array([w.last_point for w in want]).T,
-                                  equal_nan=True)
             assert np.array_equal(max_norm, np.array([w.max_norm for w in want]),
                                   equal_nan=True)
             escape_steps.update(at[at <= max_steps].tolist())
@@ -451,16 +441,6 @@ def test_invariant_conserved_by_blocks():
         q = apply_period(rec, p)
         scale = 1.0 + abs(fricke_vogt(p)) + sum(abs(c) for c in q) ** 3
         assert abs(fricke_vogt(q) - fricke_vogt(p)) <= 1e-11 * scale
-
-
-def test_period_block_invertible():
-    rng = np.random.default_rng(6)
-    for _ in range(300):
-        period = tuple(rng.integers(1, 3, size=rng.integers(1, 3)))
-        rec = TraceMapRecipe(period=period)
-        p = tuple(rng.uniform(-2, 2, size=3))
-        q = apply_period_inverse(rec, apply_period(rec, p))
-        assert max(abs(a - b) for a, b in zip(p, q)) < 1e-9
 
 
 def test_semiconjugacy_with_torus_automorphism():
@@ -501,8 +481,8 @@ def test_classify_batch_checks_its_settings():
         with pytest.raises(ValueError):
             st.dynamical_spectrum_probe(st.FIBONACCI, st.JacobiParams(1.0, 2.0), [0.5], **kw)
     with pytest.raises(ValueError):
-        # an empty chart classifies no pixel, and still checks
-        surface_section(-1.5, 8, chart=(-0.9, 0.9, -0.9, 0.9), max_steps=0)
+        # an empty raster (V < -9) classifies no pixel, and still checks
+        surface_section(-10.0, 8, max_steps=0)
 
 
 def test_no_lanes_return_at_once(monkeypatch):
@@ -512,9 +492,8 @@ def test_no_lanes_return_at_once(monkeypatch):
         raise AssertionError("kernel called with no lanes")
 
     monkeypatch.setattr(tracemap_mod, "_iterate", no_kernel)
-    at, last, max_norm = classify_batch(rec, [], [], [], max_steps=200)
-    for got, shape, dtype in ((at, (0,), np.int64), (last, (3, 0), float),
-                              (max_norm, (0,), float)):
+    at, max_norm = classify_batch(rec, [], [], [], max_steps=200)
+    for got, shape, dtype in ((at, (0,), np.int64), (max_norm, (0,), float)):
         assert got.shape == shape and got.dtype == dtype
     assert st.dynamical_spectrum_probe(st.FIBONACCI, st.JacobiParams(1.0, 2.0), []) == []
 
@@ -527,10 +506,12 @@ def test_escape_soundness():
     while found < 200:
         p = tuple(rng.uniform(-3, 3, size=3))
         v = classify(rec, p, max_steps=40)
-        if v.kind != "escaped" or not all(math.isfinite(c) for c in v.last_point):
+        if v.kind != "escaped":
             continue
         found += 1
-        q = v.last_point
+        q = scalar_orbit(rec, p, 0)   # the escape point: the start swap, then
+        for _ in range(v.steps_used):   # steps_used blocks of the kernel
+            q = apply_period(rec, q)
         for _ in range(2 * v.steps_used):
             q = apply_period(rec, q)
             norm = max(abs(c) for c in q)
@@ -554,13 +535,24 @@ def test_surface_section_shapes_and_classes():
 
 
 def test_surface_section_invariant_sphere_bounded():
-    r = surface_section(0.0, 32, chart=(-0.97, 0.97, -0.97, 0.97), max_steps=40)
-    live = r["steps"] >= 0
-    assert (r["steps"][live] > r["max_steps"]).all()
+    # the pixels with |x|, |y| <= 0.97 lie on the bounded sphere of S_0
+    r = surface_section(0.0, 64, max_steps=40)
+    inner = (np.abs(r["y"])[:, None] <= 0.97) & (np.abs(r["x"])[None, :] <= 0.97)
+    steps = r["steps"][:, inner]
+    assert (steps > r["max_steps"]).all()
 
 
 def test_surface_section_empty_warning():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        surface_section(-1.5, 8, chart=(-0.9, 0.9, -0.9, 0.9))
+        surface_section(-10.0, 8)
     assert any("empty" in str(w.message) for w in caught)
+
+
+def test_recipe_and_step_refusals():
+    with pytest.raises(ValueError, match="nonempty"):
+        TraceMapRecipe(period=())
+    with pytest.raises(ValueError, match=">= 1"):
+        TraceMapRecipe(period=(1, 0))
+    with pytest.raises(ValueError, match="n >= 0"):
+        step(TraceMapRecipe(), (0.1, 0.2, 0.3), -1)
