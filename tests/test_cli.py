@@ -126,6 +126,45 @@ def test_surface_outputs_are_pinned(tmp_path):
         "0fdd64ccb042aafa62d6e829b4568b04912ec614ea3e447cad3bc6fea4802e9b")
 
 
+# sha256 of the table and raster files of runs that no README line covers:
+# the probe's str column at the benchmark's 512 energies, the p_to_zero and
+# gap_rate scans, dimension windows with fewer than two bands (empty
+# cells), an IDS table with no DOS samples, and both ends of the PPM colour
+# table (no root, -1, and bounded, max_steps + 1)
+OUTPUT_SHA256 = {
+    "scan --kind probe --values 512 --p 1.0 --q 2.0": {
+        "scan_probe.csv": "4279fcfefac461b04fc2647d8a89ea6fd78fea5bbdc8ab0620c6beec78434dbf",
+    },
+    "scan --kind p_to_zero --values 0.5,0.25 --q 1 --level 4": {
+        "scan_p_to_zero.csv": "74e9903e4ac288705b0126555f2b2ca58351b0c2e2e3f3f413bd8a63c7683016",
+    },
+    "scan --kind gap_rate --values 0.4,0.2 --level 6": {
+        "scan_gap_rate.csv": "176a2cd546faefb4e272aa83a1d8414fe11db358858b3c4ed0c3a93a22bb83c1",
+    },
+    "dims --p 1 --q 2 --level 4 --windows 6": {
+        "dim_profile_k4.csv": "024db570906ea5523585a6317e2d3788529d4825d7b8a06dbb5a83efd2a43c82",
+    },
+    "dos --p 1 --q 0.5 --length 89 --samples 0": {
+        "ids_L89.csv": "bffc6470d660101e8d9332ae44b112bdf9473d62050e6dc52e8fa4c2ea4b97a0",
+    },
+    "surface --resolution 16 --max-steps 5": {
+        "surface_V0.01.csv": "928734fc72f07964a8995d946a4d382d07da4df88c89e52a4701e53ee7018212",
+        "surface_V0.01.ppm": "bf2b23cb388c76cc774157aaf9521af93b9a9b4bc8966f4bc0894ff2777dabbc",
+    },
+}
+
+
+@pytest.mark.parametrize("line", sorted(OUTPUT_SHA256))
+def test_output_files_are_pinned(tmp_path, capsys, line):
+    argv = shlex.split(line)
+    if argv[0] != "surface":
+        argv.insert(1, FIB)
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for name, digest in OUTPUT_SHA256[line].items():
+        assert _sha256((tmp_path / name).read_bytes()) == digest, name
+
+
 def test_surface_rejects_zero_max_steps(tmp_path):
     assert main(["surface", "--resolution", "8", "--max-steps", "0",
                  "--out-dir", str(tmp_path / "surf")]) == 1
