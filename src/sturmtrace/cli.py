@@ -1,14 +1,16 @@
 """Command-line front door: subst, spectrum, gaps, dims, dos, surface, scan.
 
 All configuration is flags-only; every floating value is printed with 17
-significant digits so repeated runs diff cleanly.  Each command computes
-everything it reports first and then hands its files and report to
-:func:`_finish`, so a refused run writes nothing.  Exit codes: 0 on
-success, 2 on usage errors, 1 on computation errors.
+significant digits so repeated runs diff cleanly.  A CSV table has CRLF
+line ends, floats as ``%.17g``, an empty cell for a missing value and no
+quoted fields (no cell holds a comma, a quote or a line break); the
+tests pin the bytes of every kind of table the commands write.  Each
+command computes everything it reports first and then hands its files
+and report to :func:`_finish`, so a refused run writes nothing.  Exit
+codes: 0 on success, 2 on usage errors, 1 on computation errors.
 """
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -27,18 +29,40 @@ from .substitution import SubstitutionError, fixed_point_prefix, parse_substitut
 from .tracemap import MAX_STEPS_BANDS, recipe_from_substitution, surface_section
 
 F17 = lambda x: format(float(x), ".17g")
+CHUNK_ROWS = 1024   # table rows formatted and written at a time
 
 
 class UsageError(Exception):
     """A flag value the command cannot take (exit code 2)."""
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, columns):
+    """A table as CSV: the header, then its rows in chunks of CHUNK_ROWS, one write each.
+
+    ``columns`` holds one sequence (list, tuple or numpy array) per header
+    name, all of one length, or nothing for a table of no rows.  Each chunk
+    is formatted a column at a time: a float cell as ``"%.17g"``, any other
+    cell with ``str``.  A numpy column is read through ``.tolist()``, so
+    its cells are Python floats and ints.  The bytes are those of
+    ``csv.writer`` (comma, CRLF line ends, QUOTE_MINIMAL) fed the same
+    cells, as long as no cell holds a comma, a quote, CR or LF (none is
+    quoted here), no cell is None (``csv`` writes an empty cell) and no
+    row is one empty cell (``csv`` writes ``""``).  No CLI table has
+    such a cell or row.
+    """
+    rows = len(columns[0]) if columns else 0
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([F17(v) if isinstance(v, float) else v for v in row])
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, rows, CHUNK_ROWS):
+            cells = [_cells(c[start:start + CHUNK_ROWS]) for c in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+def _cells(column):
+    """The CSV cells of one column: floats as %.17g, everything else by str."""
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
+    return ["%.17g" % v if isinstance(v, float) else str(v) for v in column]
 
 
 def _write_json(path, obj):
@@ -88,7 +112,13 @@ def cmd_subst(args):
     return _finish(args, report)
 
 
+def _check_level(args):
+    if args.level < 0:
+        raise UsageError("--level takes a level >= 0, not %d" % args.level)
+
+
 def cmd_spectrum(args):
+    _check_level(args)
     s = parse_substitution(args.substitution)
     params = JacobiParams(args.p, args.q)
     e_range = None
@@ -111,12 +141,13 @@ def cmd_spectrum(args):
     }
     return _finish(args, summary,
                    (csv_path, _write_csv, ("level", "band_lo", "band_hi"),
-                    [(bands.level, a, b) for a, b in bands.bands]),
+                    ([bands.level] * bands.band_count, bands.edges[:, 0], bands.edges[:, 1])),
                    (os.path.join(args.out_dir, "bands_k%d.json" % args.level), _write_json,
                     summary))
 
 
 def cmd_gaps(args):
+    _check_level(args)
     s = parse_substitution(args.substitution)
     params = JacobiParams(args.p, args.q)
     bands = floquet_bands(s, params, args.level, tol=args.tol)
@@ -136,10 +167,12 @@ def cmd_gaps(args):
     return _finish(args, {"gaps": len(labeled), "labeled": matched, "alpha": F17(alpha),
                           "csv": path},
                    (path, _write_csv,
-                    ("gap_lo", "gap_hi", "width", "ids", "label_m", "label_value"), rows))
+                    ("gap_lo", "gap_hi", "width", "ids", "label_m", "label_value"),
+                    list(zip(*rows))))
 
 
 def cmd_dims(args):
+    _check_level(args)
     s = parse_substitution(args.substitution)
     params = JacobiParams(args.p, args.q)
     bands = floquet_bands(s, params, args.level, tol=args.tol)
@@ -158,7 +191,8 @@ def cmd_dims(args):
         rows = [(center, "" if e is None else e.value, "" if e is None else e.stderr)
                 for center, e in profile]
         report["profile_csv"] = os.path.join(args.out_dir, "dim_profile_k%d.csv" % args.level)
-        files.append((report["profile_csv"], _write_csv, ("E_center", "dim", "stderr"), rows))
+        files.append((report["profile_csv"], _write_csv, ("E_center", "dim", "stderr"),
+                      list(zip(*rows))))
     return _finish(args, report, *files)
 
 
@@ -167,13 +201,15 @@ def cmd_dos(args):
         raise UsageError("--grid takes at least 2 points, not %d" % args.grid)
     if args.samples < 0:
         raise UsageError("--samples takes a count >= 0 (0 for none), not %d" % args.samples)
+    if args.seed < 0:
+        raise UsageError("--seed takes a seed >= 0, not %d" % args.seed)
     s = parse_substitution(args.substitution)
     params = JacobiParams(args.p, args.q)
     lo, hi = default_energy_range(params)
     table = ids(s, params, args.length, np.linspace(lo, hi, args.grid))
     path = os.path.join(args.out_dir, "ids_L%d.csv" % args.length)
     report = {"L": args.length, "csv": path}
-    files = [(path, _write_csv, ("E", "N"), list(zip(table.e_grid, table.n_values)))]
+    files = [(path, _write_csv, ("E", "N"), (table.e_grid, table.n_values))]
     if args.samples:
         summary = dos_dimension_summary(s, params, args.samples, args.length, seed=args.seed)
         report.update({
@@ -219,15 +255,24 @@ def _write_surface_csv(path, raster):
 
 
 def _write_ppm(path, raster):
+    """The raster as a binary PPM, each pixel coloured by its step count.
+
+    An escape after n steps shades from red (n = 0) to green (n =
+    max_steps), a bounded pixel (max_steps + 1) is blue, and one with no
+    root (-1) black.  Each channel is one small table indexed by step
+    count, with the -1 entry last, so the raster indexes it directly.
+    """
     steps = raster["steps"]
     max_steps = raster["max_steps"]
     sheets, h, w = steps.shape
-    esc = (steps >= 0) & (steps <= max_steps)
-    t = np.where(esc, steps / float(max_steps), 0.0)
-    img = np.zeros((sheets, h, w, 3), dtype=np.uint8)
-    img[..., 0] = np.where(esc, (255 * (1 - t)).astype(np.uint8), 0)
-    img[..., 1] = np.where(esc, (200 * t).astype(np.uint8), 0)
-    img[..., 2] = np.where(steps > max_steps, 200, 0)
+    t = np.arange(max_steps + 1) / float(max_steps)
+    colours = np.zeros((3, max_steps + 3), dtype=np.uint8)
+    colours[0, :max_steps + 1] = (255 * (1 - t)).astype(np.uint8)
+    colours[1, :max_steps + 1] = (200 * t).astype(np.uint8)
+    colours[2, max_steps + 1] = 200
+    img = np.empty((sheets, h, w, 3), dtype=np.uint8)
+    for channel, table in enumerate(colours):
+        img[..., channel] = table[steps]
     with open(path, "wb") as fh:
         fh.write(b"P6\n%d %d\n255\n" % (w, sheets * h))
         fh.write(img.tobytes())
@@ -248,6 +293,8 @@ def _probe_grid_size(text):
 
 
 def cmd_scan(args):
+    if args.kind != "probe":   # the probe does not read --level
+        _check_level(args)
     s = parse_substitution(args.substitution)
     if args.kind == "probe":
         n = _probe_grid_size(args.values)
@@ -262,26 +309,26 @@ def cmd_scan(args):
             raise ValueError("need at least one %s value" % what)
     if args.kind == "large_coupling":
         name, header = "scan_large_coupling.csv", ("V", "dim", "stderr", "asymptote", "bands")
-        rows = [(r["V"], r["dim"], r["stderr"], r["asymptote"], r["bands"])
-                for r in fractal.large_coupling_check(values, k=args.level, s=s)]
+        rows = fractal.large_coupling_check(values, k=args.level, s=s)
+        columns = [[r[h] for r in rows] for h in header]
     elif args.kind == "p_to_zero":
-        result = fractal.p_to_zero_scan(s, args.q, values, k=args.level)
+        rows = fractal.p_to_zero_scan(s, args.q, values, k=args.level)["rows"]
         name, header = "scan_p_to_zero.csv", ("p", "dim", "measure", "dist_to_reference")
-        rows = [(r["p"], r["dim"], r["measure"], r["dist_to_reference"]) for r in result["rows"]]
+        columns = [[r[h] for r in rows] for h in header]
     elif args.kind == "gap_rate":
         res = fractal.gap_opening_rate(s, lambda t: (1.0, t), values,
                                        label_m=args.label_m, k=args.level)
         name, header = "scan_gap_rate.csv", ("t", "width", "ratio")
-        rows = list(zip(res.t_values, res.widths, res.ratios))
+        columns = (res.t_values, res.widths, res.ratios)
     else:  # probe: escape classification along an energy grid
         params = JacobiParams(args.p, args.q)
         lo, hi = default_energy_range(params)
         energies = np.linspace(lo, hi, n)
         verdicts = dynamical_spectrum_probe(s, params, energies)
         name, header = "scan_probe.csv", ("E", "kind", "steps")
-        rows = [(E, v.kind, v.steps_used) for E, v in zip(energies, verdicts)]
+        columns = (energies, [v.kind for v in verdicts], [v.steps_used for v in verdicts])
     path = os.path.join(args.out_dir, name)
-    return _finish(args, {"csv": path}, (path, _write_csv, header, rows))
+    return _finish(args, {"csv": path}, (path, _write_csv, header, columns))
 
 
 def _add_common(sp, with_params=True, with_level=False, with_tol=False):

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -6,9 +7,10 @@ import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from sturmtrace.cli import build_parser, main
+from sturmtrace.cli import CHUNK_ROWS, _write_csv, build_parser, main
 from sturmtrace.jacobi import JacobiParams
 from sturmtrace.spectrum import default_energy_range
 
@@ -163,6 +165,33 @@ def test_output_files_are_pinned(tmp_path, capsys, line):
     capsys.readouterr()
     for name, digest in OUTPUT_SHA256[line].items():
         assert _sha256((tmp_path / name).read_bytes()) == digest, name
+
+
+def _mixed_columns(n):
+    """n rows of the cell kinds CLI tables hold, numpy and Python alike."""
+    specials = [float("inf"), float("nan"), -0.0, "", np.float64(-1 / 3), 1e22]
+    return (
+        np.linspace(-4.0, 5.0, n) ** 3,                                 # numpy floats
+        [specials[k % 6] if k % 5 == 0 else 0.1 * k for k in range(n)],  # Python floats
+        [np.int64(k) if k % 3 else ("" if k % 2 else -k) for k in range(n)],
+        ["escaped" if k % 7 else "bounded-so-far" for k in range(n)],
+        np.arange(n) * -(2 ** 40),                                      # numpy ints
+    )
+
+
+@pytest.mark.parametrize("rows", [0, 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 5])
+def test_table_writer_matches_csv_module(tmp_path, rows):
+    # the rule of the CLI tables: a float as format(float(x), ".17g"), any
+    # other cell as the csv module writes it
+    header = ("E", "x", "m", "kind", "steps")
+    columns = _mixed_columns(rows) if rows else ()
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in zip(*columns):
+            w.writerow([format(float(v), ".17g") if isinstance(v, float) else v for v in row])
+    _write_csv(tmp_path / "table.csv", header, columns)
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_surface_rejects_zero_max_steps(tmp_path):
@@ -368,11 +397,19 @@ def _not_reached(*args, **kwargs):
 
 
 PREFIX_MESSAGE = "--prefix takes a letter count >= 0 (0 for none), not -5"
+LEVEL_MESSAGE = "--level takes a level >= 0, not -1"
 NEGATIVE_COUNTS = [
     (["subst", FIB, "--prefix", "-5"], PREFIX_MESSAGE),
     (["subst", FIB, "--prefix", "-5", "--scan-beta"], PREFIX_MESSAGE),
     (["dos", FIB, "--samples", "-3"], "--samples takes a count >= 0 (0 for none), not -3"),
     (["dos", FIB, "--samples", "-1"], "--samples takes a count >= 0 (0 for none), not -1"),
+    (["dos", FIB, "--samples", "2", "--seed", "-1"], "--seed takes a seed >= 0, not -1"),
+    (["spectrum", FIB, "--level", "-1"], LEVEL_MESSAGE),
+    (["gaps", FIB, "--level", "-1"], LEVEL_MESSAGE),
+    (["dims", FIB, "--level", "-1", "--windows", "3"], LEVEL_MESSAGE),
+    (["scan", FIB, "--kind", "large_coupling", "--values", "16", "--level", "-1"], LEVEL_MESSAGE),
+    (["scan", FIB, "--kind", "p_to_zero", "--values", "0.5", "--level", "-1"], LEVEL_MESSAGE),
+    (["scan", FIB, "--kind", "gap_rate", "--values", "0.4", "--level", "-1"], LEVEL_MESSAGE),
 ]
 
 
@@ -380,7 +417,7 @@ NEGATIVE_COUNTS = [
     pytest.param(argv, message, id=" ".join([argv[0]] + argv[2:]))
     for argv, message in NEGATIVE_COUNTS])
 def test_negative_counts_are_usage_errors(tmp_path, capsys, monkeypatch, argv, message):
-    # 0 means "off" on these flags; a negative count is refused before anything is computed
+    # a negative count, seed or level is refused before anything is computed
     monkeypatch.setattr("sturmtrace.cli.parse_substitution", _not_reached)
     out = tmp_path / "out"
     assert main(argv + ["--out-dir", str(out)]) == 2
