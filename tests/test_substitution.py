@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st_h
@@ -84,6 +86,91 @@ def test_cyclic_reduce_is_idempotent_and_short(word):
         assert a != -b
     if len(red) >= 2:
         assert red[0] != -red[-1]
+
+
+# -- reference implementations the class checks and prefixes are pinned to ----
+
+def reference_invertible(s):
+    """Nielsen test on int lists: +-1 is the letter 0 and its inverse, +-2 the letter 1."""
+    def cyclic_reduce(w):
+        out = []
+        for g in w:
+            if out and out[-1] == -g:
+                out.pop()
+            else:
+                out.append(g)
+        while len(out) >= 2 and out[0] == -out[-1]:
+            out = out[1:-1]
+        return out
+
+    a = [1 if c == "0" else 2 for c in s.image0]
+    b = [1 if c == "0" else 2 for c in s.image1]
+    w = cyclic_reduce(a + b + [-g for g in reversed(a)] + [-g for g in reversed(b)])
+    rotations = {tuple(t[i:] + t[:i]) for t in ([1, 2, -1, -2], [2, 1, -2, -1]) for i in range(4)}
+    return tuple(w) in rotations
+
+
+def reference_primitive(s):
+    """Some power <= 4 of the abelianization is entrywise positive."""
+    if not s.image0 or not s.image1:
+        raise SubstitutionError("empty image word")
+    m = np.array(s.abelianization, dtype=np.int64)
+    acc = np.eye(2, dtype=np.int64)
+    for _ in range(4):
+        acc = acc @ m
+        if (acc > 0).all():
+            return True
+    return False
+
+
+def reference_prefix(s, n):
+    """Iterate and truncate from the fixed letter, refusing what never grows."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if s.image0[0] == "0":
+        star, sp = "0", s
+    elif s.image1[0] == "1":
+        star, sp = "1", s
+    else:
+        star, sp = "0", s.power(2)
+    if n > 1 and sp.image(star) == star:
+        raise UnsupportedSubstitutionError("fixed letter does not grow")
+    word = star
+    while len(word) < n:
+        word = sp.apply(word)[:n]
+    return word
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # refusals compare by type
+        return type(exc)
+
+
+IMAGES = ["".join(t) for k in range(1, 7) for t in itertools.product("01", repeat=k)]
+
+
+def test_class_checks_and_prefixes_match_the_references():
+    # every pair of images of length 1-6: prefixes at n = 0, 1, 2 and 64,
+    # and at every n <= 64 when both images have at most 3 letters
+    pairs = 0
+    for w0, w1 in itertools.product(IMAGES, repeat=2):
+        s = Substitution(w0, w1)
+        assert check_invertible(s) is reference_invertible(s), s
+        assert check_primitive(s) is reference_primitive(s), s
+        lengths = range(65) if len(w0) <= 3 and len(w1) <= 3 else (0, 1, 2, 64)
+        for n in lengths:
+            assert _outcome(fixed_point_prefix, s, n) == _outcome(reference_prefix, s, n), (s, n)
+        pairs += 1
+    assert pairs == 126 ** 2
+
+
+def test_class_checks_refuse_as_the_references_do():
+    for s in (Substitution("", "0"), Substitution("01", ""), Substitution("", "")):
+        assert check_invertible(s) is reference_invertible(s)
+        with pytest.raises(SubstitutionError, match="empty image"):
+            check_primitive(s)
 
 
 def test_fixed_point_prefix_fibonacci():
