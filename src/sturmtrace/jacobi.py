@@ -143,17 +143,17 @@ class TridiagonalSpec:
         if len(self.diag) != len(self.offdiag):
             raise ValueError("diag and offdiag must align")
 
-    @property
-    def length(self):
-        return len(self.diag)
-
     def dense(self):
         """Dense matrix, for small-L test oracles."""
-        L = self.length
-        m = np.diag(np.array(self.diag, dtype=float))
-        for i in range(1, L):
-            m[i - 1, i] = m[i, i - 1] = self.offdiag[i]
-        return m
+        return _tridiagonal(self.diag, self.offdiag[1:])
+
+
+def _tridiagonal(diag, off):
+    """Dense symmetric tridiagonal matrix; off[i - 1] couples sites i - 1 and i."""
+    m = np.diag(np.array(diag, dtype=float))
+    i = np.arange(1, len(diag))
+    m[i - 1, i] = m[i, i - 1] = off
+    return m
 
 
 def dirichlet_restriction(params, word):
@@ -459,20 +459,13 @@ def decoupled_block_spectrum(word, q):
     block eigenvalues over the distinct patterns occurring in the word
     (the leading partial block of a finite sample is dropped).
     """
-    cuts = [i for i, c in enumerate(word) if c == "1"]
-    if not cuts:
+    runs = word.split("1")
+    if len(runs) == 1:
         return np.array([0.0])  # free letter-0 sites only
-    patterns = set()
-    for a, b in zip(cuts, cuts[1:]):
-        patterns.add(word[a:b])
-    if not patterns:  # single cut: the one complete-looking trailing block
-        patterns.add(word[cuts[-1]:])
+    # runs[1:-1] are the 0-runs of whole blocks; a single 1 keeps its trailing run
     values = set()
-    params_like_diag = {"0": 0.0, "1": float(q)}
-    for pat in patterns:
-        L = len(pat)
-        m = np.diag([params_like_diag[c] for c in pat])
-        for i in range(1, L):
-            m[i - 1, i] = m[i, i - 1] = 1.0  # interior bonds are letter-0 bonds
-        values.update(np.linalg.eigvalsh(m).tolist())
+    for j in set(map(len, runs[1:-1] or runs[1:])):
+        # interior bonds are letter-0 bonds
+        block = _tridiagonal([float(q)] + [0.0] * j, [1.0] * j)
+        values.update(np.linalg.eigvalsh(block).tolist())
     return np.array(sorted(values))

@@ -16,6 +16,7 @@ point luck.
 """
 
 import math
+import os
 from dataclasses import dataclass, field
 
 from .substitution import SubstitutionError, fixed_point_prefix
@@ -193,11 +194,7 @@ def scan_beta(s, n_letters=50):
                                    beta=beta, closed_right=closed_right, surd=params.surd)
             word = rotation_sample(trial, 1, n_letters)
             for swap, ref in ((False, target), (True, swapped)):
-                match = 0
-                for a, b in zip(word, ref):
-                    if a != b:
-                        break
-                    match += 1
+                match = len(os.path.commonprefix([word, ref]))
                 if match > best["match_len"]:
                     best = {"beta": beta, "swap_letters": swap,
                             "closed_right": closed_right, "match_len": match}

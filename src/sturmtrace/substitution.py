@@ -6,11 +6,14 @@ s(1) and extends to words by concatenation.  Throughout we care about
 two structural properties:
 
 * primitivity -- some power s^k maps every letter to a word containing
-  both letters (equivalently, some power of the 2x2 letter-count matrix
+  both letters (equivalently, the square of the 2x2 letter-count matrix
   is entrywise positive);
 * invertibility -- s extends to an automorphism of the free group on
   two generators (Nielsen: the image of the commutator [0,1] must be
   conjugate to [0,1] or its inverse).
+
+Both checks are exact integer and string tests, linear in the length of
+the images.
 
 The text format for substitutions is ``0->01;1->0``.
 """
@@ -18,8 +21,6 @@ The text format for substitutions is ``0->01;1->0``.
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-
-import numpy as np
 
 WORD_LENGTH_CAP = 2 ** 24
 
@@ -169,62 +170,39 @@ def factor_matrix_product(matrix):
 
 
 def check_primitive(s):
-    """True iff some power <= 4 of the abelianization is entrywise positive."""
+    """True iff the square of the abelianization is entrywise positive.
+
+    A nonnegative n x n matrix with a positive power already has a
+    positive power of exponent (n-1)^2 + 1 (Wielandt), which is 2 here.
+    For A = [[p, q], [r, t]], A^2 = [[p^2 + qr, q(p+t)], [r(p+t), t^2 + qr]]
+    is positive exactly when q, r and p + t are.
+    """
     if not s.image0 or not s.image1:
         raise SubstitutionError("empty image word")
-    m = np.array(s.abelianization, dtype=np.int64)
-    acc = np.eye(2, dtype=np.int64)
-    for _ in range(4):
-        acc = acc @ m
-        if (acc > 0).all():
-            return True
-    return False
-
-
-# -- free group on two generators ------------------------------------------
-#
-# Group words are lists of nonzero ints: +1/-1 for the generator 0 and its
-# inverse, +2/-2 for the generator 1.
-
-def word_to_group(word):
-    return [1 if c == "0" else 2 for c in word]
-
-
-def invert_group_word(w):
-    return [-g for g in reversed(w)]
-
-
-def free_reduce(w):
-    out = []
-    for g in w:
-        if out and out[-1] == -g:
-            out.pop()
-        else:
-            out.append(g)
-    return out
-
-
-def cyclic_reduce(w):
-    w = free_reduce(w)
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return w
+    (p, q), (r, t) = s.abelianization
+    return q > 0 and r > 0 and p + t > 0
 
 
 def check_invertible(s):
     """Nielsen test: s([0,1]) cyclically reduces to a rotation of [0,1]^(+-1).
 
-    [0,1] denotes the commutator 0.1.0^-1.1^-1.
+    [0,1] denotes the commutator 0.1.0^-1.1^-1.  Group words spell the
+    letters 0, 1 as a, b and their inverses as A, B, so the inverse of a
+    word is its reverse with the case swapped.
     """
-    a = word_to_group(s.image0)
-    b = word_to_group(s.image1)
-    w = cyclic_reduce(a + b + invert_group_word(a) + invert_group_word(b))
-    if len(w) != 4:
-        return False
-    comm = [1, 2, -1, -2]
-    inv_comm = [2, 1, -2, -1]
-    rotations = {tuple(t[i:] + t[:i]) for t in (comm, inv_comm) for i in range(4)}
-    return tuple(w) in rotations
+    spell = str.maketrans("01", "ab")
+    a, b = s.image0.translate(spell), s.image1.translate(spell)
+    reduced = []
+    for g in a + b + a[::-1].swapcase() + b[::-1].swapcase():
+        if reduced and reduced[-1] == g.swapcase():
+            reduced.pop()
+        else:
+            reduced.append(g)
+    i, j = 0, len(reduced)
+    while j - i >= 2 and reduced[i] == reduced[j - 1].swapcase():
+        i, j = i + 1, j - 1
+    w = "".join(reduced[i:j])
+    return len(w) == 4 and (w in "abABabAB" or w in "baBAbaBA")
 
 
 # -- fixed points ------------------------------------------------------------
@@ -268,12 +246,20 @@ def _prefix_power(s, n):
 
 
 def fixed_point_prefix(s, n):
-    """First n letters of the fixed point of s (or of s^2 when needed)."""
+    """First n letters of the fixed point of s (or of s^2 when needed).
+
+    With sp(star) = star w the fixed point is star w sp(w) sp^2(w) ...,
+    so each piece is the image of the one before it, every letter is
+    expanded once and the cost is linear in n.
+    """
     star, sp, n = _prefix_power(s, n)
-    word = star
-    while len(word) < n:
-        word = sp.apply(word)[:n]
-    return word
+    pieces = [sp.image(star)]
+    size, w = len(pieces[0]), pieces[0][1:]
+    while size < n:
+        w = sp.apply(w)
+        pieces.append(w)
+        size += len(w)
+    return "".join(pieces)[:n]
 
 
 def periodic_word(s, k):

@@ -16,15 +16,12 @@ from sturmtrace.substitution import (
     _prefix_blocks,
     check_invertible,
     check_primitive,
-    cyclic_reduce,
     distinct_factors,
     fixed_point_prefix,
-    invert_group_word,
     parse_substitution,
     periodic_word,
     periodic_word_length,
     star_letter,
-    word_to_group,
 )
 
 THUE_MORSE = Substitution("01", "10")
@@ -67,25 +64,6 @@ def test_invertibility_implies_unimodular_abelianization():
         checked += 1
         if check_invertible(s):
             assert abs(int(np.linalg.det(np.array(s.abelianization)))) == 1
-
-
-def test_free_reduction_basics():
-    w = word_to_group("01") + invert_group_word(word_to_group("01"))
-    assert cyclic_reduce(w) == []
-    assert cyclic_reduce([1, -1]) == []
-    assert cyclic_reduce([1, 2, -1]) == [2]
-
-
-@given(st_h.lists(st_h.sampled_from([1, -1, 2, -2]), max_size=40))
-def test_cyclic_reduce_is_idempotent_and_short(word):
-    red = cyclic_reduce(word)
-    assert cyclic_reduce(red) == red
-    assert len(red) <= len(word)
-    # no adjacent or wrap-around cancellation remains
-    for a, b in zip(red, red[1:]):
-        assert a != -b
-    if len(red) >= 2:
-        assert red[0] != -red[-1]
 
 
 # -- reference implementations the class checks and prefixes are pinned to ----
@@ -171,6 +149,37 @@ def test_class_checks_refuse_as_the_references_do():
         assert check_invertible(s) is reference_invertible(s)
         with pytest.raises(SubstitutionError, match="empty image"):
             check_primitive(s)
+
+
+def _letters_applied(monkeypatch):
+    """A list that gathers the length of every word passed to Substitution.apply."""
+    seen = []
+    apply = Substitution.apply
+
+    def counting_apply(self, word):
+        seen.append(len(word))
+        return apply(self, word)
+
+    monkeypatch.setattr(Substitution, "apply", counting_apply)
+    return seen
+
+
+@pytest.mark.parametrize("s", [Substitution("011", "1"), FIBONACCI])
+def test_fixed_point_prefix_expands_linearly_many_letters(monkeypatch, s):
+    n = 10 ** 5
+    seen = _letters_applied(monkeypatch)
+    word = fixed_point_prefix(s, n)
+    assert len(word) == n
+    assert sum(seen) <= 3 * n
+
+
+def test_slowly_growing_fixed_letter_prefix():
+    assert fixed_point_prefix(Substitution("011", "1"), 10 ** 5) == "0" + "1" * (10 ** 5 - 1)
+
+
+def test_invertibility_of_a_long_power():
+    # images of 10946 and 6765 letters
+    assert FIBONACCI.power(20).invertible is True
 
 
 def test_fixed_point_prefix_fibonacci():
