@@ -151,26 +151,19 @@ def test_class_checks_refuse_as_the_references_do():
             check_primitive(s)
 
 
-def _letters_applied(monkeypatch):
-    """A list that gathers the length of every word passed to Substitution.apply."""
-    seen = []
-    apply = Substitution.apply
-
-    def counting_apply(self, word):
-        seen.append(len(word))
-        return apply(self, word)
-
-    monkeypatch.setattr(Substitution, "apply", counting_apply)
-    return seen
-
-
 @pytest.mark.parametrize("s", [Substitution("011", "1"), FIBONACCI])
 def test_fixed_point_prefix_expands_linearly_many_letters(monkeypatch, s):
     n = 10 ** 5
-    seen = _letters_applied(monkeypatch)
-    word = fixed_point_prefix(s, n)
-    assert len(word) == n
-    assert sum(seen) <= 3 * n
+    applied = []
+    apply = Substitution.apply
+
+    def counting_apply(self, word):
+        applied.append(len(word))
+        return apply(self, word)
+
+    monkeypatch.setattr(Substitution, "apply", counting_apply)
+    assert len(fixed_point_prefix(s, n)) == n
+    assert sum(applied) <= 3 * n
 
 
 def test_slowly_growing_fixed_letter_prefix():
