@@ -230,6 +230,8 @@ def test_probe_verdicts_are_golden(text, p, q, n, digest):
 SURFACES = [
     (0.01, 128, "a470f1d54b0e6df9fc508ea0f375cf669bff0b61a904a8da99d04a896add863a"),
     (-10.0, 128, "fb6551ff88c314e965735216dabaf97e2a1652ada4e3009e5df5d29596fde841"),
+    (0.01, 256, "c701ffe324c7682bf73fb89ec63e2166708bee82662c37af1f5a55aac08386ba"),
+    (0.3, 255, "bcad895007388319540effa6b7823336ee5b2b7b81d4698162fc61231a77214a"),
 ]
 
 
