@@ -221,6 +221,10 @@ def cmd_dos(args):
 
 
 def cmd_surface(args):
+    if args.resolution < 2:
+        raise UsageError("--resolution takes at least 2 points, not %d" % args.resolution)
+    if args.max_steps < 1:
+        raise UsageError("--max-steps takes a step count >= 1, not %d" % args.max_steps)
     raster = surface_section(args.invariant, args.resolution,
                              max_steps=args.max_steps)
     base = os.path.join(args.out_dir, "surface_V%s" % F17(args.invariant))
@@ -389,8 +393,9 @@ def build_parser():
 
     p = sub.add_parser("surface", help="escape-time raster of S_V")
     p.add_argument("--invariant", type=float, default=0.01, help="Fricke-Vogt value V")
-    p.add_argument("--resolution", type=int, default=128)
-    p.add_argument("--max-steps", type=int, default=MAX_STEPS_BANDS)
+    p.add_argument("--resolution", type=int, default=128, help="grid points per axis (at least 2)")
+    p.add_argument("--max-steps", type=int, default=MAX_STEPS_BANDS,
+                   help="trace-map blocks per pixel (at least 1)")
     _add_common(p, with_params=False)
     p.set_defaults(fn=cmd_surface)
 

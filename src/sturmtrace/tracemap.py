@@ -303,11 +303,23 @@ def surface_section(V, resolution, max_steps=MAX_STEPS_BANDS):
     """Escape-time raster of the invariant surface S_V over [-2, 2]^2.
 
     The quadric I(x,y,z) = V is solved for z on a resolution^2 grid
-    (z = xy +- sqrt((x^2-1)(y^2-1) + V)); both sheets are classified pixel
-    by pixel under the Fibonacci block t_1, each pixel's step count being
-    its escaped_at of :func:`classify_batch`.  Pixels with no real root
-    carry -1 (all of them, with a warning, when V < -9); bounded pixels
-    carry max_steps + 1.
+    (z = xy +- sqrt((x^2-1)(y^2-1) + V)); both sheets are classified under
+    the Fibonacci block t_1, each pixel's step count being its escaped_at
+    of :func:`classify_batch`.  Pixels with no real root carry -1 (all of
+    them, with a warning, when V < -9); bounded pixels carry max_steps + 1.
+
+    Each class of pixels under the sign flips G = {(-,-,+), (+,-,-),
+    (-,+,-)} is classified once.  The U-step 2xz - y commutes with G up
+    to relabelling the flip, negation is exact and round-to-nearest is
+    symmetric, so a flipped start runs the orbit of the original with
+    signs changed, bit for bit; the escape test reads only |x|, |y|, |z|
+    and their norms.  A column (row) folds when its coordinate is
+    strictly negative and its negation is a grid coordinate bit for bit
+    (``linspace`` does not mirror every point).  The root depends only on
+    x^2 and y^2, so folding the column of x maps pixel (sheet s, x, y) to
+    (1 - s, -x, y), the row to (1 - s, x, -y), and both to (s, -x, -y).
+    Only the kept rows and columns are built and classified, both sheets
+    in one call; the folded columns, then the folded rows, are copied.
     """
     if resolution < 2:
         raise ValueError("need resolution >= 2")
@@ -315,14 +327,26 @@ def surface_section(V, resolution, max_steps=MAX_STEPS_BANDS):
         raise ValueError("the invariant V must be finite: %r" % (V,))
     recipe = TraceMapRecipe(period=(1,))
     xs = np.linspace(-2.0, 2.0, resolution)
-    gx, gy = np.meshgrid(xs, xs)
+    # a coordinate's negation can only be its mirror image in the grid,
+    # xs[resolution - 1 - j]: the spacing is far above rounding error
+    fold = (xs < 0) & (xs == -xs[::-1])
+    folded, kept = np.flatnonzero(fold), np.flatnonzero(~fold)
+    mirror = resolution - 1 - folded
+    gx, gy = np.meshgrid(xs[kept], xs[kept])
     disc = (gx * gx - 1.0) * (gy * gy - 1.0) + V
     ok = disc >= 0
-    root = np.sqrt(np.where(ok, disc, 0.0))
-    steps = np.full((2, resolution, resolution), -1, dtype=np.int64)
-    for sheet, sign in enumerate((1.0, -1.0)):
-        gz = gx * gy + sign * root
-        steps[sheet][ok] = classify_batch(recipe, gx[ok], gy[ok], gz[ok], max_steps=max_steps)[0]
+    gx, gy, root = gx[ok], gy[ok], np.sqrt(disc[ok])
+    gxy = gx * gy
+    escaped_at = classify_batch(recipe, np.concatenate((gx, gx)), np.concatenate((gy, gy)),
+                                np.concatenate((gxy + root, gxy - root)), max_steps=max_steps)[0]
+    sub = np.full((2, kept.size, kept.size), -1, dtype=np.int64)
+    sub[:, ok] = escaped_at.reshape(2, -1)
+    rows = np.empty((2, kept.size, resolution), dtype=np.int64)
+    rows[:, :, kept] = sub
+    rows[:, :, folded] = rows[::-1, :, mirror]
+    steps = np.empty((2, resolution, resolution), dtype=np.int64)
+    steps[:, kept] = rows
+    steps[:, folded] = steps[::-1, mirror]
     if not ok.any():
         warnings.warn("surface raster is empty: no pixel has a real root when V < -9")
     return {"x": xs, "y": xs.copy(), "steps": steps, "max_steps": max_steps}

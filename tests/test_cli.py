@@ -194,9 +194,10 @@ def test_table_writer_matches_csv_module(tmp_path, rows):
     assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
-def test_surface_rejects_zero_max_steps(tmp_path):
+def test_surface_rejects_zero_max_steps(tmp_path, capsys):
     assert main(["surface", "--resolution", "8", "--max-steps", "0",
-                 "--out-dir", str(tmp_path / "surf")]) == 1
+                 "--out-dir", str(tmp_path / "surf")]) == 2
+    assert capsys.readouterr().err == "usage error: --max-steps takes a step count >= 1, not 0\n"
 
 
 def test_spectrum_level_past_word_cap_is_computation_error(tmp_path):
@@ -421,6 +422,24 @@ def test_negative_counts_are_usage_errors(tmp_path, capsys, monkeypatch, argv, m
     monkeypatch.setattr("sturmtrace.cli.parse_substitution", _not_reached)
     out = tmp_path / "out"
     assert main(argv + ["--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "usage error: %s\n" % message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--resolution", "1"], "--resolution takes at least 2 points, not 1"),
+    (["--resolution", "0"], "--resolution takes at least 2 points, not 0"),
+    (["--resolution", "-3"], "--resolution takes at least 2 points, not -3"),
+    (["--max-steps", "0"], "--max-steps takes a step count >= 1, not 0"),
+    (["--max-steps", "-2"], "--max-steps takes a step count >= 1, not -2"),
+    (["--invariant", "nan", "--resolution", "1"], "--resolution takes at least 2 points, not 1"),
+])
+def test_surface_counts_below_their_floor_are_usage_errors(tmp_path, capsys, monkeypatch,
+                                                           argv, message):
+    # refused before any raster work, as the other count flags are
+    monkeypatch.setattr("sturmtrace.cli.surface_section", _not_reached)
+    out = tmp_path / "out"
+    assert main(["surface"] + argv + ["--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == "usage error: %s\n" % message
     assert not out.exists()
 

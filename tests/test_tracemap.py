@@ -549,6 +549,70 @@ def test_surface_section_empty_warning():
     assert any("empty" in str(w.message) for w in caught)
 
 
+def _surface_unfolded(V, resolution):
+    """The steps of surface_section with no fold: every pixel of both sheets classified."""
+    xs = np.linspace(-2.0, 2.0, resolution)
+    gx, gy = np.meshgrid(xs, xs)
+    disc = (gx * gx - 1.0) * (gy * gy - 1.0) + V
+    ok = disc >= 0
+    root = np.sqrt(np.where(ok, disc, 0.0))
+    steps = np.full((2, resolution, resolution), -1, dtype=np.int64)
+    for sheet, sign in enumerate((1.0, -1.0)):
+        gz = gx * gy + sign * root
+        steps[sheet][ok] = classify_batch(TraceMapRecipe(), gx[ok], gy[ok], gz[ok])[0]
+    return steps
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 16, 64, 128, 255, 256, 257])
+def test_surface_section_equals_the_unfolded_raster(resolution):
+    # linspace mirrors every coordinate at 2, 3 and 257, and only some
+    # (always +-2) at the other sizes; 255 and 257 have a 0 column
+    for V in (-10.0, -0.9, 0.0, 0.01, 0.5, 5.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # the empty raster warns
+            r = surface_section(V, resolution)
+        assert r["x"].tobytes() == r["y"].tobytes() == np.linspace(-2.0, 2.0, resolution).tobytes()
+        assert r["steps"].dtype == np.int64
+        assert np.array_equal(r["steps"], _surface_unfolded(V, resolution))
+
+
+SIGN_FLIPS = [np.array(g, dtype=float) for g in ((-1, -1, 1), (1, -1, -1), (-1, 1, -1))]
+
+
+@pytest.mark.parametrize("recipe", [
+    pytest.param(TraceMapRecipe(), id="period (1,)"),
+    *(pytest.param(recipe_from_substitution(st.parse_substitution(text)), id=text)
+      for text in ("0->01;1->0", "0->001;1->0", "0->1;1->10", "0->100;1->10"))])
+def test_classify_batch_commutes_with_the_sign_flips(recipe):
+    # each flip of G maps the orbit to its flipped orbit bit for bit, so
+    # escape times and max-norms agree lane by lane, specials included
+    rng = np.random.default_rng(30)
+    pts = rng.uniform(-2.5, 2.5, size=(3000, 3))
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300])
+    mask = rng.random(pts.shape) < 0.05
+    pts[mask] = rng.choice(specials, size=mask.sum())
+    for max_steps in (5, 60):
+        at, max_norm = classify_batch(recipe, *pts.T, max_steps=max_steps)
+        assert 0 < (at <= max_steps).sum() < at.size   # both classes occur
+        for g in SIGN_FLIPS:
+            at_g, max_norm_g = classify_batch(recipe, *(pts * g).T, max_steps=max_steps)
+            assert np.array_equal(at_g, at)
+            assert np.array_equal(max_norm_g, max_norm, equal_nan=True)
+
+
+def test_surface_section_classifies_each_orbit_class_once(monkeypatch):
+    # the README raster: 176 of 256 coordinates are kept, both sheets in one call
+    calls = []
+
+    def recording(recipe, xs, ys, zs, **kw):
+        calls.append(len(xs))
+        return classify_batch(recipe, xs, ys, zs, **kw)
+
+    monkeypatch.setattr(tracemap_mod, "classify_batch", recording)
+    surface_section(0.01, 256)
+    assert len(calls) == 1 and calls[0] <= 2 * 176 ** 2
+
+
 def test_recipe_and_step_refusals():
     with pytest.raises(ValueError, match="nonempty"):
         TraceMapRecipe(period=())
