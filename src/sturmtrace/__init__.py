@@ -17,7 +17,6 @@ from .tracemap import (
     OrbitVerdict,
     TraceMapRecipe,
     classify,
-    fibonacci_map,
     fricke_vogt,
     recipe_from_substitution,
     step,

@@ -246,7 +246,8 @@ def gap_opening_rate(s, path, t_list, label_m, k=10):
     """Track one labeled gap along a parameter path toward (1, 0).
 
     ``path`` maps t to (p, q).  At every t the gap is named by its band
-    count: label m is gap j = m q_{k-1} mod q_k of the level-k band set
+    count: label m is gap j = m n_k mod q_k of the level-k band set,
+    n_k the count of the dominant letter in s^k(star)
     (see :func:`~sturmtrace.spectrum.gap_index_for_label`), and the
     wider of the gaps of m and -m is tracked.  The band set must be
     complete (q_k bands), else ValueError.  Ratios

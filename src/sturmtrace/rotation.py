@@ -6,10 +6,11 @@ Sturmian, hence realizable by sampling an irrational circle rotation:
     w_n = chi(n*alpha + beta mod 1),   chi the indicator of [1-alpha, 1)
 
 (or of (1-alpha, 1] -- both endpoint conventions are exposed).  The
-angle alpha attached to a substitution here is the slope of the Perron
-eigenvector of the transposed abelianization; its continued fraction is
-eventually periodic and the periodic block is exactly the factor list of
-the substitution's trace map.  The continued fraction is extracted with
+angle alpha attached to a substitution here is the frequency of its
+dominant letter, a quadratic irrational with an eventually periodic
+continued fraction; its period need not be the trace-map block
+(0->01;1->001: alpha = 2 - sqrt2 = [0; 1, 1, 2, 2, ...], period=[1,1,0]).
+The continued fraction is extracted with
 exact integer arithmetic on quadratic surds (p + q*sqrt(d))/r, so the
 eventual periodicity is detected by state repetition, not by floating
 point luck.
@@ -19,7 +20,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .substitution import SubstitutionError, fixed_point_prefix
+from .substitution import SubstitutionError, dominant_letter, fixed_point_prefix
 
 
 # -- exact quadratic surds ---------------------------------------------------
@@ -149,29 +150,23 @@ def rotation_sample(params, n_from, n_to):
 def rotation_number(s):
     """Rotation parameters of a primitive invertible substitution.
 
-    alpha is the Perron eigenvector slope of the transposed
-    abelianization (the reciprocal slope when letter 1 dominates, so
-    that alpha stays in (0,1)); the CF periodic block then matches the
-    trace-map factor list.  beta is left 0 -- use :func:`scan_beta` to
-    search for a phase reproducing the fixed point.
+    alpha, in (1/2, 1), is the frequency of the dominant letter
+    (:func:`~sturmtrace.substitution.dominant_letter`).  beta is left 0 --
+    use :func:`scan_beta` to search for a phase reproducing the fixed point.
     """
     if not s.primitive:
         raise SubstitutionError("rotation_number needs a primitive substitution")
     if not s.invertible:
         raise SubstitutionError("rotation_number needs an invertible substitution")
     (a00, a01), (a10, a11) = s.abelianization
-    # transposed abelianization T = [[a00, a10], [a01, a11]]; slope t of the
-    # Perron eigenvector (1, t) solves T01 t^2 + (T00 - T11) t - T10 = 0; its
-    # discriminant tr^2 - 4 det (det = +-1) is a square for no primitive T
-    t01, t00, t11, t10 = a10, a00, a11, a01
-    disc = (t00 - t11) ** 2 + 4 * t01 * t10
-    slope = QuadraticSurd(t11 - t00, 1, disc, 2 * t01)
-    # slope > 1 iff sqrt(disc) > m = 2 t01 - (t11 - t00), t01 > 0 (primitive)
-    m = 2 * t01 - (t11 - t00)
-    if m < 0 or disc > m * m:
-        slope = slope.reciprocal()
-    pre, per = continued_fraction(slope)
-    return RotationParams(cf_preperiod=pre, cf_period=per, surd=slope)
+    # the frequency f0 of letter 0 is 1 / (1 + t), (1, t) the Perron eigenvector of
+    # T = A^T = [[a00, a10], [a01, a11]], so f0 = 2 T01 / (2 T01 + T11 - T00 + sqrt(disc));
+    # disc = tr^2 - 4 det (det = +-1) is a square for no primitive T
+    disc = (a00 - a11) ** 2 + 4 * a10 * a01
+    f0 = QuadraticSurd(2 * a10 + a11 - a00, 1, disc, 2 * a10).reciprocal()
+    alpha = f0 if dominant_letter(s) == "0" else QuadraticSurd(f0.r - f0.p, -f0.q, f0.d, f0.r)
+    pre, per = continued_fraction(alpha)
+    return RotationParams(cf_preperiod=pre, cf_period=per, surd=alpha)
 
 
 def scan_beta(s, n_letters=50):

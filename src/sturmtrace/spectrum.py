@@ -60,7 +60,7 @@ import numpy as np
 
 from .jacobi import (_block_count_below, dirichlet_restriction, eigen_count_below_grid,
                      initial_conditions_grid)
-from .substitution import _image_length, _image_word
+from .substitution import _image_length, _image_word, dominant_letter
 from .tracemap import MAX_STEPS_POINT, _iterate, _verdicts, classify_batch, recipe_from_substitution
 
 SATURATION = 1e150         # |x| cap of one trace-map step; keeps the sign in gaps
@@ -539,16 +539,23 @@ class Gap:
 
 
 def _label_periods(s, bands, recipe):
-    """(q_k, q_{k-1}) of a level-k band set; labels need all q_k bands."""
+    """(q_k, n_k) of a level-k band set; labels need all q_k bands.
+
+    n_k, prime to q_k, counts in s^k(star) the dominant letter, of frequency alpha.
+    """
     star = (recipe or recipe_from_substitution(s)).star
     k = bands.level
     if k < 1:
         raise ValueError("need a level >= 1 band set")
-    q_k, q_km1 = _image_length(s, star, k), _image_length(s, star, k - 1)
+    q_k = _image_length(s, star, k)
     if bands.band_count != q_k:
         raise ValueError("band set incomplete: %d of %d bands; labels undefined"
                          % (bands.band_count, q_k))
-    return q_k, q_km1
+    d = dominant_letter(s)
+    counts = {c: int(c == d) for c in "01"}   # of d in s^j(c), from j = 0
+    for _ in range(k):
+        counts = {c: sum(counts[x] for x in s.image(c)) for c in "01"}
+    return q_k, counts[star]
 
 
 def combinatorial_gap_label(s, bands, gap_index, recipe=None):
@@ -556,15 +563,16 @@ def combinatorial_gap_label(s, bands, gap_index, recipe=None):
 
     The level-k approximation has period length q_k; the gap with j
     bands below it carries IDS value j/q_k, which converges to the
-    label frac(m alpha) with m = j * inverse(q_{k-1}) mod q_k (balanced
-    residue).  Requires the band set to be completely detected, i.e.
-    band count equal to q_k.
+    label frac(m alpha) with m = j * inverse(n_k) mod q_k (balanced
+    residue), n_k the count of the dominant letter in s^k(star), whose
+    frequency alpha is.  Requires the band set to be completely
+    detected, i.e. band count equal to q_k.
     """
-    q_k, q_km1 = _label_periods(s, bands, recipe)
+    q_k, n_k = _label_periods(s, bands, recipe)
     j = int(gap_index)
     if not 1 <= j <= q_k - 1:
         raise ValueError("gap index out of range")
-    m = (j * pow(q_km1, -1, q_k)) % q_k
+    m = (j * pow(n_k, -1, q_k)) % q_k
     if m > q_k // 2:
         m -= q_k
     return m
@@ -572,8 +580,8 @@ def combinatorial_gap_label(s, bands, gap_index, recipe=None):
 
 def gap_index_for_label(s, bands, m):
     """Inverse of :func:`combinatorial_gap_label`: 1-based gap index of label m."""
-    q_k, q_km1 = _label_periods(s, bands, None)
-    j = (int(m) * q_km1) % q_k
+    q_k, n_k = _label_periods(s, bands, None)
+    j = (int(m) * n_k) % q_k
     if not 1 <= j <= q_k - 1:
         raise ValueError("label m = %d has no gap at level %d" % (m, bands.level))
     return j

@@ -18,6 +18,7 @@ the images.
 The text format for substitutions is ``0->01;1->0``.
 """
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -84,25 +85,21 @@ class Substitution:
 
     @cached_property
     def _trace_block(self):
-        """(star, factors): the period letter s^k(star) and the trace-map block.
+        """(star, period): the letter s^k(star) and the trace-map block.
 
-        A^T tracks star "0" and J A^T J (J the letter exchange) star "1";
-        the one of :func:`star_letter` is factored into M_a matrices first.
+        On the trace triple, phi and phi~ of :func:`sturmian_factors` act
+        as t_1 and E as the swap t_0, and a run t_1 (t_0 t_1)^(a-1) is
+        t_a.  A factor word E w E tracks star "1" through the block of w
+        from the unswapped start (E s E = w); any other word tracks star
+        "0" through its own block.
         """
         if not self.primitive:
             raise SubstitutionError("trace map needs a primitive substitution")
-        if not self.invertible:
-            raise SubstitutionError("trace map needs an invertible substitution")
-        (a00, a01), (a10, a11) = self.abelianization
-        orders = [("0", [[a00, a10], [a01, a11]]), ("1", [[a11, a01], [a10, a00]])]
-        if star_letter(self)[0] == "1":
-            orders.reverse()
-        for star, matrix in orders:
-            factors = factor_matrix_product(matrix)
-            if factors:
-                return star, factors
-        raise UnsupportedSubstitutionError("abelianization does not factor into M_a "
-                                           "matrices; square the substitution")
+        word = "".join("0" if g.image0 == "1" else "1" for g in sturmian_factors(self))
+        star = "1" if word[0] == word[-1] == "0" else "0"
+        if star == "1":
+            word = word[1:-1]
+        return star, tuple(run.count("1") for run in re.findall("1(?:01)*|0", word))
 
     @cached_property
     def primitive(self):
@@ -139,34 +136,26 @@ def parse_substitution(text):
 FIBONACCI = Substitution("01", "0")
 
 
-def factor_matrix_product(matrix):
-    """Factor a nonnegative integer 2x2 matrix into M_a factors, or None.
+def sturmian_factors(s):
+    """s as g_1 o ... o g_n over E (0<->1), phi (0->01, 1->0) and phi~ (0->10, 1->0).
 
-    Returns (a_1, ..., a_n) with matrix = M_{a_1} @ ... @ M_{a_n} and
-    M_a = [[a,1],[1,0]]; greedy left-peeling by the continued-fraction
-    algorithm.  None when the matrix is not such a product.
+    Every invertible two-letter substitution is such a product
+    (Mignosi and Seebold, J. Theor. Nombres Bordeaux 5, 1993).  The
+    greedy left peel finds one: s is phi o t (phi~ o t) when deleting the
+    pieces "01" ("10") from both images leaves no "1", and t reads each
+    piece as 0 and each other 0 as 1; where neither peels, s = E o (E o s).
+    A peel shortens the images and one of s and E o s peels, so the loop
+    reaches the identity.  Returns the factors, g_1 first.
     """
-    c = [[int(matrix[0][0]), int(matrix[0][1])], [int(matrix[1][0]), int(matrix[1][1])]]
-    factors = []
-    for _ in range(64):
-        if c == [[1, 0], [0, 1]]:
-            return tuple(factors) if factors else None
-        cands = []
-        if c[1][0] > 0:
-            cands.append(c[0][0] // c[1][0])
-        if c[1][1] > 0:
-            cands.append(c[0][1] // c[1][1])
-        if not cands:
-            return None
-        a = min(cands)
-        if a < 1:
-            return None
-        nxt = [[c[1][0], c[1][1]], [c[0][0] - a * c[1][0], c[0][1] - a * c[1][1]]]
-        if min(min(row) for row in nxt) < 0:
-            return None
-        factors.append(a)
-        c = nxt
-    return None
+    if not s.invertible:
+        raise SubstitutionError("trace map needs an invertible substitution")
+    swap = str.maketrans("01", "10")
+    words, factors = s.image0 + " " + s.image1, []
+    while words != "0 1":
+        piece = next((p for p in ("01", "10") if "1" not in words.replace(p, "")), None)
+        factors.append(Substitution(piece, "0") if piece else Substitution("1", "0"))
+        words = (words.replace(piece, "1") if piece else words).translate(swap)
+    return tuple(factors)
 
 
 def check_primitive(s):
@@ -203,6 +192,17 @@ def check_invertible(s):
         i, j = i + 1, j - 1
     w = "".join(reduced[i:j])
     return len(w) == 4 and (w in "abABabAB" or w in "baBAbaBA")
+
+
+def dominant_letter(s):
+    """The letter of frequency above 1/2 in the fixed point of a primitive invertible s.
+
+    The frequencies are (1, t) / (1 + t), t the irrational positive root of
+    f(t) = a10 t^2 + (a00 - a11) t - a01, and f(0) < 0: so t > 1 iff f(1) < 0,
+    iff s(0) and s(1) together hold more 1s than 0s.
+    """
+    ones = s.image0.count("1") + s.image1.count("1")
+    return "1" if 2 * ones > len(s.image0) + len(s.image1) else "0"
 
 
 # -- fixed points ------------------------------------------------------------

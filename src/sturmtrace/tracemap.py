@@ -8,9 +8,11 @@ words.  The elementary polynomial maps
 act on triples of the form (x(AB), x(A), x(B)) as the word moves
 (A, B) -> (AB, B) and (A, B) -> (B, A), where x(W) is the half-trace of
 the matrix word W.  The composite t_a = U^a o P is the building block:
-a substitution whose transposed abelianization factors as
-M_{a_1} ... M_{a_n}, with M_a = [[a, 1], [1, 0]], has the periodic
-trace-map block t_{a_n} o ... o t_{a_1}.  One block application advances
+the generators phi (0->01, 1->0) and phi~ (0->10, 1->0) of the invertible
+substitutions both act as t_1, and the letter exchange E as t_0 = P.  A
+substitution s = g_1 o ... o g_n (``substitution.sturmian_factors``)
+has the periodic trace-map block of its factors, g_1 applied first, with
+each run t_1 (t_0 t_1)^(a-1) written t_a.  One block application advances
 the orbit by one substitution level, so the y coordinate after k blocks
 is the half-trace of the transfer matrix over s^k(star).  A
 :class:`TraceMapRecipe` holds that block and the start; k levels apply
@@ -75,17 +77,11 @@ def t_factor(a, point):
     return point
 
 
-def fibonacci_map(point):
-    """f(x,y,z) = (2xy - z, x, y); identical to t_1."""
-    x, y, z = point
-    return (2.0 * x * y - z, x, y)
-
-
 # -- recipes -------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TraceMapRecipe:
-    """Composition recipe: the periodic block t_{a_n} o ... o t_{a_1}.
+    """Composition recipe: the periodic block t_{a_n} o ... o t_{a_1}, each a >= 0.
 
     ``swapped_start`` records which of the two letters the first word of
     the standard pair tracks: True means the orbit starts from the
@@ -100,8 +96,8 @@ class TraceMapRecipe:
     def __post_init__(self):
         if not self.period:
             raise ValueError("period must be nonempty")
-        if any(a < 1 for a in self.period):
-            raise ValueError("all factors must be >= 1")
+        if any(a < 0 for a in self.period):
+            raise ValueError("all factors must be >= 0")
 
     @property
     def star(self):
@@ -119,8 +115,7 @@ def recipe_from_substitution(s):
     """Periodic trace-map block of a primitive invertible substitution.
 
     One block advances one substitution level.  Raises SubstitutionError
-    for s not primitive and invertible, or whose abelianization does
-    not factor (``Substitution._trace_block``).
+    for s not primitive and invertible (``Substitution._trace_block``).
     """
     star, factors = s._trace_block
     return TraceMapRecipe(period=factors, swapped_start=star == "0")

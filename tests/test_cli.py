@@ -32,6 +32,12 @@ def test_subst_report(capsys):
     assert report["recipe"] == "period=[1]"
 
 
+def test_subst_reports_a_recipe_with_a_zero_factor(capsys):
+    assert main(["subst", "0->01;1->001", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["recipe"] == "period=[1,1,0]"
+
+
 def test_subst_malformed_is_usage_error():
     proc = run_cli(["subst"])
     assert proc.returncode == 2  # argparse usage error

@@ -420,6 +420,7 @@ def test_large_coupling_asymptote_needs_coupling_above_one():
 
 @pytest.mark.parametrize("text, fibonacci_class", [
     ("0->01;1->0", True), ("0->1;1->10", True), ("0->010;1->01", True), ("0->001;1->0", False),
+    ("0->01;1->001", False),   # period=[1,1,0]: a 0 factor is not a 1
 ])
 def test_large_coupling_asymptote_is_for_the_fibonacci_class(text, fibonacci_class):
     (row,) = st.large_coupling_check([24.0], k=6, s=st.parse_substitution(text))

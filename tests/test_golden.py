@@ -5,8 +5,9 @@ Each case runs a fixed library computation and compares the sha256 of
 with a recorded digest.  The cases are the band solves, scans and DOS
 computations of the benchmark's bands-deep, scan-shallow and dos-sturm
 workloads at seed 72, with their inputs copied here, so the benchmark
-can change without moving these pins, and the escape classifier's probe
-verdicts and surface rasters at the CLI's sizes.
+can change without moving these pins, the escape classifier's probe
+verdicts and surface rasters at the CLI's sizes, and band solves of two
+substitutions whose trace-map blocks have a 0 factor.
 Floats repr to 17 significant digits, so a digest moves with any bit of
 any result.  A change that means to move a result updates its digest
 and says why; a digest is never updated to hide a defect.  Digests are
@@ -24,7 +25,7 @@ import pytest
 
 from sturmtrace import dos, fractal, spectrum
 from sturmtrace.jacobi import JacobiParams
-from sturmtrace.substitution import parse_substitution
+from sturmtrace.substitution import parse_substitution, periodic_word
 from sturmtrace.tracemap import recipe_from_substitution, surface_section
 
 FIB, METAL_MEAN, SWAPPED = "0->01;1->0", "0->001;1->0", "0->1;1->10"
@@ -68,6 +69,40 @@ BANDS = [
                          [pytest.param(*c, id=_case_id(*c[:4])) for c in BANDS])
 def test_band_sets_are_golden(text, p, q, k, tol, digest):
     bands = spectrum.floquet_bands(parse_substitution(text), JacobiParams(p, q), k, tol=tol)
+    result = (bands, fractal.box_dimension(bands), fractal.thickness(bands))
+    assert _digest(result) == digest
+
+
+# (substitution, p, q, k, tol, merge_tol, digest): floquet_bands, box_dimension
+# and thickness of two substitutions whose trace-map blocks have a 0 factor,
+# period=[1,1,0] and period=[1,2,0]; (1, 24) takes the strong-coupling
+# tolerances, below which its narrowest bands lie
+ZERO_FACTOR_BANDS = [
+    ("0->01;1->001", 1.3, 0.7, 5, None, None,
+     "a4052010bb088c8ee0de459c4cb1415e1a9a024540f03c2aae9bd8cc3ff96dba"),
+    ("0->01;1->001", 1.3, 0.7, 6, None, None,
+     "c1487457c36d1c02be68513ee7d9c80e996ce69aab128c7b84e687f1eb7e4aa7"),
+    ("0->01;1->001", 1.0, 24.0, 5, STRONG_TOL, STRONG_MERGE_TOL,
+     "5d9f76cb08d4dde308e7f7e0bb59786e17e77046681325a737f734ae420456ff"),
+    ("0->01;1->001", 1.0, 24.0, 6, STRONG_TOL, STRONG_MERGE_TOL,
+     "25f03c5dd759c4da880b779b2f4d3d8f3aba30a4d926707c8ec81f5db62db101"),
+    ("0->01;1->00101", 1.3, 0.7, 4, None, None,
+     "de33a936eb2ddd47a57d761c051c1adae710f03dc63206926ab6431d0e72be7e"),
+    ("0->01;1->00101", 1.3, 0.7, 5, None, None,
+     "2719adfc59b7d09fc56c06a349053542792992de1782e0df184dbf7ab3b02cc5"),
+    ("0->01;1->00101", 1.0, 24.0, 4, STRONG_TOL, STRONG_MERGE_TOL,
+     "d87bb4eac07a6aac24741c148307ce441be91b93f3a78f183181fc9cb431a6ef"),
+    ("0->01;1->00101", 1.0, 24.0, 5, STRONG_TOL, STRONG_MERGE_TOL,
+     "1c68388d98a10427cc21e767977a4441e96749cb5a119fadc9cec4f42186a11d"),
+]
+
+
+@pytest.mark.parametrize("text, p, q, k, tol, merge_tol, digest",
+                         [pytest.param(*c, id=_case_id(*c[:4])) for c in ZERO_FACTOR_BANDS])
+def test_zero_factor_band_sets_are_golden(text, p, q, k, tol, merge_tol, digest):
+    s = parse_substitution(text)
+    bands = spectrum.floquet_bands(s, JacobiParams(p, q), k, tol=tol, merge_tol=merge_tol)
+    assert bands.band_count == len(periodic_word(s, k))
     result = (bands, fractal.box_dimension(bands), fractal.thickness(bands))
     assert _digest(result) == digest
 
@@ -158,7 +193,9 @@ def _no_sturm_loop(spec, E):
 
 @pytest.mark.parametrize("golden, case", [
     pytest.param(test_band_sets_are_golden, c, id="bands " + _case_id(*c[:4])) for c in BANDS]
-    + [pytest.param(test_scans_are_golden, c, id="scans " + _case_id(*c[:4])) for c in SCANS])
+    + [pytest.param(test_scans_are_golden, c, id="scans " + _case_id(*c[:4])) for c in SCANS]
+    + [pytest.param(test_zero_factor_band_sets_are_golden, c, id="zero-factor " + _case_id(*c[:4]))
+       for c in ZERO_FACTOR_BANDS])
 def test_golden_levels_never_reach_the_sturm_loop(monkeypatch, golden, case):
     # every golden level has its Dirichlet points in order after the search,
     # so the Sturm loop that decides misordered lanes again cannot move a digest
@@ -257,22 +294,52 @@ def _half_trace_mp(recipe, params, E, k):
     return y
 
 
-@pytest.mark.parametrize("text, p, q, k, tol, merge_tol", [
-    pytest.param(*c[:5], None, id="bands " + _case_id(*c[:4])) for c in BANDS]
-    + [pytest.param(*c[:6], id="scans " + _case_id(*c[:4])) for c in SCANS])
-def test_golden_band_edges_cross_at_60_digits(text, p, q, k, tol, merge_tol):
-    # the digests say a result did not move, this that it is right: on 40
-    # evenly spaced bands, |x_k| <= 1 at edge_tol inside both edges and
-    # |x_k| > 1 at edge_tol outside them, with x_k run at 60 digits
-    s, params = parse_substitution(text), JacobiParams(p, q)
-    bands = spectrum.floquet_bands(s, params, k, tol=tol, merge_tol=merge_tol)
-    recipe = recipe_from_substitution(s)
+def _transfer_mp(word, params, E):
+    """x(E) by the transfer product over one period, successor letter cyclic, in mpmath."""
+    E = mpmath.mpf(E)
+    hop = {c: mpmath.mpf(params.hopping(c)) for c in "01"}
+    # T = [[a, b], [hop[n], 0]] at a site of letter c followed by letter n
+    top = {(c, n): ((E - params.potential(c)) / hop[n], -1 / hop[n]) for c in "01" for n in "01"}
+    m00, m01, m10, m11 = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1)
+    for c, n in zip(word, word[1:] + word[0]):
+        (a, b), h = top[c, n], hop[n]
+        m00, m01, m10, m11 = a * m00 + b * m10, a * m01 + b * m11, h * m00, h * m01
+    return (m00 + m11) / 2
+
+
+def _assert_edges_cross(bands, x):
+    """On 40 evenly spaced bands, |x| <= 1 at edge_tol inside both edges, > 1 outside."""
     tol = bands.edge_tol
     picks = np.unique(np.linspace(0, bands.band_count - 1, 40).round().astype(int))
     assert picks.size == 40
+    for a, b in bands.edges[picks].tolist():
+        mid = 0.5 * (a + b)
+        for inside, outside in ((min(a + tol, mid), a - tol), (max(b - tol, mid), b + tol)):
+            assert abs(x(inside)) <= 1
+            assert abs(x(outside)) > 1
+
+
+@pytest.mark.parametrize("text, p, q, k, tol, merge_tol", [
+    pytest.param(*c[:5], None, id="bands " + _case_id(*c[:4])) for c in BANDS]
+    + [pytest.param(*c[:6], id="scans " + _case_id(*c[:4])) for c in SCANS]
+    + [pytest.param(*c[:6], id="zero-factor " + _case_id(*c[:4])) for c in ZERO_FACTOR_BANDS])
+def test_golden_band_edges_cross_at_60_digits(text, p, q, k, tol, merge_tol):
+    # the digests say a result did not move, this that it is right: x_k run
+    # through the trace map at 60 digits crosses 1 in |x_k| at every edge
+    s, params = parse_substitution(text), JacobiParams(p, q)
+    bands = spectrum.floquet_bands(s, params, k, tol=tol, merge_tol=merge_tol)
+    recipe = recipe_from_substitution(s)
     with mpmath.workdps(60):
-        for a, b in bands.edges[picks].tolist():
-            mid = 0.5 * (a + b)
-            for inside, outside in ((min(a + tol, mid), a - tol), (max(b - tol, mid), b + tol)):
-                assert abs(_half_trace_mp(recipe, params, inside, k)) <= 1
-                assert abs(_half_trace_mp(recipe, params, outside, k)) > 1
+        _assert_edges_cross(bands, lambda E: _half_trace_mp(recipe, params, E, k))
+
+
+@pytest.mark.parametrize("text, p, q, k, tol, merge_tol", [
+    pytest.param(*c[:6], id=_case_id(*c[:4])) for c in ZERO_FACTOR_BANDS])
+def test_zero_factor_band_edges_cross_in_the_transfer_product(text, p, q, k, tol, merge_tol):
+    # the recipe read off the generator factorization is itself under test
+    # here: the edges cross in the 60-digit transfer product over s^k(star)
+    s, params = parse_substitution(text), JacobiParams(p, q)
+    bands = spectrum.floquet_bands(s, params, k, tol=tol, merge_tol=merge_tol)
+    word = periodic_word(s, k)
+    with mpmath.workdps(60):
+        _assert_edges_cross(bands, lambda E: _transfer_mp(word, params, E))

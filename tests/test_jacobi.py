@@ -115,11 +115,11 @@ def test_invariant_slope_symbolic():
 
 def test_schrodinger_specialization_after_inverse_map():
     # when p = 1, l(E) is one Fibonacci step past the classic Schrodinger
-    # line ((E - q)/2, E/2, 1): its inverse image under f
-    from sturmtrace.tracemap import fibonacci_map
+    # line ((E - q)/2, E/2, 1): its inverse image under t_1
+    from sturmtrace.tracemap import t_factor
     q = 0.8
     for E in (-1.5, 0.0, 2.4):
-        pt = fibonacci_map(((E - q) / 2.0, E / 2.0, 1.0))
+        pt = t_factor(1, ((E - q) / 2.0, E / 2.0, 1.0))
         assert np.allclose(pt, initial_conditions_grid(JacobiParams(1.0, q), E), atol=1e-12)
 
 

@@ -13,7 +13,8 @@ from sturmtrace.rotation import (
     rotation_sample,
     scan_beta,
 )
-from sturmtrace.substitution import FIBONACCI, Substitution, SubstitutionError, fixed_point_prefix
+from sturmtrace.substitution import (FIBONACCI, Substitution, SubstitutionError, fixed_point_prefix,
+                                    parse_substitution)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -65,9 +66,10 @@ def test_rotation_number_fibonacci():
 
 
 def test_rotation_number_metallic_and_square():
+    # alpha is the frequency of the dominant letter 0: 1/sqrt2 = [0; 1, 2, 2, ...]
     rot = rotation_number(Substitution("001", "0"))
-    assert rot.cf_period == (2,) and rot.cf_preperiod == ()
-    assert abs(rot.alpha - (math.sqrt(2.0) - 1.0)) < 1e-14
+    assert rot.cf_period == (2,) and rot.cf_preperiod == (1,)
+    assert abs(rot.alpha - 1.0 / math.sqrt(2.0)) < 1e-14
     rot2 = rotation_number(FIBONACCI.power(2))
     assert rot2.cf_period == (1,)
     assert abs(rot2.alpha - GOLDEN) < 1e-14
@@ -115,6 +117,18 @@ def test_beta_scan_recovers_fibonacci_prefix():
     if best["swap_letters"]:
         word = word.translate(str.maketrans("01", "10"))
     assert word == fixed_point_prefix(FIBONACCI, 20)
+
+
+@pytest.mark.parametrize("text", ["0->001;1->0", "0->0001;1->0"])
+def test_beta_scan_recovers_metal_mean_prefixes(text):
+    # the dominant letter's frequency, not the Perron slope, is the angle
+    assert scan_beta(parse_substitution(text), n_letters=200)["match_len"] == 200
+
+
+@pytest.mark.parametrize("text", ["0->01;1->0", "0->1;1->10", "0->100;1->10"])
+def test_golden_mean_alpha_is_the_golden_ratio_conjugate(text):
+    # the dominant letter's frequency is 1/phi for each of them, to the bit
+    assert rotation_number(parse_substitution(text)).alpha == 0.6180339887498949
 
 
 def test_continued_fraction_when_q_does_not_divide():

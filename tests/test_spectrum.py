@@ -321,6 +321,24 @@ def test_combinatorial_labels_roundtrip():
             assert gap_index_for_label(s, b, combinatorial_gap_label(s, b, j)) == j
 
 
+@pytest.mark.parametrize("text, k", [("0->001;1->0", 6), ("0->0001;1->0", 5),
+                                     ("0->100;1->10", 6), ("0->0010;1->010", 4),
+                                     ("0->01;1->001", 6), ("0->01;1->00101", 5)])
+def test_widest_gap_labels_are_ids_plateaus(text, k):
+    # gap j's label m (j = m n_k mod q_k, n_k the dominant letter's count in
+    # s^k(star)) puts frac(m alpha) at the IDS of an L-site truncation, to 2/L
+    s, params, L = parse_substitution(text), st.JacobiParams(1.1, 0.3), 30000
+    bands = st.floquet_bands(s, params, k)
+    assert bands.band_count == periodic_word_length(s, k) >= 150
+    alpha, counter = st.rotation_number(s).alpha, st.ids_counter(s, params, L)
+    gaps = bands.gaps()
+    for j in sorted(range(1, len(gaps) + 1), key=lambda j: gaps[j - 1][0] - gaps[j - 1][1])[:15]:
+        lo, hi = gaps[j - 1]
+        m = combinatorial_gap_label(s, bands, j)
+        err = abs(counter(0.5 * (lo + hi)) - (m * alpha) % 1.0)
+        assert min(err, 1.0 - err) <= 2.0 / L, (j, m)
+
+
 def test_gaps_with_labels_synthetic():
     table = IdsTable((0.0, 1.0), (0.5, 0.5), 10)  # 0.5 at every energy
     single = BandSet(((0.0, 1.0),), level=1)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -22,7 +23,11 @@ from sturmtrace.substitution import (
     periodic_word,
     periodic_word_length,
     star_letter,
+    sturmian_factors,
 )
+from sturmtrace.jacobi import JacobiParams, half_trace, word_transfer
+from sturmtrace.spectrum import half_trace_grid
+from sturmtrace.tracemap import recipe_from_substitution
 
 THUE_MORSE = Substitution("01", "10")
 METAL = Substitution("001", "0")
@@ -142,6 +147,45 @@ def test_class_checks_and_prefixes_match_the_references():
             assert _outcome(fixed_point_prefix, s, n) == _outcome(reference_prefix, s, n), (s, n)
         pairs += 1
     assert pairs == 126 ** 2
+
+
+# sha256 of "text star period" lines, sorted by text, of every pair of
+# images of length 1-6 whose trace-map recipe has no 0 factor: the 122 pairs
+# the M_a-matrix factorization of the abelianization accepted, with the
+# (star, period) it gave them
+M_A_RECIPES_SHA256 = "88c522677b74b93c24c65156b0731b31fd3247c4e9fbe7dd5f1f32ed13f979b0"
+
+
+def test_sturmian_factors_rebuild_every_pair_and_give_its_trace_map():
+    # every primitive invertible pair of images of length 1-6: the factors
+    # recompose to s, and the recipe's x_k is the transfer product's at k = 1-3
+    rng = np.random.default_rng(29)
+    lines, primitive = [], 0
+    for w0, w1 in itertools.product(IMAGES, repeat=2):
+        s = Substitution(w0, w1)
+        if not s.invertible:
+            continue
+        pair = ("0", "1")
+        for g in reversed(sturmian_factors(s)):
+            pair = tuple(g.apply(w) for w in pair)
+        assert pair == (w0, w1), s
+        if not s.primitive:
+            continue
+        primitive += 1
+        recipe = recipe_from_substitution(s)
+        if 0 not in recipe.period:
+            lines.append("%s %s %s\n" % (s.text(), recipe.star,
+                                          ",".join(map(str, recipe.period))))
+        params = JacobiParams(rng.uniform(0.4, 2.0), rng.uniform(-2.0, 2.0))
+        E = rng.uniform(-2.5, 2.5, size=3)
+        for k in (1, 2, 3):
+            word = periodic_word(s, k)
+            x = half_trace_grid(recipe, params, E, k)
+            for e, got in zip(E.tolist(), x.tolist()):
+                ht = half_trace(word_transfer(params, word, e))
+                assert abs(got - ht) <= 1e-10 * max(1.0, abs(ht)), (s, k, e)
+    assert primitive == 204 and len(lines) == 122
+    assert hashlib.sha256("".join(sorted(lines)).encode()).hexdigest() == M_A_RECIPES_SHA256
 
 
 def test_class_checks_refuse_as_the_references_do():
