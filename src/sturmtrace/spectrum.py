@@ -55,12 +55,13 @@ import glob
 import math
 import os
 from dataclasses import dataclass, fields
+from itertools import islice
 
 import numpy as np
 
 from .jacobi import (_block_count_below, dirichlet_restriction, eigen_count_below_grid,
                      initial_conditions_grid)
-from .substitution import _image_length, _image_word, dominant_letter
+from .substitution import _image_length, _image_word, _length_rows, dominant_letter
 from .tracemap import MAX_STEPS_POINT, _iterate, _verdicts, classify_batch, recipe_from_substitution
 
 SATURATION = 1e150         # |x| cap of one trace-map step; keeps the sign in gaps
@@ -454,7 +455,8 @@ def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=N
     ``merge_tol`` wide (default 1e-11 of the range; a negative, infinite
     or NaN one raises ValueError) count as closed.  ``e_range`` clips
     the result to a window; the band count is checked on the whole level
-    first.
+    first.  At strong coupling the defaults merge open gaps: 0->01;1->00101 at (1, 24),
+    k = 5, has 243 bands and 8 closed gaps, and 251 and none at tol, merge_tol = 3e-14, 2e-13.
     """
     recipe = recipe or recipe_from_substitution(s)
     hull = default_energy_range(params)
@@ -552,10 +554,7 @@ def _label_periods(s, bands, recipe):
         raise ValueError("band set incomplete: %d of %d bands; labels undefined"
                          % (bands.band_count, q_k))
     d = dominant_letter(s)
-    counts = {c: int(c == d) for c in "01"}   # of d in s^j(c), from j = 0
-    for _ in range(k):
-        counts = {c: sum(counts[x] for x in s.image(c)) for c in "01"}
-    return q_k, counts[star]
+    return q_k, next(islice(_length_rows(s, {c: int(c == d) for c in "01"}), k, None))[star]
 
 
 def combinatorial_gap_label(s, bands, gap_index, recipe=None):

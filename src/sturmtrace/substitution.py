@@ -9,11 +9,11 @@ two structural properties:
   both letters (equivalently, the square of the 2x2 letter-count matrix
   is entrywise positive);
 * invertibility -- s extends to an automorphism of the free group on
-  two generators (Nielsen: the image of the commutator [0,1] must be
-  conjugate to [0,1] or its inverse).
+  two generators, decided by the greedy peel of :func:`sturmian_factors`.
 
-Both checks are exact integer and string tests, linear in the length of
-the images.
+Primitivity is an exact integer test on the letter counts.  Each peel
+step is one pass over the images, and the number of steps is the factor
+count of s.
 
 The text format for substitutions is ``0->01;1->0``.
 """
@@ -109,6 +109,19 @@ class Substitution:
     def invertible(self):
         return check_invertible(self)
 
+    @cached_property
+    def _factors(self):
+        """The factors of :func:`sturmian_factors`, or None where the peel stops."""
+        E, swap = Substitution("1", "0"), str.maketrans("01", "10")
+        words, factors = self.image0 + " " + self.image1, []
+        while words != "0 1":
+            piece = next((p for p in ("01", "10") if "1" not in words.replace(p, "")), None)
+            if "1" not in words or not piece and factors[-1:] == [E]:
+                return None
+            factors.append(Substitution(piece, "0") if piece else E)
+            words = (words.replace(piece, "1") if piece else words).translate(swap)
+        return tuple(factors)
+
     def text(self):
         return "0->%s;1->%s" % (self.image0, self.image1)
 
@@ -144,18 +157,14 @@ def sturmian_factors(s):
     greedy left peel finds one: s is phi o t (phi~ o t) when deleting the
     pieces "01" ("10") from both images leaves no "1", and t reads each
     piece as 0 and each other 0 as 1; where neither peels, s = E o (E o s).
-    A peel shortens the images and one of s and E o s peels, so the loop
-    reaches the identity.  Returns the factors, g_1 first.
+    The peel stops, and s is not invertible, when no "1" is left in the
+    images or when neither s nor E o s peels.  Every other step shortens
+    the images, so the loop reaches the identity or stops within
+    2(|s(0)| + |s(1)|) + 1 steps.  Returns the factors, g_1 first.
     """
-    if not s.invertible:
+    if s._factors is None:
         raise SubstitutionError("trace map needs an invertible substitution")
-    swap = str.maketrans("01", "10")
-    words, factors = s.image0 + " " + s.image1, []
-    while words != "0 1":
-        piece = next((p for p in ("01", "10") if "1" not in words.replace(p, "")), None)
-        factors.append(Substitution(piece, "0") if piece else Substitution("1", "0"))
-        words = (words.replace(piece, "1") if piece else words).translate(swap)
-    return tuple(factors)
+    return s._factors
 
 
 def check_primitive(s):
@@ -173,25 +182,11 @@ def check_primitive(s):
 
 
 def check_invertible(s):
-    """Nielsen test: s([0,1]) cyclically reduces to a rotation of [0,1]^(+-1).
+    """True iff the peel of :func:`sturmian_factors` reaches the identity.
 
-    [0,1] denotes the commutator 0.1.0^-1.1^-1.  Group words spell the
-    letters 0, 1 as a, b and their inverses as A, B, so the inverse of a
-    word is its reverse with the case swapped.
+    It stops when no "1" is left in the images or neither s nor E o s peels.
     """
-    spell = str.maketrans("01", "ab")
-    a, b = s.image0.translate(spell), s.image1.translate(spell)
-    reduced = []
-    for g in a + b + a[::-1].swapcase() + b[::-1].swapcase():
-        if reduced and reduced[-1] == g.swapcase():
-            reduced.pop()
-        else:
-            reduced.append(g)
-    i, j = 0, len(reduced)
-    while j - i >= 2 and reduced[i] == reduced[j - 1].swapcase():
-        i, j = i + 1, j - 1
-    w = "".join(reduced[i:j])
-    return len(w) == 4 and (w in "abABabAB" or w in "baBAbaBA")
+    return s._factors is not None
 
 
 def dominant_letter(s):
@@ -295,9 +290,12 @@ def _image_length(s, letter, k):
     return next(islice(_length_rows(s), k, None))[letter]
 
 
-def _length_rows(s):
-    """The length table: rows {c: |s^j(c)|} for j = 0, 1, 2, ..., exact ints."""
-    row = {"0": 1, "1": 1}
+def _length_rows(s, row=None):
+    """Rows {c: weight of s^j(c)} for j = 0, 1, 2, ..., exact ints.
+
+    row weighs each letter; the default, 1 each, makes the length table.
+    """
+    row = row or {"0": 1, "1": 1}
     while True:
         yield row
         row = {c: sum(row[x] for x in s.image(c)) for c in "01"}

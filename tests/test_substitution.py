@@ -149,6 +149,18 @@ def test_class_checks_and_prefixes_match_the_references():
     assert pairs == 126 ** 2
 
 
+def test_invertibility_matches_the_reference_with_a_7_letter_image():
+    # every pair of images of length 1-7 that the test above leaves out
+    sevens = ["".join(t) for t in itertools.product("01", repeat=7)]
+    pairs = 0
+    for w0, w1 in itertools.chain(itertools.product(sevens, IMAGES + sevens),
+                                  itertools.product(IMAGES, sevens)):
+        s = Substitution(w0, w1)
+        assert check_invertible(s) is reference_invertible(s), s
+        pairs += 1
+    assert pairs == 254 ** 2 - 126 ** 2
+
+
 # sha256 of "text star period" lines, sorted by text, of every pair of
 # images of length 1-6 whose trace-map recipe has no 0 factor: the 122 pairs
 # the M_a-matrix factorization of the abelianization accepted, with the
