@@ -9,8 +9,8 @@ import pytest
 
 import sturmtrace as st
 import sturmtrace.dos as dos_mod
-from sturmtrace.dos import (DosSummary, IdsTable, _grid_quantiles, dyadic_ladder, ids,
-                            ids_counter, ids_scaling_exponent)
+from sturmtrace.dos import (_FILL_MIN_POINTS, DosSummary, IdsTable, _grid_quantiles,
+                            dyadic_ladder, ids, ids_counter, ids_scaling_exponent)
 from sturmtrace.jacobi import dirichlet_restriction, eigen_count_below_grid
 from sturmtrace.spectrum import default_energy_range
 from sturmtrace.substitution import (FIBONACCI, WORD_LENGTH_CAP, Substitution,
@@ -203,7 +203,7 @@ def test_grid_quantiles_on_the_count_equal_the_full_table(text, p, q, L, points)
     counter = ids_counter(s, params, L)
     lo, hi = default_energy_range(params)
     grid = np.linspace(lo, hi, points)
-    table = ids(s, params, L, grid)
+    table = IdsTable(grid, counter(grid), L)   # the full count, not the filled table of ids
     U = np.concatenate([table.n_values, np.random.default_rng(L).uniform(-0.5, 1.5, 500)])
     assert np.array_equal(grid[_grid_quantiles(counter, grid, U)], table.quantile(U))
 
@@ -240,10 +240,12 @@ def test_dos_summary_medians_rise_toward_free():
 
 
 def _per_sample_summary(s, params, sample_count, L, seed, eps_max=None, n_scales=7):
-    """The summary built one Sturm call per sample, as before the batched sweep."""
+    """The summary built one Sturm call per sample, as before the batched sweep,
+    with its draws read off the fully counted 4097-point table."""
     lo, hi = default_energy_range(params)
     counter = ids_counter(s, params, L)
-    table = ids(s, params, L, np.linspace(lo, hi, 4097))
+    grid = np.linspace(lo, hi, 4097)
+    table = IdsTable(grid, counter(grid), L)
     eps_max = (hi - lo) / 64.0 if eps_max is None else eps_max
     rng = np.random.default_rng(seed)
     exps, energies, skipped = [], [], 0
@@ -296,13 +298,78 @@ def _counting(monkeypatch):
 
 @pytest.mark.parametrize("text, L", [("0->01;1->0", 4181), ("0->001;1->0", 6765)])
 def test_dos_summary_count_budget(monkeypatch, text, L):
-    # three multisection rounds and one ladder count, against the 4097-point
-    # table and the ladders (2 calls, 4391 energies) of a full sweep
+    # two multisection rounds (every 16th grid point, then 15 probes per
+    # draw) and one ladder count, against the 4097-point table and the
+    # ladders (2 calls, 4391 energies) of a full sweep
     sizes = _counting(monkeypatch)
     summ = st.dos_dimension_summary(parse_substitution(text), st.JacobiParams(1.1, 0.9), 21, L,
                                     seed=2)
     assert len(summ.exponents) + summ.skipped == 21
-    assert len(sizes) <= 4 and sum(sizes) < 1000
+    assert len(sizes) <= 3 and sum(sizes) < 1000
+
+
+@pytest.mark.parametrize("text, L", [("0->01;1->0", 4181), ("0->001;1->0", 6765)])
+def test_ids_table_count_budget(monkeypatch, text, L):
+    # every 16th point and the last, then the points of the cells whose ends differ
+    params = st.JacobiParams(1.1, 0.9)
+    lo, hi = default_energy_range(params)
+    sizes = _counting(monkeypatch)
+    ids(parse_substitution(text), params, L, np.linspace(lo, hi, 4097))
+    assert len(sizes) == 2 and sizes[0] == 257 and sum(sizes) < 4097 / 2
+    sizes.clear()
+    ids(parse_substitution(text), params, L, np.linspace(lo, hi, _FILL_MIN_POINTS - 1))
+    assert sizes == [_FILL_MIN_POINTS - 1]
+
+
+FILL_CASES = [(FIBONACCI, 1.386, 0.311, 4181), (parse_substitution("0->001;1->0"), -1.2, 2.0, 6765),
+              (parse_substitution("0->100;1->10"), 0.7, -3.0, 987),   # two factors
+              (FIBONACCI, 1.0, 24.0, 4181), (ALL_ZERO, 1.0, 0.0, 2000)]
+
+
+def _fill_grids():
+    for s, p, q, L in FILL_CASES:
+        lo, hi = default_energy_range(st.JacobiParams(p, q))
+        for points in (_FILL_MIN_POINTS - 1, _FILL_MIN_POINTS, 4097, 8193):
+            yield pytest.param(s, p, q, L, np.linspace(lo, hi, points), id="%s-%d" % (s, points))
+        ends = np.concatenate([[-np.inf], np.linspace(lo, hi, 4095), [np.inf]])
+        yield pytest.param(s, p, q, L, ends, id="%s-infinite-ends" % s)
+
+
+@pytest.mark.parametrize("s, p, q, L, grid", _fill_grids())
+def test_filled_table_equals_the_full_count(s, p, q, L, grid):
+    params = st.JacobiParams(p, q)
+    full = IdsTable(grid, ids_counter(s, params, L)(grid), L)
+    table = ids(s, params, L, grid)
+    assert table == full
+    assert table.n_values.tobytes() == full.n_values.tobytes()
+
+
+@pytest.mark.parametrize("s, p, q, L", FILL_CASES)
+def test_filled_table_below_the_spectrum_takes_one_count(monkeypatch, s, p, q, L):
+    # every cell's two ends count 0, so no point between them is counted
+    params = st.JacobiParams(p, q)
+    lo, _hi = default_energy_range(params)
+    grid = np.linspace(lo - 10.0, lo - 1.0, 4097)
+    sizes = _counting(monkeypatch)
+    table = ids(s, params, L, grid)
+    assert sizes == [257]
+    assert table == IdsTable(grid, np.zeros(grid.size), L)
+
+
+@pytest.mark.parametrize("points", [5, _FILL_MIN_POINTS])
+def test_ids_refuses_a_bad_grid_before_counting(monkeypatch, points):
+    grid = np.linspace(-3.0, 3.0, points)
+    repeated, nan = grid.copy(), grid.copy()
+    repeated[3] = repeated[2]
+    nan[points // 2] = np.nan
+    sizes = _counting(monkeypatch)
+    for bad in (grid[::-1], repeated, nan):
+        with pytest.raises(ValueError, match="energy grid must be strictly increasing"):
+            ids(FIBONACCI, st.JacobiParams(1.0, 0.5), 987, bad)
+    for bad in (grid[:1], grid.reshape(1, -1), 0.5):
+        with pytest.raises(ValueError, match="aligned 1-d grids with >= 2 points"):
+            ids(FIBONACCI, st.JacobiParams(1.0, 0.5), 987, bad)
+    assert sizes == []
 
 
 @pytest.mark.parametrize("L, kw, message", [
