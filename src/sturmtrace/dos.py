@@ -12,9 +12,12 @@ frac(m alpha) from the gap labeling theorem.
 
 The count is monotone in E, so on a Cantor spectrum most of a fine grid
 sits on plateaus where it cannot change.  A large table (ids) and the
-quantile search of the summary (_grid_quantiles) therefore open with
-one count of every 16th grid point, and count further only inside the
-cells whose end counts differ; the results are those of the full count.
+summary's table of sample energies are therefore filled alike
+(_filled_counts): one count of every 16th grid point, then one of the
+interior points of the cells the caller picks, every other point taking
+its cell's left-end count.  ids picks every cell whose end counts
+differ, so its table is the full count's; the summary picks the cells
+that hold a draw, so its table is exact wherever a quantile reads it.
 
 The local scaling exponent at E is the log-log slope of the measure
 N(E + eps) - N(E - eps) against eps over a dyadic ladder; exact
@@ -42,7 +45,8 @@ def _check_energy_grid(e):
 
 @dataclass(frozen=True, eq=False)
 class IdsTable:
-    """Monotone sampled IDS, its grids kept as read-only 1-d float64 copies."""
+    """Monotone sampled IDS, its grids kept as read-only 1-d float64 copies,
+    counted on the first L sites (L a whole number >= 1)."""
 
     e_grid: np.ndarray
     n_values: np.ndarray
@@ -59,6 +63,8 @@ class IdsTable:
         _check_energy_grid(e)
         if not (np.diff(n) >= 0).all():   # fails on a NaN as well
             raise ValueError("IDS values must be nondecreasing")
+        if not (self.L >= 1 and self.L % 1 == 0):   # NaN and inf too
+            raise ValueError("need a whole number L >= 1, got L = %r" % (self.L,))
 
     def __repr__(self):
         return "IdsTable(e_grid=%r, n_values=%r, L=%r)" % (
@@ -113,31 +119,49 @@ def ids_counter(s, params, L):
     return counter
 
 
-# Grids of at least this many points are counted in two rounds (see ids).
-# Timed against one full count on linspace grids over the hull, five
-# (s, p, q, L) cases, interleaved medians on a 2-CPU x86-64 sandbox: the
-# two rounds lost every case at 512-1024 points, were mixed at 1536-2560
-# and won every case from 2816 up (4.3-7.7 ms against 6.1-12.7 ms at
-# 4097 points, 4.6-9.2 against 13.0-23.0 at 8193).
+# Grids of at least this many points are filled (see ids), smaller ones
+# counted in one call.  Timed against one full count on linspace grids
+# over the hull, five (s, p, q, L) cases, interleaved medians on a 2-CPU
+# x86-64 sandbox: the two-call fill lost every case at 512-1024 points,
+# was mixed at 1536-2560 and won every case from 2816 up (4.3-7.7 ms
+# against 6.1-12.7 ms at 4097 points, 4.6-9.2 against 13.0-23.0 at 8193).
 _FILL_MIN_POINTS = 3072
 
 
-def _coarse_counts(counter, grid):
-    """Every 16th index of the grid and its last, and the counts there."""
+def _filled_counts(counter, grid, pick_cells):
+    """Counts over the grid in two counter calls, the second as small as the
+    cells picked.
+
+    The first call counts every 16th grid point and the last; these split
+    the grid into cells, cell c running from the c-th to the (c+1)-th of
+    them.  pick_cells maps those counts to a boolean mask over the cells,
+    and the second call counts every interior point of each picked cell.
+    Every other point takes its cell's left-end count.  A count does not
+    depend on the energies counted with it, so each counted point holds
+    the count the full grid gives it.
+    """
     idx = np.append(np.arange(0, grid.size - 1, 16), grid.size - 1)
-    return idx, counter(grid[idx])
+    coarse = counter(grid[idx])
+    widths = np.diff(idx)
+    n = np.append(np.repeat(coarse[:-1], widths), coarse[-1])
+    fine = np.repeat(pick_cells(coarse), widths)
+    fine[idx[:-1]] = False
+    fine = np.flatnonzero(fine)
+    if fine.size:
+        n[fine] = counter(grid[fine])
+    return n
 
 
 def ids(s, params, L, e_grid):
     """IDS table over a strictly increasing energy grid.
 
     A grid of fewer than _FILL_MIN_POINTS points is counted in one
-    batched call.  A larger one takes two: the first counts every 16th
-    point and the last, the second every interior point of each such
-    cell whose two end counts differ.  The Dirichlet count is monotone
-    in E, so a cell whose ends agree holds no eigenvalue, and its points
-    take that count; a count does not depend on the energies counted
-    with it, so the table is the one the full count gives.
+    batched call.  A larger one is filled in two (see _filled_counts):
+    every 16th point and the last, then every interior point of each
+    such cell whose two end counts differ.  The Dirichlet count is
+    monotone in E, so a cell whose ends agree holds no eigenvalue, and
+    its points take that count: the table is the one the full count
+    gives.
 
     Refuses as :func:`ids_counter` does, then L < 8, then a grid that is
     not 1-d with >= 2 strictly increasing points (NaN included), with
@@ -150,15 +174,14 @@ def ids(s, params, L, e_grid):
     _check_energy_grid(e)
     if e.size < _FILL_MIN_POINTS:
         return IdsTable(e, counter(e), L)
-    idx, coarse = _coarse_counts(counter, e)
-    widths = np.diff(idx)
-    n = np.append(np.repeat(coarse[:-1], widths), coarse[-1])
-    open_ = np.repeat(coarse[:-1] != coarse[1:], widths)
-    open_[idx[:-1]] = False
-    fine = np.flatnonzero(open_)
-    if fine.size:
-        n[fine] = counter(e[fine])
-    return IdsTable(e, n, L)
+    return IdsTable(e, _filled_counts(counter, e, lambda c: c[:-1] != c[1:]), L)
+
+
+def _cells_holding(u):
+    """Cell picker for _filled_counts: the cells whose right end is the first
+    coarse point with N >= u for some draw u.  Such a cell's left end is
+    below u, so its end counts differ."""
+    return lambda coarse: np.isin(np.arange(1, coarse.size), np.searchsorted(coarse, u))
 
 
 def _ladder_slope(eps, vals, floor):
@@ -207,48 +230,16 @@ class DosSummary:
     skipped: int
 
 
-def _grid_quantiles(counter, grid, u):
-    """Indices i of IdsTable.quantile(u) on the table of counter over grid,
-    without counting the whole grid.
-
-    The opening round counts every 16th grid point and the last (see
-    ids), shared by all draws, and gives each draw u a bracket [lo, hi]
-    of grid indices: the cell whose right end is the first of these
-    points with N >= u, or the last point alone when none reaches u
-    (the first alone for a NaN u).  Each later round counts 15 evenly
-    spaced probes inside every live bracket, all draws' probes
-    deduplicated in one counter call: a probe with N >= u becomes the
-    new hi, one with N < u moves lo past it.  When lo == hi that is the
-    first grid index with N >= u, else the last, as the table's quantile
-    finds it, because a count does not depend on the energies counted
-    with it.  A 4097-point grid splits into 256 cells of 16 points and
-    settles in 2 rounds.  A count that is not monotone in E, which an
-    IdsTable of the whole grid refuses, goes unseen here.
-    """
-    u = np.asarray(u, dtype=float)
-    idx, coarse = _coarse_counts(counter, grid)
-    j = np.where(np.isnan(u), 0, np.searchsorted(coarse, u))
-    hi = idx[np.minimum(j, idx.size - 1)]
-    lo = np.minimum(idx[np.maximum(j - 1, 0)] + 1, hi)
-    steps = np.arange(1, 16)
-    while (live := lo < hi).any():
-        l, h = lo[live][:, None], hi[live][:, None]
-        probes = np.maximum(l - 1 + steps * (h - l + 1) // 16, l)
-        idx, inv = np.unique(probes.ravel(), return_inverse=True)
-        below = counter(grid[idx])[inv].reshape(probes.shape) < u[live][:, None]
-        lo[live] = np.where(below, probes + 1, l).max(axis=1)
-        hi[live] = np.where(below, h, probes).min(axis=1)
-    return lo
-
-
 def dos_dimension_summary(s, params, sample_count, L, seed=0, eps_max=None, n_scales=7):
     """Scaling exponents at dN-sampled energies, summarized.
 
     The energies are inverse-transform draws u from the IDS on the grid
     np.linspace(lo, hi, 4097) over the spectrum hull: the first grid
-    energy with N >= u (so gap plateaus are never hit), found by
-    multisection on the count (see _grid_quantiles, 2 rounds) instead
-    of by counting the whole grid.  Each sample's exponent is the fit over
+    energy with N >= u (so gap plateaus are never hit), read with
+    IdsTable.quantile.  The table is filled as in ids, but only the
+    cells that hold a draw are counted in full (see _cells_holding),
+    so the count takes three calls: the 257 coarse points, the drawn
+    cells, and the ladders.  Each sample's exponent is the fit over
     the dyadic ladder of n_scales windows from eps_max down, all
     ladders counted in one call; samples whose smallest window holds
     no more than the 2/L resolution are skipped and counted.  Refuses
@@ -272,7 +263,10 @@ def dos_dimension_summary(s, params, sample_count, L, seed=0, eps_max=None, n_sc
     draws = rng.uniform(1.0 / L, 1.0 - 1.0 / L, size=sample_count)
     eps = np.sort(np.asarray(dyadic_ladder(eps_max, n_scales), dtype=float))
     grid = np.linspace(lo, hi, 4097)
-    centers = grid[_grid_quantiles(counter, grid, draws)]
+    table = IdsTable(grid, _filled_counts(counter, grid, _cells_holding(draws)), L)
+    # the table is exact on every cell a draw reads: below the drawn cell
+    # every value is below u, and the drawn cell and its right end are counted
+    centers = table.quantile(draws)
     # every sample's ladder, N(E + eps) then N(E - eps), in one batched count
     ladders = np.concatenate([centers[:, None] + eps, centers[:, None] - eps], axis=1)
     rows = counter(ladders.ravel()).reshape(ladders.shape)

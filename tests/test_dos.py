@@ -9,8 +9,9 @@ import pytest
 
 import sturmtrace as st
 import sturmtrace.dos as dos_mod
-from sturmtrace.dos import (_FILL_MIN_POINTS, DosSummary, IdsTable, _grid_quantiles,
-                            dyadic_ladder, ids, ids_counter, ids_scaling_exponent)
+from sturmtrace.dos import (_FILL_MIN_POINTS, DosSummary, IdsTable, _cells_holding,
+                            _filled_counts, dyadic_ladder, ids, ids_counter,
+                            ids_scaling_exponent)
 from sturmtrace.jacobi import dirichlet_restriction, eigen_count_below_grid
 from sturmtrace.spectrum import default_energy_range
 from sturmtrace.substitution import (FIBONACCI, WORD_LENGTH_CAP, Substitution,
@@ -107,6 +108,10 @@ def test_ids_table_validation_and_quantile():
                  ((0.0, 1.0, 2.0), (nan, 0.5, 1.0)), ((0.0, 1.0, 2.0), (0.0, 0.5, nan))):
         with pytest.raises(ValueError):
             IdsTable(e, n, 10)
+    for L in (0, -3.5, 0.5, 610.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="whole number L >= 1"):
+            IdsTable((0.0, 1.0), (0.0, 1.0), L)
+    assert IdsTable((0.0, 1.0), (0.0, 1.0), 610.0).L == 610.0
     t = IdsTable((0.0, 1.0, 2.0), (0.0, 0.25, 1.0), 10)
     assert t.quantile(0.2) == 1.0
     assert t.value_at(1.5) == 0.25
@@ -177,21 +182,22 @@ def test_ids_table_lookups_take_arrays_and_keep_the_bisect_rules(table):
         assert fn(x[:0]).shape == (0,)
 
 
-def _counted_grid_quantiles(table, u):
-    """The multisection of dos_dimension_summary on a table's own grid, with
-    the table's values as the count."""
-    return np.asarray(table.e_grid)[_grid_quantiles(table.value_at, np.asarray(table.e_grid), u)]
+def _drawn_cells_quantile(counter, grid, L, u):
+    """IdsTable.quantile(u) on the table of dos_dimension_summary: the count
+    over the grid, filled in full only in the cells that hold a draw."""
+    return IdsTable(grid, _filled_counts(counter, grid, _cells_holding(u)), L).quantile(u)
 
 
 @pytest.mark.parametrize("table", _lookup_tables())
 def test_grid_quantiles_equal_the_table_quantile(table):
     rng = np.random.default_rng(11)
-    n = np.asarray(table.n_values)
+    e, n = table.e_grid, table.n_values
     U = np.concatenate([n, rng.uniform(-0.5, 1.5, 300), [-np.inf, np.inf, np.nan]])
-    assert np.array_equal(_counted_grid_quantiles(table, U), table.quantile(U))
+    assert np.array_equal(_drawn_cells_quantile(table.value_at, e, table.L, U),
+                          table.quantile(U))
     # a draw equal to a table value lands on the first point of that plateau
     first = np.searchsorted(n, n, side="left")
-    assert np.array_equal(_counted_grid_quantiles(table, n), np.asarray(table.e_grid)[first])
+    assert np.array_equal(_drawn_cells_quantile(table.value_at, e, table.L, n), e[first])
 
 
 @pytest.mark.parametrize("text, p, q, L, points", [("0->01;1->0", 1.0, 0.5, 4181, 4097),
@@ -205,7 +211,7 @@ def test_grid_quantiles_on_the_count_equal_the_full_table(text, p, q, L, points)
     grid = np.linspace(lo, hi, points)
     table = IdsTable(grid, counter(grid), L)   # the full count, not the filled table of ids
     U = np.concatenate([table.n_values, np.random.default_rng(L).uniform(-0.5, 1.5, 500)])
-    assert np.array_equal(grid[_grid_quantiles(counter, grid, U)], table.quantile(U))
+    assert np.array_equal(_drawn_cells_quantile(counter, grid, L, U), table.quantile(U))
 
 
 @pytest.mark.parametrize("text, p, q, k", [("0->01;1->0", 1.1, 0.3, 8),
@@ -298,14 +304,19 @@ def _counting(monkeypatch):
 
 @pytest.mark.parametrize("text, L", [("0->01;1->0", 4181), ("0->001;1->0", 6765)])
 def test_dos_summary_count_budget(monkeypatch, text, L):
-    # two multisection rounds (every 16th grid point, then 15 probes per
-    # draw) and one ladder count, against the 4097-point table and the
-    # ladders (2 calls, 4391 energies) of a full sweep
+    # every 16th grid point and the last, then the 15 interior points of
+    # each 16-point cell that holds a draw, then the 21 ladders of 14
+    # energies, against the 4097-point table and the ladders (2 calls,
+    # 4391 energies) of a full sweep
+    s, params = parse_substitution(text), st.JacobiParams(1.1, 0.9)
+    lo, hi = default_energy_range(params)
+    coarse = ids_counter(s, params, L)(np.linspace(lo, hi, 4097)[::16])
+    draws = np.random.default_rng(2).uniform(1.0 / L, 1.0 - 1.0 / L, size=21)
+    drawn = {j for j in np.searchsorted(coarse, draws).tolist() if 0 < j < coarse.size}
     sizes = _counting(monkeypatch)
-    summ = st.dos_dimension_summary(parse_substitution(text), st.JacobiParams(1.1, 0.9), 21, L,
-                                    seed=2)
+    summ = st.dos_dimension_summary(s, params, 21, L, seed=2)
     assert len(summ.exponents) + summ.skipped == 21
-    assert len(sizes) <= 3 and sum(sizes) < 1000
+    assert sizes == [257, 15 * len(drawn), 21 * 14]
 
 
 @pytest.mark.parametrize("text, L", [("0->01;1->0", 4181), ("0->001;1->0", 6765)])
