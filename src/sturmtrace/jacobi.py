@@ -236,11 +236,13 @@ def eigen_count_below_grid(spec, E):
 # than 1/eps it has lost the contracted direction, and the counts it
 # composes go wrong near the eigenvalue clusters of strong coupling.
 #
-# k is a whole number held as a float64.  t1 and t2 are not reduced: a
-# compose adds its new angles to A's t1 and B's t2 as they are (they stay
-# within a few pi at the deepest levels solved).  Only the angles turned
-# into a tan are reduced by whole half-turns into [-pi/2, pi/2), where
-# cos > 0: a compose's middle angle r = t2A + t1B, and a count's t2.
+# k is a whole number held as a float64.  A compose does not reduce its t1
+# and t2: it adds its new angles to A's t1 and B's t2 as they are (they
+# stay within a few pi at the deepest levels solved).  One reduction, _reduce,
+# moves whole half-turns into k and leaves an angle in [-pi/2, pi/2),
+# where cos > 0.  It is applied to a site block's two angles and to the
+# angles turned into a tan: a compose's middle angle r = t2A + t1B, and
+# a count's t2.
 # There S_x is an arctan of tan t, and a compose needs only T = tan r,
 # no sine or cosine.  numpy runs tan and arctan as SIMD loops but sin and
 # cos of float64 element by element in libm, and the compose is the inner
@@ -250,24 +252,13 @@ _HALF_PI = 0.5 * np.pi
 _LOG_2 = np.log(2.0)
 
 
-def _wrap(t, k):
-    """Angles in [-3pi/2, 3pi/2) reduced into [-pi/2, pi/2), the half-turns moved to k.
-
-    Works in place: t and k must be arrays the caller owns.
-    """
-    # the half-turns as int8 (bool views): -1, 0 or 1, the same t and k
-    m = (t >= _HALF_PI).view(np.int8) - (t < -_HALF_PI).view(np.int8)
-    t -= np.pi * m
-    k += m
-    return t, k
-
-
 def _reduce(t, k):
     """Angles t reduced into [-pi/2, pi/2) by whole half-turns, added to the float k.
 
     floor(t / pi + 1/2) takes the half-turns; its rounding can leave an
-    angle a step outside, at pi/2 itself for one, and :func:`_wrap`'s
-    exact comparisons move it in.  Works in place, like :func:`_wrap`.
+    angle a step outside, at pi/2 itself for one, and a last half-turn
+    decided by exact comparisons moves it in.  Works in place: t and k
+    must be arrays the caller owns.
     """
     m = t / np.pi
     m += 0.5
@@ -275,7 +266,11 @@ def _reduce(t, k):
     k += m
     m *= np.pi
     t -= m
-    return _wrap(t, k)
+    # the last half-turn as int8 (bool views): -1, 0 or 1
+    m = (t >= _HALF_PI).view(np.int8) - (t < -_HALF_PI).view(np.int8)
+    t -= np.pi * m
+    k += m
+    return t, k
 
 
 def _stretch(x, t):
@@ -297,8 +292,8 @@ def _lift_site(a, b, E):
     h, g = 0.5 * (1.0 / b + b), 0.5 * (1.0 / b - b)
     plus, minus = np.arctan2(h, e), np.arctan2(g, e)
     x = np.log(np.hypot(e, h) + np.hypot(e, g))
-    t1, k = _wrap(0.5 * (plus + minus), np.zeros(E.shape))
-    t2, k = _wrap(0.5 * (plus - minus), k)
+    t1, k = _reduce(0.5 * (plus + minus), np.zeros(E.shape))
+    t2, k = _reduce(0.5 * (plus - minus), k)
     # fix the half-turns: the lift of F sends 0 to arg(a - E, 1) in (0, pi)
     off = np.arctan2(1.0, a - E) - (np.pi * k + t1 + _stretch(x, t2))
     return k + np.rint(off / np.pi), t1, x, t2

@@ -42,8 +42,10 @@ differently from the lift; an ordered level never runs it.  Points out
 of order after that raise BandCountError; they are never sorted into
 shape.  A gap is also closed when |x_k| - 1 <= 1e-12
 at its midpoint or it is at most merge_tol wide; closed gaps are merged
-and counted, so band_count + closed_gaps == q, and edges too far out of
-order to merge into bands raise BandCountError.
+and counted, so band_count + closed_gaps == q.  Both edges of band j are
+bisected inside [mu_{j-1}, mu_j], so bands never cross one another; a band
+whose left edge lies more than tol above its right edge raises
+BandCountError.
 
 The band-set helpers take a BandSet, (lo, hi) pairs or an (n, 2) array,
 and read it as one (n, 2) float array of edges.
@@ -492,7 +494,9 @@ def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=N
                        np.concatenate([mu[1:], mu[:-1]]), tol)
     edges = 0.5 * (out + inn)
     a, b = edges[:q], edges[q:]
-    if np.any(a - b > tol) or np.any(a[1:] - b[:-1] < -tol):
+    # both edges a[j], b[j] stay in [mu[j], mu[j + 1]], and mu is nondecreasing:
+    # bands cannot cross each other, only a band's own edges can
+    if np.any(a - b > tol):
         raise BandCountError("level %d: band edges out of order" % k)
     b = np.maximum(a, b)
     mids = 0.5 * (b[:-1] + a[1:])
@@ -501,9 +505,6 @@ def floquet_bands(s, params, k, e_range=None, tol=None, merge_tol=None, recipe=N
     # one band per open gap and one more, so band_count + closed_gaps == q;
     # open gaps are wider than merge_tol >= 0, so the bands are disjoint
     lo_e, hi_e = a[np.concatenate([[0], cut + 1])], b[np.concatenate([cut, [q - 1]])]
-    if np.any(hi_e < lo_e):
-        raise BandCountError("level %d: %d merged bands end below their start"
-                             % (k, np.sum(hi_e < lo_e)))
     if e_range is not None:
         lo_e, hi_e = _clip(np.stack([lo_e, hi_e], axis=1), lo, hi).T
         closed = closed & (mids >= lo) & (mids <= hi)
@@ -591,9 +592,10 @@ def gaps_with_labels(bands, ids_table, alpha, m_max=34, tol=1e-3):
 
     Each interior gap gets the IDS table's step value at its midpoint
     (one IdsTable.value_at lookup for all of them); the nearest label
-    frac(m alpha), |m| <= m_max (ties to smaller |m|), is attached when
-    it lies within ``tol``, otherwise label_m stays None.  m_max < 0,
-    and a tol that is negative or NaN, raise ValueError.
+    frac(m alpha), |m| <= m_max, is attached when it lies within ``tol``,
+    otherwise label_m stays None.  Of labels equally near, the one with
+    the smaller |m|, then the smaller m, wins.  m_max < 0, and a tol that
+    is negative or NaN, raise ValueError.
     """
     if m_max < 0:
         raise ValueError("need m_max >= 0: %r" % m_max)
@@ -601,20 +603,18 @@ def gaps_with_labels(bands, ids_table, alpha, m_max=34, tol=1e-3):
         raise ValueError("need tol >= 0: %r" % tol)
     gaps = bands.gaps()
     m = np.arange(-m_max, m_max + 1)
+    m = m[np.lexsort((m, np.abs(m)))]   # the tie order: smaller |m|, then smaller m
     lam = np.array([math.fmod(k * alpha, 1.0) % 1.0 for k in m.tolist()])
-    # sorted distinct label values, each kept with its smallest |m| (then smallest m)
-    order = np.lexsort((m, np.abs(m), lam))
-    lam, m = lam[order], m[order]
-    first = np.concatenate([[True], lam[1:] != lam[:-1]])
-    lam, m = lam[first], m[first]
+    # sorted distinct label values, each with the first m in tie order to reach it
+    lam, rank = np.unique(lam, return_index=True)
+    m = m[rank]
     values = ids_table.value_at(0.5 * (bands.edges[:-1, 1] + bands.edges[1:, 0]))
     # the nearest label is a neighbour of the value in sorted order; equal
-    # distances go to the smaller |m|, then to the smaller m
+    # distances go to the one first in tie order
     hi = np.minimum(np.searchsorted(lam, values), lam.size - 1)
     lo = np.maximum(hi - 1, 0)
     d_lo, d_hi = np.abs(lam[lo] - values), np.abs(lam[hi] - values)
-    closer = (np.abs(m[hi]) < np.abs(m[lo])) | ((np.abs(m[hi]) == np.abs(m[lo])) & (m[hi] < m[lo]))
-    best = np.where((d_hi < d_lo) | ((d_hi == d_lo) & closer), hi, lo)
+    best = np.where((d_hi < d_lo) | ((d_hi == d_lo) & (rank[hi] < rank[lo])), hi, lo)
     out = []
     for (g_lo, g_hi), value, dist, label, label_m in zip(
             gaps, values.tolist(), np.minimum(d_lo, d_hi).tolist(), lam[best].tolist(),

@@ -21,7 +21,7 @@ from sturmtrace.jacobi import (
     word_transfer,
 )
 from sturmtrace.jacobi import (_HALF_PI, _block_count_below, _lift_compose, _lift_count,
-                               _lift_site, _reduce, _wrap)
+                               _lift_site, _reduce)
 from sturmtrace.spectrum import default_energy_range
 from sturmtrace.substitution import (FIBONACCI, _image_prefix_blocks, _prefix_blocks,
                                      fixed_point_prefix, parse_substitution, periodic_word)
@@ -388,20 +388,35 @@ def test_lift_compose_equals_the_matrix_product_at_the_wrap_edges():
     assert (_norm(got - MA @ MB) / (_norm(MA) * _norm(MB))).max() < 1e-13
 
 
-def test_wrap_moves_half_turns_as_the_int64_formula():
-    below = np.nextafter(1.5 * np.pi, 0.0)
-    t = np.array([_HALF_PI, -_HALF_PI, below, -below, -0.0, 0.0, np.nan, 1.0, -2.0, 2.0])
-    k = np.arange(t.size, dtype=np.int64) - 4
-    m = (t >= _HALF_PI).astype(np.int64) - (t < -_HALF_PI)
-    want_t, want_k = t - np.pi * m, k + m
-    got_t, got_k = _wrap(t.copy(), k.copy())
-    assert got_k.dtype == np.int64 and got_k.tolist() == want_k.tolist()
-    assert got_t.tobytes() == want_t.tobytes()
-    assert got_t[0] == got_t[1] == -_HALF_PI and np.signbit(got_t[4])
+def _one_half_turn(t, k):
+    """The one-step reduction of angles in [-3pi/2, 3pi/2): one half-turn by exact comparisons."""
+    m = (t >= _HALF_PI).astype(float) - (t < -_HALF_PI)
+    return t - np.pi * m, k + m
+
+
+def test_reduce_is_the_one_step_reduction_on_the_site_angles():
+    # _lift_site reduces angles in [-pi, pi]: its t1 lies in (0, pi] and its
+    # t2 in (-pi/2, pi/2).  There the floor step of _reduce and its exact
+    # last half-turn give the one-step reduction bit for bit, also within
+    # 2000 ulps of every multiple of pi/2 in range
+    ulps = []
+    for c in (-np.pi, -_HALF_PI, 0.0, _HALF_PI, np.pi):
+        up, down = [c], [c]
+        for _ in range(2000):
+            up.append(np.nextafter(up[-1], np.inf))
+            down.append(np.nextafter(down[-1], -np.inf))
+        ulps += up + down[1:]
+    t = np.concatenate([np.linspace(-np.pi, np.pi, 1_000_001), ulps, [-0.0]])
+    t = t[(t >= -np.pi) & (t <= np.pi)]
+    k = np.random.default_rng(35).integers(-40, 40, t.size).astype(float)
+    want_t, want_k = _one_half_turn(t, k)
+    got_t, got_k = _reduce(t.copy(), k.copy())
+    assert got_t.tobytes() == want_t.tobytes() and got_k.tobytes() == want_k.tobytes()
+    assert got_k.dtype == np.float64 and np.signbit(got_t[-1])
 
 
 def test_reduce_moves_whole_half_turns_to_the_float_k():
-    # exact hits of (m + 1/2) pi go to -pi/2, as the comparisons of _wrap put them
+    # exact hits of (m + 1/2) pi go to -pi/2, as the exact last half-turn puts them
     below = np.nextafter(1.5 * np.pi, 0.0)
     t = np.array([_HALF_PI, -_HALF_PI, 3 * _HALF_PI, -3 * _HALF_PI, below, -below, -0.0, 0.0,
                   1.0, -2.0, 2.0, 100.0, -100.0, 7 * np.pi, 1e3 + 0.5])

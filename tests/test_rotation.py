@@ -153,6 +153,12 @@ def test_continued_fraction_refusals():
             continued_fraction(rational)
 
 
+def test_continued_fraction_gives_up_after_10000_terms():
+    # frac(sqrt 1000000007) has a CF period of 12 352 terms
+    with pytest.raises(RuntimeError, match="no CF period found within 10000 terms"):
+        continued_fraction(QuadraticSurd(-31622, 1, 1000000007, 1))
+
+
 def test_perron_discriminant_of_primitive_unimodular_matrices_is_not_a_square():
     # the slope of rotation_number is irrational: tr^2 - 4 det, det = +-1, is a
     # square only for [[0, 1], [1, 0]] and triangular trace-2 matrices

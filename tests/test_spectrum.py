@@ -1,3 +1,5 @@
+import ctypes.util
+import glob
 import hashlib
 import itertools
 import math
@@ -1026,6 +1028,27 @@ def test_sterf_equals_scipy_sterf(text, p, q, k):
     expected = scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
     assert got.tobytes() == expected.tobytes()
     assert d.tobytes() == np.array(spec.diag).tobytes()   # the inputs are copied, not overwritten
+
+
+def test_dsterf_loader_skips_libraries_without_the_symbol(monkeypatch, tmp_path):
+    root = os.path.dirname(np.__file__)
+    real = sorted(glob.glob(os.path.join(root + ".libs", "libscipy_openblas64_*"))
+                  + glob.glob(os.path.join(root, ".dylibs", "libscipy_openblas64_*")))
+    assert real, "numpy ships no OpenBLAS"
+    junk = tmp_path / "a_libscipy_openblas64_junk.so"
+    junk.write_bytes(b"not a shared library")          # fails to load
+    libc = ctypes.util.find_library("c")               # loads, has no scipy_dsterf_64_
+    candidates = []
+    monkeypatch.setattr(spectrum_mod.glob, "glob", lambda pattern: list(candidates))
+    candidates[:] = [str(junk), libc]
+    assert spectrum_mod._dsterf.__wrapped__() is None
+    openblas = tmp_path / "z_libscipy_openblas64_.so"   # sorts after the junk file
+    openblas.symlink_to(real[0])
+    candidates[:] = [str(openblas), str(junk), libc]
+    loaded = spectrum_mod._dsterf.__wrapped__()
+    assert loaded is not None
+    monkeypatch.setattr(spectrum_mod, "_dsterf", lambda: loaded)
+    assert spectrum_mod._sterf([0.0, 0.0], [1.0]).tolist() == [-1.0, 1.0]
 
 
 def test_deep_solve_never_imports_scipy(tmp_path):
